@@ -86,10 +86,10 @@ def _requested_orders(args, n_params: int) -> list[tuple[int, ...]]:
 def _write_output(payload: dict, path: str | None):
     if path:
         with open(path, "w") as handle:
-            json.dump(payload, handle)
+            json.dump(payload, handle, allow_nan=False)
             handle.write("\n")
     else:
-        json.dump(payload, sys.stdout)
+        json.dump(payload, sys.stdout, allow_nan=False)
         sys.stdout.write("\n")
 
 

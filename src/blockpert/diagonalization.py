@@ -26,10 +26,13 @@ In the eigenbasis the Sylvester solution is elementwise,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import product as cartesian
 from typing import Any, Callable
 
 import numpy as np
+import scipy.sparse as sparse
 
 from blockpert.operators import (
     CountedMatrix,
@@ -82,9 +85,35 @@ class DegenerateSubspaceError(ValueError):
         )
 
 
-def _hermiticity_defect(matrix: np.ndarray) -> float:
-    scale_ = max(1.0, float(np.max(np.abs(matrix))) if matrix.size else 0.0)
-    return float(np.max(np.abs(matrix - matrix.conj().T))) / scale_
+def _max_abs(matrix) -> float:
+    """Largest entry magnitude of a dense or sparse operator.
+
+    NaN or infinite exactly when some entry is not finite.
+    """
+    entries = matrix.tocoo().data if sparse.issparse(matrix) else np.asarray(matrix)
+    return float(np.abs(entries).max(initial=0.0))
+
+
+def _require_finite(matrix, what: str):
+    if not math.isfinite(_max_abs(matrix)):
+        raise ValueError(f"{what} has non-finite entries.")
+
+
+def _hermiticity_defect(matrix) -> float:
+    """Largest entry of ``M - M^H`` relative to ``max(1, max |M|)``."""
+    return _max_abs(matrix - matrix.conj().T) / max(1.0, _max_abs(matrix))
+
+
+def _check_operand(matrix, what: str):
+    """Reject a dense or sparse input that is non-finite or not Hermitian."""
+    top = _max_abs(matrix)
+    if not math.isfinite(top):
+        raise ValueError(f"{what} has non-finite entries.")
+    if _max_abs(matrix - matrix.conj().T) > HERMITICITY_RTOL * max(1.0, top):
+        raise ValueError(
+            f"{what} is not Hermitian; inputs are rejected rather than "
+            "symmetrized."
+        )
 
 
 @dataclass
@@ -102,8 +131,6 @@ class PerturbationProblem:
     n_params: int
     blocks: dict[tuple, Any]
     eig: EigenstructureInfo | None
-    basis: np.ndarray | None = None
-    h0_original: Any = None
     perturbations_original: dict[tuple[int, ...], Any] = field(default_factory=dict)
     implicit: bool = False
     solver: SylvesterSolver | None = None
@@ -139,19 +166,28 @@ class PerturbationProblem:
         tolerance: float | None = None,
         param_names: tuple[str, ...] | None = None,
     ) -> "PerturbationProblem":
-        """Problem from a diagonal ``H_0`` and per-state block labels."""
-        h0_diagonal = np.asarray(h0_diagonal)
-        if h0_diagonal.ndim == 2:
-            offdiag = h0_diagonal - np.diag(np.diag(h0_diagonal))
-            if np.max(np.abs(offdiag), initial=0.0) > 1e-12 * max(
-                1.0, np.max(np.abs(h0_diagonal))
-            ):
+        """Problem from a diagonal ``H_0`` and per-state block labels.
+
+        ``H_0`` is given by its diagonal or as a diagonal matrix, dense or
+        sparse. Operators are put in block order by indexing, and sparse ones
+        are densified block by block only.
+        """
+        h0 = h0_diagonal
+        h0 = h0.tocsr() if sparse.issparse(h0) else np.asarray(h0)
+        _require_finite(h0, "H_0")
+        if h0.ndim == 2:
+            diagonal = h0.diagonal()
+            if sparse.issparse(h0):
+                offdiag = h0 - sparse.diags(diagonal)
+            else:
+                offdiag = h0 - np.diag(diagonal)
+            if _max_abs(offdiag) > 1e-12 * max(1.0, _max_abs(h0)):
                 raise ValueError(
                     "H_0 must be numerically diagonal in the decoupling basis; "
                     "pre-diagonalize or pass subspace eigenvectors."
                 )
-            h0_diagonal = np.diag(h0_diagonal)
-        energies = np.real_if_close(h0_diagonal)
+            h0 = diagonal
+        energies = np.real_if_close(h0)
         if np.max(np.abs(np.imag(energies)), initial=0.0) > 1e-12:
             raise ValueError("H_0 has non-real diagonal entries.")
         energies = np.real(energies).astype(float)
@@ -162,12 +198,11 @@ class PerturbationProblem:
         if labels != list(range(len(labels))):
             raise ValueError("Block labels must be 0..b-1 without gaps.")
         permutation = np.argsort(indices, kind="stable")
-        basis = np.eye(len(energies), dtype=np.complex128)[:, permutation]
         return _assemble_explicit(
-            np.diag(energies.astype(np.complex128)),
+            energies[permutation],
             perturbations,
-            basis,
             tuple(int(np.sum(indices == label)) for label in labels),
+            lambda term: term[np.ix_(permutation, permutation)],
             masks or {},
             tolerance,
             param_names,
@@ -189,6 +224,8 @@ class PerturbationProblem:
         must form an orthonormal basis in which ``H_0`` is diagonal.
         """
         groups = [as_dense(v) for v in subspace_eigenvectors]
+        for k, group in enumerate(groups):
+            _require_finite(group, f"Eigenvector group {k}")
         basis = np.hstack(groups)
         n = basis.shape[0]
         if basis.shape[1] != n:
@@ -199,11 +236,21 @@ class PerturbationProblem:
         gram = basis.conj().T @ basis
         if np.max(np.abs(gram - np.eye(n))) > 1e-10:
             raise ValueError("Subspace eigenvectors are not orthonormal.")
+        h0 = h0.tocsr() if sparse.issparse(h0) else as_dense(h0)
+        _check_operand(h0, "H_0")
+        rotated_h0 = basis.conj().T @ h0 @ basis
+        scale_ = max(1.0, float(np.max(np.abs(rotated_h0))))
+        offdiag = rotated_h0 - np.diag(np.diag(rotated_h0))
+        if np.max(np.abs(offdiag), initial=0.0) > 1e-8 * scale_:
+            raise ValueError(
+                "H_0 is not diagonal in the provided basis; the eigenbasis "
+                "Sylvester solver requires a diagonalizing basis."
+            )
         return _assemble_explicit(
-            h0,
+            np.real(np.diag(rotated_h0)).astype(float),
             perturbations,
-            basis,
             tuple(g.shape[1] for g in groups),
+            lambda term: basis.conj().T @ term @ basis,
             masks or {},
             tolerance,
             param_names,
@@ -229,55 +276,47 @@ def _normalize_orders(perturbations: dict, n_params: int | None = None):
 
 
 def _assemble_explicit(
-    h0, perturbations, basis, block_sizes, masks, tolerance, param_names
+    energies, perturbations, block_sizes, rotate, masks, tolerance, param_names
 ):
-    h0 = as_dense(h0)
+    """Problem from the energies of ``H_0`` in the decoupling basis.
+
+    ``rotate`` takes an operator to that basis, in which the states of each
+    block are contiguous.
+    """
     perturbations, n_params = _normalize_orders(perturbations)
-    if _hermiticity_defect(h0) > HERMITICITY_RTOL:
-        raise ValueError("H_0 is not Hermitian.")
-    rotated_h0 = basis.conj().T @ h0 @ basis
-    scale_ = max(1.0, float(np.max(np.abs(rotated_h0))))
-    offdiag = rotated_h0 - np.diag(np.diag(rotated_h0))
-    if np.max(np.abs(offdiag), initial=0.0) > 1e-8 * scale_:
-        raise ValueError(
-            "H_0 is not diagonal in the provided basis; the eigenbasis "
-            "Sylvester solver requires a diagonalizing basis."
-        )
-    energies = np.real(np.diag(rotated_h0)).astype(float)
     rule = SeparationRule(tuple(block_sizes), dict(masks))
     splits = np.cumsum((0,) + rule.block_sizes)
-    eigenvalues = tuple(
-        energies[splits[i] : splits[i + 1]] for i in range(rule.n_blocks)
-    )
+    ranges = [slice(a, b) for a, b in zip(splits, splits[1:])]
+    eigenvalues = tuple(energies[rows] for rows in ranges)
     eig = EigenstructureInfo(eigenvalues, tolerance)
-    blocks: dict[tuple, Any] = {}
     zero_order = (0,) * n_params
-    for i in range(rule.n_blocks):
-        sl = slice(splits[i], splits[i + 1])
-        blocks[(i, i, zero_order)] = np.diag(energies[sl]).astype(np.complex128)
+    blocks: dict[tuple, Any] = {
+        (i, i, zero_order): np.diag(e).astype(np.complex128)
+        for i, e in enumerate(eigenvalues)
+    }
+    n = len(energies)
     for order, term in perturbations.items():
-        term = as_dense(term)
-        if term.shape != h0.shape:
+        if sparse.issparse(term):
+            term = term.tocsr().astype(np.complex128)
+        else:
+            term = as_dense(term)
+        if term.shape != (n, n):
             raise ValueError(f"Perturbation at order {order} has wrong shape.")
-        if _hermiticity_defect(term) > HERMITICITY_RTOL:
-            raise ValueError(
-                f"Perturbation at order {order} is not Hermitian; inputs are "
-                "rejected rather than symmetrized."
-            )
-        rotated = basis.conj().T @ term @ basis
-        for i in range(rule.n_blocks):
-            for j in range(rule.n_blocks):
-                piece = rotated[splits[i] : splits[i + 1], splits[j] : splits[j + 1]]
-                if np.any(piece):
-                    blocks[(i, j, order)] = piece
+        _check_operand(term, f"Perturbation at order {order}")
+        rotated = rotate(term)
+        densify = sparse.issparse(rotated)
+        for (i, rows), (j, cols) in cartesian(enumerate(ranges), repeat=2):
+            piece = rotated[rows, cols]
+            if densify:
+                piece = piece.toarray()
+            if np.any(piece):
+                blocks[(i, j, order)] = piece
     return PerturbationProblem(
         eigenvalues=eigenvalues,
         rule=rule,
         n_params=n_params,
         blocks=blocks,
         eig=eig,
-        basis=basis,
-        h0_original=h0,
         perturbations_original=perturbations,
         param_names=param_names,
     )
@@ -645,6 +684,6 @@ def eigenvalues_of_truncation(
         result.h_tilde, (block, block), max_orders, values, shape=(size, size)
     )
     defect = _hermiticity_defect(effective)
-    if defect > 1e-8:
+    if not defect <= 1e-8:
         raise RuntimeError(f"Truncated block is not Hermitian (defect {defect}).")
     return np.linalg.eigvalsh(effective)

@@ -152,7 +152,7 @@ def problem_document(
 
 def write_document(doc: dict, path):
     with open(path, "w") as handle:
-        json.dump(doc, handle)
+        json.dump(doc, handle, allow_nan=False)
         handle.write("\n")
 
 
@@ -210,15 +210,10 @@ def load_problem(path, tol_override: float | None = None) -> tuple[PerturbationP
                 masks[int(label)] = np.asarray(mask, dtype=bool)
             except (TypeError, ValueError):
                 raise DocumentError(f"{path}: bad mask for block {label}.")
-    dense_h0 = h0.toarray() if sparse.issparse(h0) else np.asarray(h0)
-    dense_perturbations = {
-        order: term.toarray() if sparse.issparse(term) else term
-        for order, term in perturbations.items()
-    }
     if "indices" in subspaces:
         problem = PerturbationProblem.from_diagonal(
-            np.diag(dense_h0),
-            dense_perturbations,
+            h0,
+            perturbations,
             subspaces["indices"],
             masks=masks,
             tolerance=tol,
@@ -230,8 +225,8 @@ def load_problem(path, tol_override: float | None = None) -> tuple[PerturbationP
             for k, v in enumerate(subspaces["eigenvectors"])
         ]
         problem = PerturbationProblem.from_eigenvectors(
-            dense_h0,
-            dense_perturbations,
+            h0,
+            perturbations,
             vectors,
             masks=masks,
             tolerance=tol,

@@ -23,13 +23,13 @@ import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sla
 
-from blockpert.operators import (
-    MatrixFreeOperator,
-    OperationCounter,
-    Zero,
-    to_array,
+from blockpert.operators import MatrixFreeOperator, to_array
+from blockpert.diagonalization import (
+    PerturbationProblem,
+    _check_operand,
+    _normalize_orders,
+    _require_finite,
 )
-from blockpert.diagonalization import PerturbationProblem, _normalize_orders
 from blockpert.separation import SeparationRule
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "ShiftedSolverSet",
     "ExtendedContext",
     "build_extended_problem",
-    "apply_block",
     "projected_operator",
 ]
 
@@ -179,18 +178,6 @@ class ExtendedContext:
         return self.solvers.factorization_count
 
 
-def _hermiticity_defect_any(matrix) -> float:
-    difference = matrix - matrix.conj().T
-    if sparse.issparse(difference):
-        data = difference.tocoo().data
-        top = float(np.max(np.abs(data))) if data.size else 0.0
-        scale = float(np.max(np.abs(matrix.tocoo().data))) if matrix.nnz else 0.0
-    else:
-        top = float(np.max(np.abs(difference)))
-        scale = float(np.max(np.abs(matrix)))
-    return top / max(1.0, scale)
-
-
 def build_extended_problem(
     h0,
     perturbations: dict[tuple[int, ...], object],
@@ -218,6 +205,7 @@ def build_extended_problem(
     psi = np.asarray(explicit_vectors, dtype=np.complex128)
     if psi.ndim != 2:
         raise ValueError("explicit_vectors must be a matrix of columns.")
+    _require_finite(psi, "explicit_vectors")
     n, n_e = psi.shape
     if n_e == 0:
         raise ValueError("The explicit subspace is empty.")
@@ -229,11 +217,11 @@ def build_extended_problem(
     energies = np.asarray(eigenvalues, dtype=float).ravel()
     if len(energies) != n_e:
         raise ValueError("One eigenvalue per explicit vector is required.")
+    _require_finite(energies, "eigenvalues")
     gram = psi.conj().T @ psi
     if np.max(np.abs(gram - np.eye(n_e))) > ORTHONORMALITY_ATOL:
         raise ValueError("Explicit vectors are not orthonormal.")
-    if _hermiticity_defect_any(h0) > 1e-10:
-        raise ValueError("H_0 is not Hermitian.")
+    _check_operand(h0, "H_0")
     eigen_residual = h0 @ psi - psi * energies[None, :]
     scale = max(1.0, float(np.max(np.abs(energies))))
     if np.max(np.abs(eigen_residual)) > EIGEN_RESIDUAL_RTOL * scale:
@@ -246,8 +234,7 @@ def build_extended_problem(
         (1, 1, zero_order): projected_operator(h0, psi),
     }
     for order, term in perturbations.items():
-        if _hermiticity_defect_any(term) > 1e-10:
-            raise ValueError(f"Perturbation at order {order} is not Hermitian.")
+        _check_operand(term, f"Perturbation at order {order}")
         coupling = (term @ psi).conj().T  # Psi^H H_n, dense and wide
         explicit_block = coupling @ psi
         explicit_to_implicit = coupling - explicit_block @ psi.conj().T
@@ -279,8 +266,6 @@ def build_extended_problem(
         n_params=n_params,
         blocks=blocks,
         eig=None,
-        basis=None,
-        h0_original=h0,
         perturbations_original=perturbations,
         implicit=True,
         solver=solve_sylvester,
@@ -288,23 +273,3 @@ def build_extended_problem(
         param_names=param_names,
         implicit_context=context,
     )
-
-
-def apply_block(op, vectors: np.ndarray, counter: OperationCounter | None = None):
-    """Action of a block (dense, matrix-free, or zero) on column vectors.
-
-    Dense-dense products and matrix-free application batches each count as
-    one product on the optional counter.
-    """
-    vectors = np.asarray(vectors, dtype=np.complex128)
-    if isinstance(op, Zero):
-        return np.zeros_like(vectors)
-    if op.shape[1] != vectors.shape[0]:
-        raise ValueError(
-            f"Dimension mismatch: {op.shape} applied to {vectors.shape}."
-        )
-    if counter is not None:
-        counter.matmul_count += 1
-    if isinstance(op, np.ndarray):
-        return op @ vectors
-    return op.matmat(vectors)

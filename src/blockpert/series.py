@@ -5,6 +5,10 @@ A `BlockSeries` maps a block index ``(i, j)`` and an order multi-index
 recurrence callback and stored, so that requesting additional orders reuses
 all previous work. Structural zeros propagate as the ``zero`` sentinel and
 are masked in range queries instead of being materialized.
+
+`cauchy_product` is binary: every recurrence multiplies two series, and a
+product of more factors folds to the right into memoized binary products,
+so ``U†OU`` computes ``OU`` once and reuses it for every entry.
 """
 
 from __future__ import annotations
@@ -24,28 +28,28 @@ __all__ = [
     "orders_up_to",
 ]
 
-# Stack of (series name, key) of evaluations in flight, for cycle reports.
-_EVAL_STACK: list[tuple[str, tuple]] = []
-
 
 class RecurrenceCycleError(RuntimeError):
-    """A recurrence queried its own entry at equal order."""
+    """A recurrence queried its own entry at equal order.
+
+    ``chain`` lists the evaluations in flight, outermost first. Each
+    `BlockSeries.get` the error unwinds through adds its own entry, so the
+    chain holds only the evaluations of the thread that hit the cycle.
+    """
+
+    def __init__(self, entry: str):
+        super().__init__(entry)
+        self.entry = entry
+        self.chain: list[str] = []
+
+    def __str__(self):
+        chain = " -> ".join(self.chain)
+        return f"{self.entry} queried while being evaluated: {chain}"
 
 
 def orders_up_to(max_orders: tuple[int, ...]):
     """Iterate multi-indices ``m <= max_orders`` componentwise, lexicographically."""
     return cartesian(*(range(n + 1) for n in max_orders))
-
-
-def _decompositions(n: tuple[int, ...], parts: int):
-    """All tuples of ``parts`` multi-indices summing to ``n``, lexicographically."""
-    if parts == 1:
-        yield (n,)
-        return
-    for m in orders_up_to(n):
-        rest = tuple(a - b for a, b in zip(n, m))
-        for tail in _decompositions(rest, parts - 1):
-            yield (m,) + tail
 
 
 class BlockSeries:
@@ -106,18 +110,16 @@ class BlockSeries:
             return self._data[key]
         self._check_key(key)
         if key in self._in_progress:
-            chain = " -> ".join(f"{name}{k}" for name, k in _EVAL_STACK)
-            raise RecurrenceCycleError(
-                f"{self.name}{key} queried while being evaluated: {chain}"
-            )
+            raise RecurrenceCycleError(f"{self.name}{key}")
         if self.eval is None:
             raise KeyError(f"{self.name}{key} has no stored value and no eval.")
         self._in_progress.add(key)
-        _EVAL_STACK.append((self.name, key))
         try:
             value = self.eval(*key)
+        except RecurrenceCycleError as error:
+            error.chain.insert(0, f"{self.name}{key}")
+            raise
         finally:
-            _EVAL_STACK.pop()
             self._in_progress.discard(key)
         if value is None:
             value = zero
@@ -184,67 +186,58 @@ def cauchy_product(
     *factors: BlockSeries,
     name: str = "product",
 ) -> BlockSeries:
-    """Block-contracting Cauchy product of series.
+    """Block-contracting Cauchy product of two or more series.
 
-    The entry at order ``n`` sums, over all decompositions ``m_1 + ... + m_F
-    = n`` and all internal block paths, the chained products of the factor
-    entries. Terms containing a structural zero are skipped without
-    arithmetic; the factor entries of each term are queried in increasing
-    total order so that a vanishing low-order factor suppresses queries to
-    the high-order ones.
+    The entry ``(i, j, n)`` of ``a b`` sums ``a[i, l, m] b[l, j, n - m]`` over
+    internal blocks ``l`` and orders ``m <= n``. Of each pair the factor at
+    lower total order is queried first (the left one on ties), and a
+    structural zero skips the other query and the product. More factors fold
+    to the right, ``a (b c)``, so the inner product is a memoized series that
+    every outer term reuses.
     """
-    if not factors:
-        raise ValueError("Need at least one factor.")
-    n_params = factors[0].n_params
-    for left, right in zip(factors, factors[1:]):
-        if left.shape[1] != right.shape[0]:
-            raise ValueError(
-                f"Block shape mismatch: {left.shape} @ {right.shape}."
-            )
-        if right.n_params != n_params:
-            raise ValueError("Factors have different numbers of parameters.")
-    shape = (factors[0].shape[0], factors[-1].shape[1])
-    large = frozenset().union(*(f.large_blocks for f in factors))
+    if len(factors) < 2:
+        raise ValueError("Need at least two factors.")
+    left, right = factors[0], factors[1]
+    if len(factors) > 2:
+        right = cauchy_product(
+            *factors[1:], name="·".join(f.name for f in factors[1:])
+        )
+    if left.shape[1] != right.shape[0]:
+        raise ValueError(f"Block shape mismatch: {left.shape} @ {right.shape}.")
+    if left.n_params != right.n_params:
+        raise ValueError("Factors have different numbers of parameters.")
+    large = left.large_blocks | right.large_blocks
 
-    def eval(*key):
-        i, j = key[:2]
-        n = key[2:]
-        paths = cartesian(*(range(f.shape[1]) for f in factors[:-1]))
+    def eval(i, j, *n):
+        total = sum(n)
+        pairs = []
+        for m in orders_up_to(n):
+            p = tuple(a - b for a, b in zip(n, m))
+            pairs.append((m, p, 2 * sum(m) <= total))
+        lazy = i in large and j in large
         result = zero
-        for path in paths:
-            blocks = list(zip((i,) + path, path + (j,)))
-            for parts in _decompositions(n, len(factors)):
-                term = _evaluate_term(factors, blocks, parts, large)
-                result = add(result, term)
+        for l in range(left.shape[1]):
+            for m, p, left_first in pairs:
+                if left_first:
+                    a = left.get((i, l), m)
+                    b = zero if isinstance(a, Zero) else right.get((l, j), p)
+                else:
+                    b = right.get((l, j), p)
+                    a = zero if isinstance(b, Zero) else left.get((i, l), m)
+                if not (isinstance(a, Zero) or isinstance(b, Zero)):
+                    result = add(result, matmul(a, b, lazy=lazy))
         return result
 
     product = BlockSeries(
         eval=eval,
-        shape=shape,
-        n_params=n_params,
+        shape=(left.shape[0], right.shape[1]),
+        n_params=left.n_params,
         name=name,
-        param_names=factors[0].param_names,
+        param_names=left.param_names,
         large_blocks=large,
     )
     product.factors = factors
     return product
-
-
-def _evaluate_term(factors, blocks, parts, large_blocks):
-    """One summand of a Cauchy product, with zero short-circuiting."""
-    by_total = sorted(range(len(factors)), key=lambda f: (sum(parts[f]), f))
-    values: list[Any] = [None] * len(factors)
-    for f in by_total:
-        value = factors[f].get(blocks[f], parts[f])
-        if isinstance(value, Zero):
-            return zero
-        values[f] = value
-    result = values[0]
-    row = blocks[0][0]
-    for value, (_, col) in zip(values[1:], blocks[1:]):
-        lazy = row in large_blocks and col in large_blocks
-        result = matmul(result, value, lazy=lazy)
-    return result
 
 
 def series_adjoint(series: BlockSeries, name: str | None = None) -> BlockSeries:

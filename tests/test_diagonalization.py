@@ -1,5 +1,8 @@
+import re
+
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from blockpert.diagonalization import (
     DegenerateSubspaceError,
@@ -384,6 +387,89 @@ def test_rejects_non_diagonal_h0_with_indices():
     h0 = np.array([[0.0, 0.5], [0.5, 1.0]])
     with pytest.raises(ValueError, match="diagonal"):
         PerturbationProblem.from_diagonal(h0, {(1,): np.eye(2)}, [0, 1])
+
+
+def test_from_diagonal_cuts_blocks_by_index(rng):
+    """Interleaved labels, sparse or dense inputs: the same blocks."""
+    energies = np.array([0.1, 2.0, 0.2, 2.5, 3.0])
+    labels = [0, 1, 0, 1, 1]
+    h1 = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    h1 = h1 + h1.conj().T
+    dense = PerturbationProblem.from_diagonal(energies, {(1,): h1}, labels)
+    from_sparse = PerturbationProblem.from_diagonal(
+        sparse.diags(energies), {(1,): sparse.csr_matrix(h1)}, labels
+    )
+    groups = [[0, 2], [1, 3, 4]]
+    for problem in (dense, from_sparse):
+        assert problem.block_sizes == (2, 3)
+        np.testing.assert_array_equal(problem.eigenvalues[1], [2.0, 2.5, 3.0])
+        for i in range(2):
+            for j in range(2):
+                np.testing.assert_array_equal(
+                    problem.block(i, j, (1,)), h1[np.ix_(groups[i], groups[j])]
+                )
+
+
+def test_rejects_non_diagonal_sparse_h0():
+    h0 = sparse.csr_matrix(np.array([[0.0, 0.5], [0.5, 1.0]]))
+    with pytest.raises(ValueError, match="diagonal"):
+        PerturbationProblem.from_diagonal(h0, {(1,): np.eye(2)}, [0, 1])
+
+
+@pytest.mark.parametrize(
+    "build, operand",
+    [
+        (
+            lambda: PerturbationProblem.from_diagonal(
+                np.array([0.0, np.inf]), {(1,): np.eye(2)}, [0, 1]
+            ),
+            "H_0",
+        ),
+        (
+            lambda: PerturbationProblem.from_diagonal(
+                np.diag([0.0, np.nan]), {(1,): np.eye(2)}, [0, 1]
+            ),
+            "H_0",
+        ),
+        (
+            lambda: PerturbationProblem.from_diagonal(
+                np.array([0.0, 1.0]), {(1,): np.diag([np.nan, 0.0])}, [0, 1]
+            ),
+            "Perturbation at order (1,)",
+        ),
+        (
+            lambda: PerturbationProblem.from_diagonal(
+                np.array([0.0, 1.0]),
+                {(1,): sparse.csr_matrix(np.diag([np.inf, 0.0]))},
+                [0, 1],
+            ),
+            "Perturbation at order (1,)",
+        ),
+        (
+            lambda: PerturbationProblem.from_eigenvectors(
+                np.diag([0.0, np.inf]), {(1,): np.eye(2)}, [np.eye(2)]
+            ),
+            "H_0",
+        ),
+        (
+            lambda: PerturbationProblem.from_eigenvectors(
+                np.diag([0.0, 1.0]),
+                {(1,): np.eye(2)},
+                [np.array([[1.0], [0.0]]), np.array([[np.nan], [1.0]])],
+            ),
+            "Eigenvector group 1",
+        ),
+        (
+            lambda: PerturbationProblem.from_eigenvectors(
+                np.diag([0.0, 1.0]), {(1,): np.diag([0.0, np.nan])}, [np.eye(2)]
+            ),
+            "Perturbation at order (1,)",
+        ),
+    ],
+)
+def test_rejects_non_finite_inputs(build, operand):
+    with pytest.raises(ValueError, match=re.escape(f"{operand} has non-finite")):
+        build()
 
 
 def test_rejects_non_orthonormal_eigenvectors():

@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+import scipy.sparse.linalg as sla
 
 from blockpert.cli import main
 from blockpert.documents import (
@@ -13,7 +15,7 @@ from blockpert.documents import (
     problem_document,
     write_document,
 )
-from blockpert.problems import random_two_block, transmon_problem
+from blockpert.problems import lattice_problem, random_two_block, transmon_problem
 
 from conftest import random_hermitian
 
@@ -260,3 +262,54 @@ def test_cli_avoided_crossing_gap(tmp_path):
     rows = [line.split(",") for line in open(out).read().strip().splitlines()[1:]]
     gaps = [float(r[2]) - float(r[1]) for r in rows]
     assert min(gaps) > 0
+
+
+@pytest.mark.parametrize("command", ["diagonalize", "spectrum"])
+def test_cli_rejects_non_diagonal_h0_with_indices(tmp_path, command, capsys):
+    h0 = np.array([[0.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    doc = problem_document(
+        h0, {(1,): np.eye(3)}, subspace_indices=[0, 0, 1], param_names=["lam"]
+    )
+    path = document_path(tmp_path, doc)
+    argv = [command, "--input", path, "--max-order", "2"]
+    assert main(argv) == 3
+    assert "diagonal" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_finite_document(tmp_path, capsys):
+    h1 = np.eye(3)
+    h1[2, 2] = np.nan
+    doc = problem_document(
+        np.diag([0.0, 1.0, 2.0]), {(1,): h1}, subspace_indices=[0, 0, 1]
+    )
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))  # the reader accepts bare NaN tokens
+    assert main(["diagonalize", "--input", str(path), "--order", "1"]) == 3
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_documents_are_written_without_nan_tokens(tmp_path):
+    doc = problem_document(
+        np.diag([0.0, np.nan]), {(1,): np.eye(2)}, subspace_indices=[0, 1]
+    )
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_document(doc, tmp_path / "nan.json")
+
+
+def test_load_problem_keeps_implicit_operators_sparse(tmp_path):
+    """Loading an implicit document makes no dense N x N copy."""
+    h0, perturbations = lattice_problem(24, seed=3)
+    energies, vectors = sla.eigsh(h0, k=3, which="SA")
+    doc = problem_document(
+        h0,
+        perturbations,
+        implicit={"explicit_vectors": vectors, "eigenvalues": energies},
+    )
+    path = document_path(tmp_path, doc)
+    tracemalloc.start()
+    try:
+        load_problem(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * h0.shape[0] ** 2

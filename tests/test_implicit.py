@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -7,11 +9,10 @@ from blockpert.diagonalization import PerturbationProblem, block_diagonalize
 from blockpert.implicit import (
     DeflationError,
     ShiftedSolverSet,
-    apply_block,
     build_extended_problem,
     projected_operator,
 )
-from blockpert.operators import OperationCounter, to_array, zero
+from blockpert.operators import to_array
 from blockpert.series import orders_up_to
 
 from conftest import random_hermitian
@@ -44,24 +45,6 @@ def test_projected_operator_annihilates_explicit(small_toy):
     probe = np.random.default_rng(0).normal(size=(6, 2))
     once = op.matmat(probe)
     np.testing.assert_allclose(op.matmat(once), op.matmat(op.matmat(probe)))
-
-
-def test_apply_block_against_dense_assembly(rng):
-    n = 50
-    matrix = random_hermitian(rng, n)
-    psi = np.linalg.qr(rng.normal(size=(n, 3)))[0]
-    op = projected_operator(matrix, psi)
-    projector = np.eye(n) - psi @ psi.conj().T
-    dense = projector @ matrix @ projector
-    probe = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
-    counter = OperationCounter()
-    np.testing.assert_allclose(
-        apply_block(op, probe, counter), dense @ probe, atol=1e-10
-    )
-    assert counter.matmul_count == 1
-    identity = projected_operator(np.eye(n), np.zeros((n, 0)))
-    np.testing.assert_allclose(apply_block(identity, probe), probe, atol=1e-12)
-    np.testing.assert_allclose(apply_block(zero, probe), 0)
 
 
 def test_shifted_solver_diagonal_closed_form():
@@ -98,6 +81,22 @@ def test_shifted_solver_residual_random(rng):
         residual = solution @ (h0.toarray() - energies[i] * np.eye(n)) - rhs
         assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(rhs)
         assert np.linalg.norm(solution @ vectors) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "operand", ["H_0", "Perturbation at order (1,)", "explicit_vectors", "eigenvalues"]
+)
+def test_build_rejects_non_finite_inputs(small_toy, operand):
+    h0, perturbations, psi, energies = small_toy
+    corrupted = {
+        "H_0": h0,
+        "Perturbation at order (1,)": perturbations[(1,)],
+        "explicit_vectors": psi,
+        "eigenvalues": energies,
+    }[operand]
+    corrupted.flat[0] = np.nan
+    with pytest.raises(ValueError, match=re.escape(f"{operand} has non-finite")):
+        build_extended_problem(h0, perturbations, psi, energies)
 
 
 def test_build_rejects_full_basis(small_toy):

@@ -1,15 +1,22 @@
+import threading
+from itertools import product as cartesian
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockpert.operators import (
     CountedMatrix,
     OperationCounter,
+    Zero,
     zero,
 )
 from blockpert.series import (
     BlockSeries,
     RecurrenceCycleError,
     cauchy_product,
+    orders_up_to,
     series_adjoint,
 )
 
@@ -54,6 +61,61 @@ def test_cycle_detection_names_chain():
     )
     with pytest.raises(RecurrenceCycleError, match="loopy"):
         series.get((0, 0), (1,))
+
+
+def test_cycle_report_lists_the_evaluations_in_flight():
+    first = BlockSeries(
+        eval=lambda i, j, n: second.get((i, j), (n,)),
+        shape=(1, 1),
+        n_params=1,
+        name="first",
+    )
+    second = BlockSeries(
+        eval=lambda i, j, n: first.get((i, j), (n,)),
+        shape=(1, 1),
+        n_params=1,
+        name="second",
+    )
+    with pytest.raises(RecurrenceCycleError) as info:
+        first.get((0, 0), (1,))
+    assert str(info.value) == (
+        "first(0, 0, 1) queried while being evaluated: "
+        "first(0, 0, 1) -> second(0, 0, 1)"
+    )
+    # The failed evaluations are no longer in flight.
+    with pytest.raises(RecurrenceCycleError, match="second"):
+        second.get((0, 0), (1,))
+
+
+def test_cycle_report_holds_only_its_own_thread():
+    """A cycle in one thread does not name another thread's evaluations."""
+    entered, release = threading.Event(), threading.Event()
+
+    def wait(i, j, n):
+        entered.set()
+        release.wait(timeout=10)
+        return zero
+
+    other = BlockSeries(eval=wait, shape=(1, 1), n_params=1, name="other")
+    loopy = BlockSeries(
+        eval=lambda i, j, n: loopy.get((i, j), (n,)),
+        shape=(1, 1),
+        n_params=1,
+        name="loopy",
+    )
+    waiting = threading.Thread(target=other.get, args=((0, 0), (1,)))
+    waiting.start()
+    try:
+        assert entered.wait(timeout=10)
+        with pytest.raises(RecurrenceCycleError) as info:
+            loopy.get((0, 0), (1,))
+    finally:
+        release.set()
+        waiting.join(timeout=10)
+    assert not waiting.is_alive()
+    assert str(info.value) == (
+        "loopy(0, 0, 1) queried while being evaluated: loopy(0, 0, 1)"
+    )
 
 
 def test_indexing_validation():
@@ -195,3 +257,74 @@ def test_shape_mismatch_in_product():
     b = BlockSeries(eval=lambda *k: zero, shape=(2, 2), n_params=1)
     with pytest.raises(ValueError, match="shape"):
         cauchy_product(a, b)
+
+
+def _dense_polynomial_product(left, right):
+    """Cauchy product of ``{order: full matrix}`` polynomials."""
+    product = {}
+    for m, a in left.items():
+        for p, b in right.items():
+            n = tuple(x + y for x, y in zip(m, p))
+            product[n] = product.get(n, 0) + a @ b
+    return product
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_params=st.integers(1, 3),
+    sizes=st.lists(st.integers(1, 2), min_size=1, max_size=3),
+    n_factors=st.integers(2, 3),
+    max_total=st.integers(0, 3),
+    zero_fraction=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cauchy_product_matches_dense_polynomial_product(
+    n_params, sizes, n_factors, max_total, zero_fraction, seed
+):
+    """Products of random block series with structural zeros against full
+    matrices; the n-ary fold equals the nested binary products exactly."""
+    rng = np.random.default_rng(seed)
+    b = len(sizes)
+    splits = np.cumsum([0] + sizes)
+    dimension = splits[-1]
+    max_orders = tuple(
+        int(x) for x in rng.integers(0, max_total + 1, size=n_params)
+    )
+    orders = list(orders_up_to(max_orders))
+
+    series, dense = [], []
+    for f in range(n_factors):
+        entries = {}
+        full = {order: np.zeros((dimension,) * 2, complex) for order in orders}
+        for (i, j), order in cartesian(cartesian(range(b), repeat=2), orders):
+            if rng.random() < zero_fraction:
+                continue
+            shape = (sizes[i], sizes[j])
+            value = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            entries[(i, j, *order)] = value
+            full[order][splits[i] : splits[i + 1], splits[j] : splits[j + 1]] = value
+
+        def eval(i, j, *n, entries=entries):
+            return entries.get((i, j, *n), zero)
+
+        series.append(BlockSeries(eval=eval, shape=(b, b), n_params=n_params, name=f"f{f}"))
+        dense.append(full)
+
+    reference = dense[0]
+    for full in dense[1:]:
+        reference = _dense_polynomial_product(reference, full)
+    folded = cauchy_product(*series)
+    nested = series[-1]
+    for factor in reversed(series[:-1]):
+        nested = cauchy_product(factor, nested)
+
+    for (i, j), order in cartesian(cartesian(range(b), repeat=2), orders):
+        expected = reference[order][splits[i] : splits[i + 1], splits[j] : splits[j + 1]]
+        value = folded.get((i, j), order)
+        twin = nested.get((i, j), order)
+        if isinstance(value, Zero):
+            assert isinstance(twin, Zero)
+            assert not np.any(expected)
+        else:
+            np.testing.assert_array_equal(value, twin)
+            np.testing.assert_allclose(value, expected, rtol=1e-12, atol=1e-12)
