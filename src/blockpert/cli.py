@@ -38,7 +38,7 @@ from blockpert.documents import (
     result_document,
 )
 from blockpert.implicit import DeflationError, FactorizationError, build_extended_problem
-from blockpert.operators import OperationCounter, Zero, to_array, unwrap
+from blockpert.operators import OperationCounter, Zero, to_array
 from blockpert.oracles import reference_count_benchmark
 from blockpert.problems import lattice_problem, random_two_block
 from blockpert.separation import RuleValidationError
@@ -51,6 +51,9 @@ EXIT_VERIFY = 1
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_SOLVER = 4
+
+# Bytes of truncated blocks `spectrum` holds at once; larger grids go in chunks.
+SPECTRUM_CHUNK_BYTES = 32 * 2**20
 
 
 def _parse_order(text: str) -> tuple[int, ...]:
@@ -83,6 +86,16 @@ def _requested_orders(args, n_params: int) -> list[tuple[int, ...]]:
     return seen
 
 
+def _check_block(block: tuple[int, int], problem: PerturbationProblem):
+    """Reject a block outside the problem or inside its implicit complement."""
+    if not all(0 <= index < problem.n_blocks for index in block):
+        raise DocumentError(
+            f"Block {block} is outside the problem's {problem.n_blocks} blocks."
+        )
+    if set(block) <= problem.large_blocks:
+        raise DocumentError(f"Block {block} is implicit and has no dense form.")
+
+
 def _write_output(payload: dict, path: str | None):
     if path:
         with open(path, "w") as handle:
@@ -101,11 +114,15 @@ def cmd_diagonalize(args) -> int:
             "document."
         )
     retention = args.retention or doc.get("options", {}).get("retention", "keep")
+    if retention not in ("keep", "discard"):
+        raise ValueError("retention must be 'keep' or 'discard'.")
+    blocks = [tuple(b) for b in args.block or [(0, 0)]]
+    for block in blocks:
+        _check_block(block, problem)
     counter = OperationCounter()
     started = time.perf_counter()
-    result = block_diagonalize(problem, counter=counter, retention=retention)
+    result = block_diagonalize(problem, counter=counter)
     build_time = time.perf_counter() - started
-    blocks = [tuple(b) for b in args.block or [(0, 0)]]
     orders = _requested_orders(args, problem.n_params)
     entries = []
     started = time.perf_counter()
@@ -114,7 +131,7 @@ def cmd_diagonalize(args) -> int:
         if isinstance(value, Zero):
             entries.append((block, order, None))
         else:
-            entries.append((block, order, to_array(unwrap(value))))
+            entries.append((block, order, to_array(value)))
     evaluate_time = time.perf_counter() - started
     if retention == "discard":
         result.clear_intermediates()
@@ -160,30 +177,33 @@ def _parse_grid(specs, param_names) -> list[np.ndarray]:
 
 def cmd_spectrum(args) -> int:
     problem, _ = load_problem(args.input)
+    block = tuple(args.block[0]) if args.block else (0, 0)
+    _check_block(block, problem)
+    if block[0] != block[1]:
+        raise DocumentError(f"spectrum needs a diagonal block, got {block}.")
     result = block_diagonalize(problem)
-    param_names = list(problem.param_names or [])
+    param_names = list(result.h_tilde.param_names)
     axes = _parse_grid(args.grid, param_names)
     max_orders = _parse_order(args.max_order)
     if len(max_orders) == 1 and problem.n_params > 1:
         max_orders = max_orders * problem.n_params
     if len(max_orders) != problem.n_params:
         raise DocumentError("--max-order must match the number of parameters.")
-    block = tuple(args.block[0]) if args.block else (0, 0)
     size = problem.block_sizes[block[0]]
-    lines = [",".join(param_names + [f"eig_{k}" for k in range(size)])]
-    for point in cartesian(*axes):
+    # Rows in the order of itertools.product: the last parameter varies fastest.
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(axes))
+    eigenvalues = np.empty((len(points), size))
+    chunk = max(1, SPECTRUM_CHUNK_BYTES // (16 * size * size))
+    for start in range(0, len(points), chunk):
+        part = slice(start, start + chunk)
         effective = evaluate_truncated(
-            result.h_tilde, block, max_orders, point, shape=(size, size)
+            result.h_tilde, block, max_orders, points[part], shape=(size, size)
         )
-        eigenvalues = np.linalg.eigvalsh(effective)
-        values = [f"{v:.17g}" for v in point] + [f"{e:.17g}" for e in eigenvalues]
-        lines.append(",".join(values))
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+        eigenvalues[part] = np.linalg.eigvalsh(effective)
+    header = ",".join(param_names + [f"eig_{k}" for k in range(size)])
+    rows = np.hstack([points, eigenvalues])
+    output = args.output or sys.stdout
+    np.savetxt(output, rows, "%.17g", ",", header=header, comments="", encoding="utf-8")
     return EXIT_OK
 
 

@@ -99,11 +99,6 @@ def _require_finite(matrix, what: str):
         raise ValueError(f"{what} has non-finite entries.")
 
 
-def _hermiticity_defect(matrix) -> float:
-    """Largest entry of ``M - M^H`` relative to ``max(1, max |M|)``."""
-    return _max_abs(matrix - matrix.conj().T) / max(1.0, _max_abs(matrix))
-
-
 def _check_operand(matrix, what: str):
     """Reject a dense or sparse input that is non-finite or not Hermitian."""
     top = _max_abs(matrix)
@@ -367,15 +362,6 @@ class DiagonalizationResult:
     u_adjoint: BlockSeries
     problem: PerturbationProblem
     context: dict[str, BlockSeries]
-    counter: OperationCounter | None = None
-    retention: str = "keep"
-
-    def request(self, block: tuple[int, int], order: tuple[int, ...]):
-        """Evaluate one effective-Hamiltonian entry, honoring retention."""
-        value = self.h_tilde.get(block, order)
-        if self.retention == "discard":
-            self.clear_intermediates()
-        return value
 
     def clear_intermediates(self):
         """Drop memoized intermediates, keeping the three output series."""
@@ -390,7 +376,6 @@ def block_diagonalize(
     solver: SylvesterSolver | None = None,
     *,
     counter: OperationCounter | None = None,
-    retention: str = "keep",
 ) -> DiagonalizationResult:
     """Set up the lazily evaluated block diagonalization of a problem.
 
@@ -400,8 +385,6 @@ def block_diagonalize(
     solver. When a ``counter`` is passed, all input blocks are wrapped in a
     counting backend and every operator-operator product is tallied.
     """
-    if retention not in ("keep", "discard"):
-        raise ValueError("retention must be 'keep' or 'discard'.")
     if solver is None:
         solver = problem.solver
     if solver is None:
@@ -413,16 +396,13 @@ def block_diagonalize(
     if problem.eig is not None:
         check_rule(problem.rule, problem.eig)
     context = _build_series(problem, solver, counter)
-    result = DiagonalizationResult(
+    return DiagonalizationResult(
         h_tilde=context["H_tilde"],
         u=context["U"],
         u_adjoint=context["U†"],
         problem=problem,
         context=context,
-        counter=counter,
-        retention=retention,
     )
-    return result
 
 
 def _build_series(
@@ -646,30 +626,28 @@ def evaluate_truncated(
     values,
     shape: tuple[int, int] | None = None,
 ) -> np.ndarray:
-    """Sum of series terms up to ``max_orders`` at numeric parameter values.
+    """Sum of series terms up to ``max_orders`` at parameter points.
 
-    Masked (structurally zero) terms are skipped. Returns a dense array;
-    ``shape`` is only needed when every term is structurally zero.
+    Points ``values`` of shape ``(..., k)`` give dense blocks of shape
+    ``(..., rows, cols)``: the non-zero terms are stacked once and contracted
+    with the weights of all points in one product. ``shape`` is only needed
+    when every term is structurally zero.
     """
     values = np.asarray(values, dtype=float)
-    if values.shape != (series.n_params,):
+    if values.ndim == 0 or values.shape[-1] != series.n_params:
         raise ValueError("Need one parameter value per perturbation parameter.")
-    if not all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("Parameter values must be finite.")
-    total = zero
-    for order in orders_up_to(tuple(max_orders)):
-        term = series.get(block, order)
-        if isinstance(term, Zero):
-            continue
-        weight = float(np.prod([v**o for v, o in zip(values, order)]))
-        total = add(total, scale(term, weight))
-    if isinstance(total, Zero):
+    entries = np.ma.ravel(series[(*block, *(slice(n + 1) for n in max_orders))])
+    present = ~np.ma.getmaskarray(entries)
+    if not present.any():
         if shape is None:
-            raise ValueError(
-                "All terms are structurally zero; pass an explicit shape."
-            )
-        return np.zeros(shape, dtype=np.complex128)
-    return to_array(unwrap(total))
+            raise ValueError("All terms are structurally zero; pass an explicit shape.")
+        return np.zeros(values.shape[:-1] + tuple(shape), dtype=np.complex128)
+    orders = np.array(list(orders_up_to(max_orders)))[present]
+    terms = np.stack([to_array(term) for term in entries.compressed()])
+    weights = np.prod(values[..., None, :] ** orders, axis=-1)
+    return np.tensordot(weights, terms, axes=1)
 
 
 def eigenvalues_of_truncation(
@@ -678,12 +656,13 @@ def eigenvalues_of_truncation(
     max_orders: tuple[int, ...],
     values,
 ) -> np.ndarray:
-    """Ascending eigenvalues of the truncated effective block."""
+    """Ascending eigenvalues ``(..., size)`` of the truncated block at ``(..., k)``."""
     size = result.problem.block_sizes[block]
     effective = evaluate_truncated(
         result.h_tilde, (block, block), max_orders, values, shape=(size, size)
     )
-    defect = _hermiticity_defect(effective)
+    asymmetry = _max_abs(effective - effective.conj().swapaxes(-1, -2))
+    defect = asymmetry / max(1.0, _max_abs(effective))
     if not defect <= 1e-8:
         raise RuntimeError(f"Truncated block is not Hermitian (defect {defect}).")
     return np.linalg.eigvalsh(effective)

@@ -131,14 +131,6 @@ def graphene_alpha_coefficients() -> dict[tuple[int, int], complex]:
     }
 
 
-def graphene_alpha_exact(kx: float, ky: float) -> complex:
-    """The exact phase sum at momentum ``K + (kx, ky)``."""
-    a1 = np.array([0.5, np.sqrt(3) / 2])
-    a2 = np.array([-0.5, np.sqrt(3) / 2])
-    k = np.array([4 * np.pi / 3 + kx, ky])
-    return 1 + np.exp(1j * k @ a1) + np.exp(1j * k @ a2)
-
-
 @dataclass
 class GrapheneModel:
     """Bilayer-graphene low-energy inputs in the decoupling basis."""

@@ -13,6 +13,7 @@ so ``U†OU`` computes ``OU`` once and reuses it for every entry.
 
 from __future__ import annotations
 
+import threading
 from itertools import product as cartesian
 from typing import Any, Callable
 
@@ -95,7 +96,7 @@ class BlockSeries:
         )
         self.large_blocks = large_blocks
         self._data: dict[tuple, Any] = dict(data) if data else {}
-        self._in_progress: set[tuple] = set()
+        self._in_progress: dict[tuple, int] = {}  # key -> evaluating thread
 
     def __repr__(self):
         return (
@@ -104,26 +105,34 @@ class BlockSeries:
         )
 
     def get(self, block: tuple[int, int], order: tuple[int, ...]):
-        """Memoized entry at one block and order."""
+        """Memoized entry at one block and order.
+
+        An entry that another thread is evaluating raises `RuntimeError` at
+        once; waiting for it could deadlock.
+        """
         key = (*block, *order)
         if key in self._data:
             return self._data[key]
         self._check_key(key)
-        if key in self._in_progress:
-            raise RecurrenceCycleError(f"{self.name}{key}")
         if self.eval is None:
             raise KeyError(f"{self.name}{key} has no stored value and no eval.")
-        self._in_progress.add(key)
+        thread = threading.get_ident()
+        if self._in_progress.get(key) == thread:
+            raise RecurrenceCycleError(f"{self.name}{key}")
+        if self._in_progress.setdefault(key, thread) != thread:
+            raise RuntimeError(
+                f"{self.name}{key} is being evaluated by another thread."
+            )
         try:
             value = self.eval(*key)
+            if value is None:
+                value = zero
+            self._data[key] = value
         except RecurrenceCycleError as error:
             error.chain.insert(0, f"{self.name}{key}")
             raise
         finally:
-            self._in_progress.discard(key)
-        if value is None:
-            value = zero
-        self._data[key] = value
+            del self._in_progress[key]
         return value
 
     def __getitem__(self, key):
@@ -228,7 +237,7 @@ def cauchy_product(
                     result = add(result, matmul(a, b, lazy=lazy))
         return result
 
-    product = BlockSeries(
+    return BlockSeries(
         eval=eval,
         shape=(left.shape[0], right.shape[1]),
         n_params=left.n_params,
@@ -236,8 +245,6 @@ def cauchy_product(
         param_names=left.param_names,
         large_blocks=large,
     )
-    product.factors = factors
-    return product
 
 
 def series_adjoint(series: BlockSeries, name: str | None = None) -> BlockSeries:

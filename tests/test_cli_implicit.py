@@ -104,6 +104,14 @@ def test_cli_implicit_spectrum_error_decreases(tmp_path, implicit_document):
     assert errors[3] < errors[1]
 
 
+@pytest.mark.parametrize("command", ["diagonalize", "spectrum"])
+def test_cli_rejects_the_implicit_block(implicit_document, command, capsys):
+    path, _, _ = implicit_document
+    argv = [command, "--input", path, "--max-order", "1", "--block", "1", "1"]
+    assert main(argv) == 2
+    assert "is implicit" in capsys.readouterr().err
+
+
 def test_cli_bench_implicit_timing(capsys):
     assert main(["bench", "implicit-timing", "--size", "12"]) == 0
     out = capsys.readouterr().out

@@ -3,7 +3,10 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from blockpert import diagonalization, series as series_module
 from blockpert.diagonalization import (
     DegenerateSubspaceError,
     PerturbationProblem,
@@ -20,7 +23,7 @@ from blockpert.operators import (
     zero,
 )
 from blockpert.problems import random_multiblock, random_two_block, transmon_problem
-from blockpert.series import BlockSeries
+from blockpert.series import BlockSeries, orders_up_to
 from blockpert.separation import RuleValidationError
 
 G = 0.25
@@ -358,11 +361,72 @@ def test_evaluate_truncated():
     assert value[0, 0] == pytest.approx(0.01 * -(G**2))
 
 
+def _truncated_sum_per_point(series, block, max_orders, point, shape):
+    """Reference for `evaluate_truncated`: the terms summed at one point."""
+    total = np.zeros(shape, dtype=complex)
+    for order in orders_up_to(max_orders):
+        term = series.get(block, order)
+        if not isinstance(term, Zero):
+            total += np.prod([v**o for v, o in zip(point, order)]) * term
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_params=st.integers(1, 3),
+    max_total=st.integers(0, 4),
+    stack=st.sampled_from([(), (5,), (3, 2)]),
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+    zero_fraction=st.sampled_from([0.0, 0.5, 0.9]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evaluate_truncated_matches_per_point_sums(
+    n_params, max_total, stack, shape, zero_fraction, seed
+):
+    """Point stacks ``(k,)``, ``(P, k)`` and ``(P, Q, k)`` of a series with
+    structural zeros against a sum over orders at each point."""
+    rng = np.random.default_rng(seed)
+    max_orders = tuple(int(x) for x in rng.integers(0, max_total + 1, n_params))
+    terms = {
+        order: rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for order in orders_up_to(max_orders)
+        if rng.random() >= zero_fraction
+    }
+    series = BlockSeries(
+        eval=lambda i, j, *n: terms.get(n, zero), shape=(1, 1), n_params=n_params
+    )
+    points = rng.uniform(-1.5, 1.5, size=stack + (n_params,))
+    batched = evaluate_truncated(series, (0, 0), max_orders, points, shape=shape)
+    assert batched.shape == stack + shape
+    for index in np.ndindex(stack):
+        expected = _truncated_sum_per_point(
+            series, (0, 0), max_orders, points[index], shape
+        )
+        scale_ = max(1.0, np.abs(expected).max())
+        np.testing.assert_allclose(batched[index], expected, rtol=0, atol=1e-12 * scale_)
+
+
+def test_evaluate_truncated_all_zero_and_empty_stacks():
+    series = BlockSeries(eval=lambda *key: zero, shape=(1, 1), n_params=2)
+    with pytest.raises(ValueError, match="explicit shape"):
+        evaluate_truncated(series, (0, 0), (2, 1), [0.1, 0.2])
+    value = evaluate_truncated(series, (0, 0), (2, 1), np.ones((4, 2)), shape=(2, 3))
+    np.testing.assert_array_equal(value, np.zeros((4, 2, 3)))
+    empty = np.zeros((0, 2))
+    value = evaluate_truncated(series, (0, 0), (2, 1), empty, shape=(2, 3))
+    assert value.shape == (0, 2, 3)
+    ones = BlockSeries(eval=lambda *key: np.eye(2), shape=(1, 1), n_params=2)
+    assert evaluate_truncated(ones, (0, 0), (2, 1), empty).shape == (0, 2, 2)
+    with pytest.raises(ValueError, match="one parameter value"):
+        evaluate_truncated(ones, (0, 0), (2, 1), np.ones((4, 3)))
+
+
 def test_retention_discard_clears_intermediates():
     energies, perturbations, labels = random_two_block(2, 3, seed=11)
     problem = PerturbationProblem.from_diagonal(energies, perturbations, labels)
-    result = block_diagonalize(problem, retention="discard")
-    value = result.request((0, 0), (2,))
+    result = block_diagonalize(problem)
+    value = result.h_tilde.get((0, 0), (2,))
+    result.clear_intermediates()
     assert not isinstance(value, Zero)
     assert result.context["V"].stored_keys() == set()
     assert result.h_tilde.stored_keys()  # outputs are kept
@@ -523,18 +587,39 @@ def test_multiblock_hermitian_pairs(rng):
         np.testing.assert_allclose(v_full, -v_full.conj().T, atol=1e-12)
 
 
-def test_single_cauchy_product_by_selected_part():
-    """Exactly one product series multiplies by the selected perturbation."""
+def test_single_cauchy_product_by_selected_part(monkeypatch):
+    """Exactly one series multiplies by entries of the selected perturbation."""
     energies, perturbations, labels = random_two_block(2, 3, seed=13)
     problem = PerturbationProblem.from_diagonal(energies, perturbations, labels)
     result = block_diagonalize(problem)
+    in_flight, products = [], []
+
+    def traced(name, eval):
+        def wrapped(*key):
+            in_flight.append(name)
+            try:
+                return eval(*key)
+            finally:
+                in_flight.pop()
+
+        return wrapped
+
+    def recording_matmul(a, b, **kwargs):
+        products.append((in_flight[-1], a, b))
+        return matmul(a, b, **kwargs)
+
+    matmul = series_module.matmul
+    for module in (series_module, diagonalization):
+        monkeypatch.setattr(module, "matmul", recording_matmul)
+    for name, series in result.context.items():
+        series.eval = traced(name, series.eval)
+    for order in range(1, 5):
+        for block in ((0, 0), (1, 1)):
+            result.h_tilde.get(block, (order,))
     selected = result.context["H'_S"]
-    consumers = [
-        name
-        for name, series in result.context.items()
-        if selected in getattr(series, "factors", ())
-    ]
-    assert consumers == ["VH'_S"]
+    entries = {id(selected.get(key[:2], key[2:])) for key in selected.stored_keys()}
+    consumers = {name for name, a, b in products if {id(a), id(b)} & entries}
+    assert consumers == {"VH'_S"}
 
 
 def test_zero_perturbation_costs_nothing():

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sla
 
+from blockpert import cli
 from blockpert.cli import main
 from blockpert.documents import (
     DocumentError,
@@ -313,3 +314,60 @@ def test_load_problem_keeps_implicit_operators_sparse(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 16 * h0.shape[0] ** 2
+
+
+@pytest.mark.parametrize(
+    "command, block, message",
+    [
+        ("spectrum", ("0", "1"), "diagonal block"),
+        ("spectrum", ("5", "5"), "outside"),
+        ("spectrum", ("-1", "-1"), "outside"),
+        ("diagonalize", ("5", "5"), "outside"),
+        ("diagonalize", ("-1", "-1"), "outside"),
+        ("diagonalize", ("0", "2"), "outside"),
+    ],
+)
+def test_cli_rejects_bad_blocks(tmp_path, command, block, message, capsys):
+    path = document_path(tmp_path, two_block_document())
+    argv = [command, "--input", path, "--max-order", "2", "--block", *block]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_retention_discard_writes_the_same_entries(tmp_path):
+    path = document_path(tmp_path, two_block_document())
+    payloads = {}
+    for retention in ("keep", "discard"):
+        out = str(tmp_path / f"{retention}.json")
+        argv = ["diagonalize", "--input", path, "--max-order", "4", "--output", out]
+        argv += ["--block", "0", "0", "--block", "1", "1", "--retention", retention]
+        assert main(argv) == 0
+        payloads[retention] = json.load(open(out))["entries"]
+    assert payloads["discard"] == payloads["keep"]
+    bogus = document_path(tmp_path, two_block_document(retention="bogus"), "bogus.json")
+    assert main(["diagonalize", "--input", bogus, "--order", "1"]) == 3
+
+
+def test_cli_spectrum_in_chunks_writes_the_one_chunk_csv(tmp_path, monkeypatch):
+    """A grid swept in chunks of 3 points gives the CSV of a single chunk."""
+    model = transmon_problem()
+    shift = np.diag(np.linspace(0.0, 0.1, len(model.h0)))
+    doc = problem_document(
+        model.h0,
+        {(1, 0): model.coupling, (0, 1): shift},
+        subspace_indices=model.subspace_indices,
+        param_names=["g", "d"],
+    )
+    path = document_path(tmp_path, doc)
+    size = load_problem(path)[0].block_sizes[0]
+    argv = ["spectrum", "--input", path, "--max-order", "3,2"]
+    argv += ["--grid", "g=0:0.05:5", "--grid", "d=0.1:1:4:log"]
+    texts = {}
+    chunks = (("one", cli.SPECTRUM_CHUNK_BYTES), ("chunked", 3 * 16 * size**2))
+    for name, budget in chunks:
+        monkeypatch.setattr(cli, "SPECTRUM_CHUNK_BYTES", budget)
+        out = str(tmp_path / f"{name}.csv")
+        assert main(argv + ["--output", out]) == 0
+        texts[name] = open(out).read()
+    assert texts["chunked"] == texts["one"]
+    assert len(texts["one"].splitlines()) == 1 + 5 * 4

@@ -118,6 +118,34 @@ def test_cycle_report_holds_only_its_own_thread():
     )
 
 
+def test_entry_in_flight_in_another_thread_is_not_a_cycle():
+    """A query of an entry another thread is evaluating fails at once with
+    a plain RuntimeError, and succeeds once that thread has stored it."""
+    entered, release = threading.Event(), threading.Event()
+
+    def wait(i, j, n):
+        entered.set()
+        release.wait(timeout=10)
+        return np.array([[1.0]])
+
+    shared = BlockSeries(eval=wait, shape=(1, 1), n_params=1, name="shared")
+    evaluating = threading.Thread(target=shared.get, args=((0, 0), (1,)))
+    evaluating.start()
+    try:
+        assert entered.wait(timeout=10)
+        with pytest.raises(RuntimeError) as info:
+            shared.get((0, 0), (1,))
+    finally:
+        release.set()
+        evaluating.join(timeout=10)
+    assert not evaluating.is_alive()
+    assert not isinstance(info.value, RecurrenceCycleError)
+    assert str(info.value) == (
+        "shared(0, 0, 1) is being evaluated by another thread."
+    )
+    assert shared.get((0, 0), (1,)) == 1.0
+
+
 def test_indexing_validation():
     series = BlockSeries(eval=lambda *k: zero, shape=(2, 2), n_params=2)
     with pytest.raises(IndexError):
