@@ -16,12 +16,10 @@ from blockpert.diagonalization import (
     transform_observable,
 )
 from blockpert.operators import (
-    CountedMatrix,
     MatrixFreeOperator,
     OperationCounter,
     add,
     adjoint,
-    is_zero,
     matmul,
     one,
     scale,
@@ -40,7 +38,6 @@ from blockpert.series import BlockSeries, cauchy_product, series_adjoint
 
 __all__ = [
     "BlockSeries",
-    "CountedMatrix",
     "DegenerateSubspaceError",
     "DiagonalizationResult",
     "EigenstructureInfo",
@@ -54,7 +51,6 @@ __all__ = [
     "block_diagonalize",
     "cauchy_product",
     "evaluate_truncated",
-    "is_zero",
     "make_eigenbasis_solver",
     "matmul",
     "one",

@@ -38,7 +38,7 @@ from blockpert.documents import (
     result_document,
 )
 from blockpert.implicit import DeflationError, FactorizationError, build_extended_problem
-from blockpert.operators import OperationCounter, Zero, to_array
+from blockpert.operators import Zero, to_array
 from blockpert.oracles import reference_count_benchmark
 from blockpert.problems import lattice_problem, random_two_block
 from blockpert.separation import RuleValidationError
@@ -58,9 +58,16 @@ SPECTRUM_CHUNK_BYTES = 32 * 2**20
 
 def _parse_order(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        order = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise DocumentError(f"Invalid order specification {text!r}.")
+    return _non_negative(order)
+
+
+def _non_negative(order: tuple[int, ...]) -> tuple[int, ...]:
+    if any(n < 0 for n in order):
+        raise DocumentError(f"Orders must be non-negative, got {order}.")
+    return order
 
 
 def _requested_orders(args, n_params: int) -> list[tuple[int, ...]]:
@@ -74,6 +81,7 @@ def _requested_orders(args, n_params: int) -> list[tuple[int, ...]]:
             )
         orders.append(order)
     if args.max_order is not None:
+        _non_negative((args.max_order,))
         zero_order = (0,) * n_params
         orders.append(zero_order)
         orders.extend(orders_with_total_up_to(n_params, args.max_order))
@@ -119,9 +127,8 @@ def cmd_diagonalize(args) -> int:
     blocks = [tuple(b) for b in args.block or [(0, 0)]]
     for block in blocks:
         _check_block(block, problem)
-    counter = OperationCounter()
     started = time.perf_counter()
-    result = block_diagonalize(problem, counter=counter)
+    result = block_diagonalize(problem)
     build_time = time.perf_counter() - started
     orders = _requested_orders(args, problem.n_params)
     entries = []
@@ -141,7 +148,7 @@ def cmd_diagonalize(args) -> int:
     payload = result_document(
         entries,
         metadata={
-            "matmul_count": counter.matmul_count,
+            "matmul_count": result.counter.matmul_count,
             "timings": {"build": build_time, "evaluate": evaluate_time},
             "tolerances": tolerances,
         },
@@ -233,14 +240,13 @@ def _engine_counts(offdiagonal: bool, seed: int, max_order: int = 4) -> list[int
         2, 4, seed, offdiagonal_only=offdiagonal
     )
     problem = PerturbationProblem.from_diagonal(energies, perturbations, labels)
-    counter = OperationCounter()
-    result = block_diagonalize(problem, counter=counter)
+    result = block_diagonalize(problem)
     increments = []
     previous = 0
     for order in range(2, max_order + 1):
         result.h_tilde.get((0, 0), (order,))
-        increments.append(counter.matmul_count - previous)
-        previous = counter.matmul_count
+        increments.append(result.counter.matmul_count - previous)
+        previous = result.counter.matmul_count
     return increments
 
 

@@ -27,7 +27,7 @@ In the eigenbasis the Sylvester solution is elementwise,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as cartesian
 from typing import Any, Callable
 
@@ -35,7 +35,6 @@ import numpy as np
 import scipy.sparse as sparse
 
 from blockpert.operators import (
-    CountedMatrix,
     OperationCounter,
     Zero,
     add,
@@ -45,7 +44,6 @@ from blockpert.operators import (
     one,
     scale,
     to_array,
-    unwrap,
     zero,
 )
 from blockpert.separation import (
@@ -126,7 +124,6 @@ class PerturbationProblem:
     n_params: int
     blocks: dict[tuple, Any]
     eig: EigenstructureInfo | None
-    perturbations_original: dict[tuple[int, ...], Any] = field(default_factory=dict)
     implicit: bool = False
     solver: SylvesterSolver | None = None
     large_blocks: frozenset[int] = frozenset()
@@ -312,7 +309,6 @@ def _assemble_explicit(
         n_params=n_params,
         blocks=blocks,
         eig=eig,
-        perturbations_original=perturbations,
         param_names=param_names,
     )
 
@@ -339,11 +335,7 @@ def make_eigenbasis_solver(
             pairs = [tuple(map(int, p)) for p in np.argwhere(bad)]
             raise DegenerateSubspaceError(block, pairs, tolerance)
         safe = np.where(remaining, denominators, 1.0)
-        array = unwrap(rhs)
-        solution = np.where(remaining, as_dense(array) / safe, 0.0)
-        if isinstance(rhs, CountedMatrix):
-            return CountedMatrix(solution, rhs.counter)
-        return solution
+        return np.where(remaining, as_dense(rhs) / safe, 0.0)
 
     return solve
 
@@ -354,7 +346,7 @@ class DiagonalizationResult:
 
     ``h_tilde``, ``u``, and ``u_adjoint`` share the memoized intermediate
     series stored in ``context``, so querying any of them reuses all
-    products computed so far.
+    products computed so far. ``counter`` tallies those products.
     """
 
     h_tilde: BlockSeries
@@ -362,6 +354,7 @@ class DiagonalizationResult:
     u_adjoint: BlockSeries
     problem: PerturbationProblem
     context: dict[str, BlockSeries]
+    counter: OperationCounter
 
     def clear_intermediates(self):
         """Drop memoized intermediates, keeping the three output series."""
@@ -382,8 +375,8 @@ def block_diagonalize(
     This only defines the computation; querying entries of the returned
     series triggers the recurrences. The default solver divides by energy
     denominators in the eigenbasis; implicit problems carry their own
-    solver. When a ``counter`` is passed, all input blocks are wrapped in a
-    counting backend and every operator-operator product is tallied.
+    solver. Every product is tallied in ``counter``, a new one unless
+    given, which the result exposes as ``result.counter``.
     """
     if solver is None:
         solver = problem.solver
@@ -395,6 +388,8 @@ def block_diagonalize(
         )
     if problem.eig is not None:
         check_rule(problem.rule, problem.eig)
+    if counter is None:
+        counter = OperationCounter()
     context = _build_series(problem, solver, counter)
     return DiagonalizationResult(
         h_tilde=context["H_tilde"],
@@ -402,13 +397,14 @@ def block_diagonalize(
         u_adjoint=context["U†"],
         problem=problem,
         context=context,
+        counter=counter,
     )
 
 
 def _build_series(
     problem: PerturbationProblem,
     solver: SylvesterSolver,
-    counter: OperationCounter | None,
+    counter: OperationCounter,
 ) -> dict[str, BlockSeries]:
     rule = problem.rule
     b = rule.n_blocks
@@ -428,10 +424,7 @@ def _build_series(
         )
 
     def eval_H(i, j, *n):
-        value = problem.block(i, j, tuple(n))
-        if counter is not None and not isinstance(value, Zero):
-            value = CountedMatrix(as_dense(value), counter)
-        return value
+        return problem.block(i, j, n)
 
     H = make("H", eval_H)
 
@@ -477,6 +470,7 @@ def _build_series(
                 right = Up.get((l, j), p)
                 if isinstance(right, Zero):
                     continue
+                counter.count(left, right)
                 term = add(term, matmul(left, right, lazy=lazy))
             if i == j and m < p:
                 term = add(term, adjoint(term))
@@ -584,13 +578,17 @@ def _build_series(
     context["V"] = make("V", eval_V)
     context["U'"] = make("U'", eval_Up)
     context["U'†"] = series_adjoint(context["U'"], name="U'†")
-    context["A"] = cauchy_product(Hp_R, context["U'"], name="A")
+    context["A"] = cauchy_product(Hp_R, context["U'"], name="A", counter=counter)
     context["A†"] = series_adjoint(context["A"], name="A†")
     context["U'†B"] = None  # placeholder until B exists
     context["B"] = make("B", eval_B)
-    context["U'†B"] = cauchy_product(context["U'†"], context["B"], name="U'†B")
+    context["U'†B"] = cauchy_product(
+        context["U'†"], context["B"], name="U'†B", counter=counter
+    )
     context["(U'†B)†"] = series_adjoint(context["U'†B"], name="(U'†B)†")
-    context["VH'_S"] = cauchy_product(context["V"], Hp_S, name="VH'_S")
+    context["VH'_S"] = cauchy_product(
+        context["V"], Hp_S, name="VH'_S", counter=counter
+    )
     context["(VH'_S)†"] = series_adjoint(context["VH'_S"], name="(VH'_S)†")
     context["rhs"] = make("rhs", eval_rhs)
     context["H_tilde"] = make("H_tilde", eval_H_tilde)
@@ -605,7 +603,8 @@ def transform_observable(
     """Transformed observable ``U^H O U`` as a lazily evaluated series.
 
     Shares the memoized ``U`` entries of the diagonalization, so repeated
-    transformations reuse the unitary's products.
+    transformations reuse the unitary's products, and tallies its products
+    in ``result.counter``.
     """
     if observable.shape != (result.problem.n_blocks,) * 2:
         raise ValueError(
@@ -615,7 +614,7 @@ def transform_observable(
     if observable.n_params != result.problem.n_params:
         raise ValueError("Observable has a different number of parameters.")
     return cauchy_product(
-        result.u_adjoint, observable, result.u, name="U†OU"
+        result.u_adjoint, observable, result.u, name="U†OU", counter=result.counter
     )
 
 

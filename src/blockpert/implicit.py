@@ -266,7 +266,6 @@ def build_extended_problem(
         n_params=n_params,
         blocks=blocks,
         eig=None,
-        perturbations_original=perturbations,
         implicit=True,
         solver=solve_sylvester,
         large_blocks=frozenset({1}),

@@ -6,17 +6,16 @@ Series elements are one of:
   sums at no cost,
 - ``one``, a structural multiplicative identity,
 - a dense ``numpy.ndarray`` (always complex double precision),
-- a `CountedMatrix`, a dense matrix that increments a shared
-  `OperationCounter` on every matrix-matrix product,
 - a `scipy.sparse.linalg.LinearOperator`, used for matrix-free blocks.
 
 All arithmetic goes through the module-level functions `matmul`, `add`,
-`scale`, `adjoint`, and `is_zero`, which dispatch on these types.
+`scale` and `adjoint`, which dispatch on these types. Products are counted
+where the engine makes them, into an `OperationCounter`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 from scipy.sparse import issparse
@@ -34,14 +33,9 @@ __all__ = [
     "add",
     "scale",
     "adjoint",
-    "is_zero",
     "to_array",
     "as_dense",
-    "ZERO_ATOL",
 ]
-
-# Numeric zero-detection threshold; diagnostic only, never used to drop terms.
-ZERO_ATOL = 1e-12
 
 
 class Zero:
@@ -90,10 +84,10 @@ one = One()
 class OperationCounter:
     """Shared tally of matrix-matrix products.
 
-    Increments once per non-trivial operator-operator product. Products with
-    ``zero`` or ``one`` never reach the backend and are not counted, and
-    neither are elementwise operations (sums, scalar multiples, Sylvester
-    denominators). Not thread safe; evaluation contexts are single-threaded.
+    The engine calls `count` at each of its products. A product counts when
+    neither operand is ``zero`` or ``one``; elementwise operations (sums,
+    scalar multiples, Sylvester denominators) never count. Not thread safe;
+    evaluation contexts are single-threaded.
     """
 
     __slots__ = ("matmul_count",)
@@ -101,25 +95,17 @@ class OperationCounter:
     def __init__(self):
         self.matmul_count = 0
 
+    def count(self, a, b):
+        """Tally the product ``a @ b`` unless an operand is structural."""
+        if not isinstance(a, (Zero, One)) and not isinstance(b, (Zero, One)):
+            self.matmul_count += 1
+
     def __repr__(self):
         return f"OperationCounter(matmul_count={self.matmul_count})"
 
 
 class CountedMatrix:
-    """Dense complex matrix that reports products to an `OperationCounter`."""
-
-    __slots__ = ("array", "counter")
-
-    def __init__(self, array: np.ndarray, counter: OperationCounter):
-        self.array = as_dense(array)
-        self.counter = counter
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.array.shape
-
-    def __repr__(self):
-        return f"CountedMatrix({self.array.shape})"
+    """Unused; kept only because the benchmark harness still imports the name."""
 
 
 class MatrixFreeOperator(LinearOperator):
@@ -189,8 +175,7 @@ def matmul(a, b, *, lazy: bool = False):
     """Matrix product of two operators.
 
     Products involving ``zero`` return ``zero`` and products with ``one``
-    return the other factor; neither performs scalar work nor increments any
-    counter. With ``lazy=True`` the result of a dense-dense product is kept
+    return the other factor without scalar work. With ``lazy=True`` the result of a dense-dense product is kept
     as a low-rank `~scipy.sparse.linalg.LinearOperator` factorization, which
     the implicit method uses for blocks that must never be materialized.
     """
@@ -202,12 +187,6 @@ def matmul(a, b, *, lazy: bool = False):
     if isinstance(b, One):
         return a
     _check_matmul_shapes(a, b)
-    if isinstance(a, CountedMatrix) or isinstance(b, CountedMatrix):
-        arr_a = a.array if isinstance(a, CountedMatrix) else as_dense(a)
-        arr_b = b.array if isinstance(b, CountedMatrix) else as_dense(b)
-        counter = a.counter if isinstance(a, CountedMatrix) else b.counter
-        counter.matmul_count += 1
-        return CountedMatrix(arr_a @ arr_b, counter)
     a_op = isinstance(a, LinearOperator)
     b_op = isinstance(b, LinearOperator)
     if a_op and b_op:
@@ -231,11 +210,6 @@ def add(a, b):
     sa, sb = _shape_of(a), _shape_of(b)
     if sa is not None and sb is not None and sa != sb:
         raise ValueError(f"Dimension mismatch in sum: {sa} + {sb}.")
-    if isinstance(a, CountedMatrix) or isinstance(b, CountedMatrix):
-        arr_a = a.array if isinstance(a, CountedMatrix) else as_dense(a)
-        arr_b = b.array if isinstance(b, CountedMatrix) else as_dense(b)
-        counter = a.counter if isinstance(a, CountedMatrix) else b.counter
-        return CountedMatrix(arr_a + arr_b, counter)
     if isinstance(a, LinearOperator) or isinstance(b, LinearOperator):
         a = a if isinstance(a, LinearOperator) else aslinearoperator(as_dense(a))
         b = b if isinstance(b, LinearOperator) else aslinearoperator(as_dense(b))
@@ -251,8 +225,6 @@ def scale(a, c: complex):
         return a
     if isinstance(a, One):
         raise ValueError("Cannot scale the structural identity; wrap it densely.")
-    if isinstance(a, CountedMatrix):
-        return CountedMatrix(a.array * c, a.counter)
     if isinstance(a, LinearOperator):
         return c * a
     return as_dense(a) * c
@@ -262,31 +234,9 @@ def adjoint(a):
     """Conjugate transpose; shape swapped, no products performed."""
     if isinstance(a, (Zero, One)):
         return a
-    if isinstance(a, CountedMatrix):
-        return CountedMatrix(a.array.conj().T, a.counter)
     if isinstance(a, LinearOperator):
         return a.H
     return as_dense(a).conj().T
-
-
-def is_zero(a, atol: float = ZERO_ATOL) -> bool:
-    """Whether an operator vanishes numerically.
-
-    True always for structural ``zero``; for dense operators true iff the
-    largest entry magnitude is at most ``atol``. Diagnostic only: computed
-    terms are never dropped based on this test.
-    """
-    if atol < 0:
-        raise ValueError("atol must be non-negative.")
-    if isinstance(a, Zero):
-        return True
-    if isinstance(a, One):
-        return False
-    if isinstance(a, CountedMatrix):
-        a = a.array
-    if isinstance(a, LinearOperator):
-        raise TypeError("Zero detection on matrix-free operators is not supported.")
-    return bool(np.max(np.abs(as_dense(a))) <= atol)
 
 
 def to_array(a, shape: tuple[int, int] | None = None) -> np.ndarray:
@@ -299,13 +249,7 @@ def to_array(a, shape: tuple[int, int] | None = None) -> np.ndarray:
         if shape is None:
             raise ValueError("Cannot materialize the identity without a shape.")
         return np.eye(*shape, dtype=np.complex128)
-    if isinstance(a, CountedMatrix):
-        return a.array.copy()
     if isinstance(a, LinearOperator):
         return a.matmat(np.eye(a.shape[1], dtype=np.complex128))
     return as_dense(a)
 
-
-def unwrap(a) -> Any:
-    """Strip a counting wrapper, passing other operators through."""
-    return a.array if isinstance(a, CountedMatrix) else a

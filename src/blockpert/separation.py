@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from blockpert.operators import CountedMatrix, Zero, zero
+from blockpert.operators import Zero, zero
 
 __all__ = [
     "SeparationRule",
@@ -125,8 +125,6 @@ class EigenstructureInfo:
 
 
 def _apply_mask(op, mask: np.ndarray):
-    if isinstance(op, CountedMatrix):
-        return CountedMatrix(op.array * mask, op.counter)
     return np.asarray(op, dtype=np.complex128) * mask
 
 

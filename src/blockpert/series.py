@@ -19,7 +19,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from blockpert.operators import Zero, adjoint, add, matmul, zero
+from blockpert.operators import OperationCounter, Zero, adjoint, add, matmul, zero
 
 __all__ = [
     "BlockSeries",
@@ -194,6 +194,7 @@ class BlockSeries:
 def cauchy_product(
     *factors: BlockSeries,
     name: str = "product",
+    counter: OperationCounter | None = None,
 ) -> BlockSeries:
     """Block-contracting Cauchy product of two or more series.
 
@@ -202,14 +203,18 @@ def cauchy_product(
     lower total order is queried first (the left one on ties), and a
     structural zero skips the other query and the product. More factors fold
     to the right, ``a (b c)``, so the inner product is a memoized series that
-    every outer term reuses.
+    every outer term reuses. Every product is tallied in ``counter``.
     """
     if len(factors) < 2:
         raise ValueError("Need at least two factors.")
+    if counter is None:
+        counter = OperationCounter()
     left, right = factors[0], factors[1]
     if len(factors) > 2:
         right = cauchy_product(
-            *factors[1:], name="·".join(f.name for f in factors[1:])
+            *factors[1:],
+            name="·".join(f.name for f in factors[1:]),
+            counter=counter,
         )
     if left.shape[1] != right.shape[0]:
         raise ValueError(f"Block shape mismatch: {left.shape} @ {right.shape}.")
@@ -234,6 +239,7 @@ def cauchy_product(
                     b = right.get((l, j), p)
                     a = zero if isinstance(b, Zero) else left.get((i, l), m)
                 if not (isinstance(a, Zero) or isinstance(b, Zero)):
+                    counter.count(a, b)
                     result = add(result, matmul(a, b, lazy=lazy))
         return result
 

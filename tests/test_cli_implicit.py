@@ -8,6 +8,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as sla
 
 from blockpert.cli import main
+from blockpert.diagonalization import block_diagonalize
 from blockpert.documents import (
     decode_matrix,
     load_problem,
@@ -35,34 +36,42 @@ def implicit_document(tmp_path):
 
 def test_cli_implicit_diagonalize(tmp_path, implicit_document):
     path, h0, perturbations = implicit_document
-    out = str(tmp_path / "result.json")
-    code = main(
-        [
-            "diagonalize",
-            "--input",
-            path,
-            "--implicit",
-            "--block",
-            "0",
-            "0",
-            "--max-order",
-            "2",
-            "--output",
-            out,
-        ]
-    )
-    assert code == 0
-    payload = json.load(open(out))
-    orders = {tuple(e["order"]) for e in payload["entries"]}
-    assert orders == {(0,), (1,), (2,)}
-    # first-order entry equals the projected perturbation
     problem, _ = load_problem(path)
-    psi = problem.implicit_context.psi
-    expected = psi.conj().T @ perturbations[(1,)] @ psi
-    first = next(e for e in payload["entries"] if e["order"] == [1])
-    np.testing.assert_allclose(
-        decode_matrix(first["matrix"]), expected, atol=1e-12
-    )
+    reference = block_diagonalize(problem).h_tilde
+    for max_order in (2, 3):
+        out = str(tmp_path / f"result{max_order}.json")
+        code = main(
+            [
+                "diagonalize",
+                "--input",
+                path,
+                "--implicit",
+                "--block",
+                "0",
+                "0",
+                "--max-order",
+                str(max_order),
+                "--output",
+                out,
+            ]
+        )
+        assert code == 0
+        payload = json.load(open(out))
+        orders = {tuple(e["order"]) for e in payload["entries"]}
+        assert orders == {(n,) for n in range(max_order + 1)}
+        assert payload["metadata"]["matmul_count"] > 0
+        # first-order entry equals the projected perturbation
+        psi = problem.implicit_context.psi
+        expected = psi.conj().T @ perturbations[(1,)] @ psi
+        first = next(e for e in payload["entries"] if e["order"] == [1])
+        np.testing.assert_allclose(
+            decode_matrix(first["matrix"]), expected, atol=1e-12
+        )
+        last = next(e for e in payload["entries"] if e["order"] == [max_order])
+        np.testing.assert_array_equal(
+            decode_matrix(last["matrix"]),
+            reference.get((0, 0), (max_order,)),
+        )
 
 
 def test_cli_implicit_flag_requires_implicit_document(tmp_path):

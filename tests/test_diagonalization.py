@@ -165,7 +165,7 @@ def test_commutator_consistency(rng):
 
     max_order = 4
     h_s = {(0,): np.diag(np.concatenate(problem.eigenvalues)).astype(complex)}
-    for order, term in problem.perturbations_original.items():
+    for order, term in perturbations.items():
         n_a = problem.block_sizes[0]
         selected = np.zeros_like(term, dtype=complex)
         selected[:n_a, :n_a] = term[:n_a, :n_a]

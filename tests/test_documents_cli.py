@@ -156,6 +156,22 @@ def test_cli_exit_codes(tmp_path):
     assert main(["diagonalize", "--input", path, "--order", "1"]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diagonalize", "--order", "-1"],
+        ["spectrum", "--max-order", "-1", "--grid", "lam=0.1"],
+        ["diagonalize", "--max-order", "-2"],
+    ],
+)
+def test_cli_rejects_negative_orders(tmp_path, argv, capsys):
+    path = document_path(tmp_path, two_block_document())
+    assert main([argv[0], "--input", path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert "non-negative" in captured.err
+    assert captured.out == ""
+
+
 def test_cli_verify_passes_and_fails(tmp_path, capsys):
     path = document_path(tmp_path, two_block_document())
     assert main(["verify", "--input", path, "--max-order", "3"]) == 0

@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 
 from blockpert.operators import (
-    CountedMatrix,
     MatrixFreeOperator,
-    OperationCounter,
     add,
     adjoint,
-    is_zero,
     matmul,
     one,
     scale,
@@ -26,33 +23,10 @@ def test_identity_and_zero_products():
     assert matmul(a, zero) is zero
 
 
-def test_zero_product_does_not_count():
-    counter = OperationCounter()
-    a = CountedMatrix(np.eye(2), counter)
-    assert matmul(zero, a) is zero
-    assert matmul(a, zero) is zero
-    assert matmul(one, a) is a
-    assert counter.matmul_count == 0
-
-
 def test_hand_multiplication():
     a = np.array([[0, 1], [0, 0]], dtype=complex)
     b = np.array([[0, 0], [1, 0]], dtype=complex)
     np.testing.assert_array_equal(matmul(a, b), [[1, 0], [0, 0]])
-
-
-def test_counting_increments_once_per_product():
-    counter = OperationCounter()
-    a = CountedMatrix(np.array([[0, 1], [0, 0]]), counter)
-    b = CountedMatrix(np.array([[0, 0], [1, 0]]), counter)
-    result = matmul(a, b)
-    assert counter.matmul_count == 1
-    np.testing.assert_array_equal(result.array, [[1, 0], [0, 0]])
-    # sums, scalings and adjoints are free
-    add(a, b)
-    scale(a, 2.0)
-    adjoint(a)
-    assert counter.matmul_count == 1
 
 
 def test_adjoint_examples():
@@ -82,15 +56,6 @@ def test_shape_mismatch_raises():
         matmul(np.eye(2), np.eye(3))
     with pytest.raises(ValueError, match="mismatch"):
         add(np.eye(2), np.eye(3))
-
-
-def test_is_zero():
-    assert is_zero(zero)
-    assert is_zero(np.array([[1e-16]]), atol=1e-12)
-    assert not is_zero(np.array([[1e-6]]), atol=1e-12)
-    assert not is_zero(one)
-    with pytest.raises(ValueError):
-        is_zero(zero, atol=-1.0)
 
 
 @pytest.mark.parametrize("seed", range(3))

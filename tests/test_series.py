@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockpert.operators import (
-    CountedMatrix,
-    OperationCounter,
-    Zero,
-    zero,
-)
+from blockpert.operators import Zero, zero
 from blockpert.series import (
     BlockSeries,
     RecurrenceCycleError,
@@ -265,19 +260,16 @@ def test_block_contraction():
 
 def test_series_adjoint_delegates(rng):
     block = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
-    counter = OperationCounter()
 
     def eval(i, j, *n):
-        if (i, j, n) == (0, 1, (1,)):
-            return CountedMatrix(block, counter)
-        return zero
+        return block if (i, j, n) == (0, 1, (1,)) else zero
 
     series = BlockSeries(eval=eval, shape=(2, 2), n_params=1, name="M")
     adj = series_adjoint(series)
-    np.testing.assert_array_equal(adj.get((1, 0), (1,)).array, block.conj().T)
+    np.testing.assert_array_equal(adj.get((1, 0), (1,)), block.conj().T)
     twice = series_adjoint(adj)
-    np.testing.assert_array_equal(twice.get((0, 1), (1,)).array, block)
-    assert counter.matmul_count == 0  # adjoints perform no products
+    np.testing.assert_array_equal(twice.get((0, 1), (1,)), block)
+    assert adj.get((0, 1), (1,)) is zero
 
 
 def test_shape_mismatch_in_product():
