@@ -158,27 +158,32 @@ def cmd_diagonalize(args) -> int:
 
 
 def _parse_grid(specs, param_names) -> list[np.ndarray]:
+    """Axes from ``name=value`` or ``name=lo:hi:n[:log]`` specifications."""
     axes = [np.zeros(1) for _ in param_names]
     for spec in specs or []:
-        if "=" not in spec:
-            raise DocumentError(f"Grid {spec!r} must look like name=lo:hi:n.")
-        name, body = spec.split("=", 1)
+        name, _, body = spec.partition("=")
+        parts = body.split(":")
+        if "=" not in spec or len(parts) not in (1, 3, 4):
+            raise DocumentError(f"Grid {spec!r} must look like name=lo:hi:n[:log].")
         if name not in param_names:
             raise DocumentError(
                 f"Unknown parameter {name!r}; have {list(param_names)}."
             )
-        index = param_names.index(name)
-        parts = body.split(":")
-        if len(parts) == 1:
-            axes[index] = np.array([float(parts[0])])
-        elif len(parts) in (3, 4):
-            low, high, count = float(parts[0]), float(parts[1]), int(parts[2])
-            if len(parts) == 4 and parts[3] == "log":
-                axes[index] = np.geomspace(low, high, count)
-            else:
-                axes[index] = np.linspace(low, high, count)
-        else:
-            raise DocumentError(f"Grid {spec!r} must look like name=lo:hi:n.")
+        try:
+            bounds = [float(part) for part in parts[:2]]
+            count = int(parts[2]) if len(parts) > 2 else 1
+        except ValueError:
+            raise DocumentError(f"Grid {spec!r} has a non-numeric bound or count.")
+        low, high = bounds[0], bounds[-1]
+        log = len(parts) == 4
+        if count < 1:
+            raise DocumentError(f"Grid {spec!r} needs at least one point.")
+        if log and parts[3] != "log":
+            raise DocumentError(f"Grid {spec!r}: the fourth field must be 'log'.")
+        if log and min(low, high) <= 0:
+            raise DocumentError(f"Grid {spec!r}: a log grid needs positive bounds.")
+        spacing = np.geomspace if log else np.linspace
+        axes[param_names.index(name)] = spacing(low, high, count)
     return axes
 
 
@@ -215,6 +220,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.max_order < 1:
+        raise DocumentError(f"--max-order must be at least 1, got {args.max_order}.")
     problem, _ = load_problem(args.input)
     if problem.dimension > 512:
         raise DocumentError(
@@ -277,6 +284,8 @@ def cmd_bench(args) -> int:
         return EXIT_OK
     # implicit-timing scenario
     width = args.size
+    if width < 4:  # 10 explicit states need more than 11 lattice sites
+        raise DocumentError(f"--size must be at least 4, got {width}.")
     h0, perturbations = lattice_problem(width, seed=args.seed)
     n_low = 10
     started = time.perf_counter()

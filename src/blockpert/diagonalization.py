@@ -9,7 +9,8 @@ remaining part, together with ``U = 1 + W + V`` and its adjoint.
 The recurrences avoid any product with ``H_0`` and use a single Cauchy
 product by the selected part of the perturbation:
 
-- ``W = -(U'^H U') / 2`` from unitarity,
+- ``W = -(U'^H U') / 2`` from unitarity, made by the shared product kernel
+  `blockpert.series.contract` with its Hermitian half-product option,
 - ``A = H'_R U'``, the term reused by several series,
 - ``B`` with remaining part ``-(U'^H B)_R`` and selected part
   ``[-(U'^H B - h.c.)/2 - (A + h.c.)/2 + (V H'_S + h.c.)]_S``,
@@ -22,6 +23,9 @@ product by the selected part of the perturbation:
 
 In the eigenbasis the Sylvester solution is elementwise,
 ``V_kl = RHS_kl / (E_l - E_k)`` on remaining elements, and ``V_S = 0``.
+
+``B`` and the right-hand side take the adjoints of ``A``, ``U'^H B`` and
+``V H'_S`` on demand; only ``U'^H`` is stored, as a factor of the kernel.
 """
 
 from __future__ import annotations
@@ -33,14 +37,16 @@ from typing import Any, Callable
 
 import numpy as np
 import scipy.sparse as sparse
+from scipy.sparse.linalg import LinearOperator
 
 from blockpert.operators import (
+    One,
     OperationCounter,
     Zero,
     add,
     adjoint,
     as_dense,
-    matmul,
+    matmul,  # not called here; the benchmark tracer swaps this name
     one,
     scale,
     to_array,
@@ -53,7 +59,9 @@ from blockpert.separation import (
     remain,
     select,
 )
-from blockpert.series import BlockSeries, cauchy_product, orders_up_to, series_adjoint
+from blockpert.series import (
+    BlockSeries, cauchy_product, contract, orders_up_to, series_adjoint
+)
 
 __all__ = [
     "PerturbationProblem",
@@ -335,7 +343,7 @@ def make_eigenbasis_solver(
             pairs = [tuple(map(int, p)) for p in np.argwhere(bad)]
             raise DegenerateSubspaceError(block, pairs, tolerance)
         safe = np.where(remaining, denominators, 1.0)
-        return np.where(remaining, as_dense(rhs) / safe, 0.0)
+        return np.where(remaining, rhs / safe, 0.0)
 
     return solve
 
@@ -375,8 +383,12 @@ def block_diagonalize(
     This only defines the computation; querying entries of the returned
     series triggers the recurrences. The default solver divides by energy
     denominators in the eigenbasis; implicit problems carry their own
-    solver. Every product is tallied in ``counter``, a new one unless
-    given, which the result exposes as ``result.counter``.
+    solver. A custom ``solver(rhs, block, order)`` receives the remaining
+    part of the right-hand side as a read-only ``complex128`` ndarray and
+    returns the solution block as a dense or sparse matrix, which is
+    converted to a ``complex128`` ndarray. Every product is tallied in
+    ``counter``, a new one unless given, which the result exposes as
+    ``result.counter``.
     """
     if solver is None:
         solver = problem.solver
@@ -453,29 +465,10 @@ def _build_series(
             return zero
         if i > j:
             return adjoint(context["W"].get((j, i), n))
-        lazy = i in large and j in large
-        Up, Up_adj = context["U'"], context["U'†"]
-        total = zero
-        for m in orders_up_to(n):
-            p = tuple(a - b_ for a, b_ in zip(n, m))
-            if not any(m) or not any(p):
-                continue
-            if i == j and m > p:
-                continue  # the (p, m) partner is restored as the adjoint
-            term = zero
-            for l in range(b):
-                left = Up_adj.get((i, l), m)
-                if isinstance(left, Zero):
-                    continue
-                right = Up.get((l, j), p)
-                if isinstance(right, Zero):
-                    continue
-                counter.count(left, right)
-                term = add(term, matmul(left, right, lazy=lazy))
-            if i == j and m < p:
-                term = add(term, adjoint(term))
-            total = add(total, term)
-        return scale(total, -0.5)
+        product = contract(
+            context["U'†"], context["U'"], (i, j), n, counter, hermitian=i == j
+        )
+        return scale(product, -0.5)
 
     def eval_V(i, j, *n):
         if not any(n):
@@ -487,12 +480,17 @@ def _build_series(
         rhs = context["rhs"].get((i, j), n)
         if isinstance(rhs, Zero):
             return zero
-        return solver(rhs, (i, j), tuple(n))
+        return as_dense(solver(rhs, (i, j), tuple(n)))
 
     def eval_Up(i, j, *n):
         if not any(n):
             return zero
         return add(context["W"].get((i, j), n), context["V"].get((i, j), n))
+
+    def plus_adjoint(name, i, j, n, sign=1):
+        """``X_ij + sign X_ji†`` of a stored series, the adjoint made on demand."""
+        series = context[name]
+        return add(series.get((i, j), n), scale(adjoint(series.get((j, i), n)), sign))
 
     def eval_B(i, j, *n):
         if not any(n):
@@ -504,47 +502,27 @@ def _build_series(
                 remain(scale(context["U'†B"].get((i, j), n), -1), rule, (i, j)),
             )
         if rule.has_selected_part((i, j)):
-            p = context["U'†B"].get((i, j), n)
-            p_adj = context["(U'†B)†"].get((i, j), n)
-            a = context["A"].get((i, j), n)
-            a_adj = context["A†"].get((i, j), n)
-            t = context["VH'_S"].get((i, j), n)
-            t_adj = context["(VH'_S)†"].get((i, j), n)
             bracket = add(
-                scale(add(p, scale(p_adj, -1)), -0.5),
-                scale(add(a, a_adj), -0.5),
+                scale(plus_adjoint("U'†B", i, j, n, -1), -0.5),
+                scale(plus_adjoint("A", i, j, n), -0.5),
             )
-            bracket = add(bracket, add(t, t_adj))
+            bracket = add(bracket, plus_adjoint("VH'_S", i, j, n))
             result = add(result, select(bracket, rule, (i, j)))
         return result
 
     def eval_rhs(i, j, *n):
         if not any(n) or not rule.has_remaining_part((i, j)):
             return zero
-        t = context["VH'_S"].get((i, j), n)
-        t_adj = context["(VH'_S)†"].get((i, j), n)
-        commutator = add(t, t_adj)
+        commutator = plus_adjoint("VH'_S", i, j, n)
         if two_block:
             # [W, H_S] has no remaining part here, which removes the
             # adjoint-partner products from the right-hand side.
             total = add(context["B"].get((i, j), n), H.get((i, j), n))
             total = add(total, context["A"].get((i, j), n))
-            total = add(total, scale(commutator, -1))
         else:
-            a_pair = add(
-                context["A"].get((i, j), n), context["A†"].get((i, j), n)
-            )
-            p_pair = add(
-                context["U'†B"].get((i, j), n),
-                context["(U'†B)†"].get((i, j), n),
-            )
-            total = add(
-                context["H'_R"].get((i, j), n),
-                scale(a_pair, 0.5),
-            )
-            total = add(total, scale(p_pair, -0.5))
-            total = add(total, scale(commutator, -1))
-        return remain(total, rule, (i, j))
+            total = add(Hp_R.get((i, j), n), scale(plus_adjoint("A", i, j, n), 0.5))
+            total = add(total, scale(plus_adjoint("U'†B", i, j, n), -0.5))
+        return remain(add(total, scale(commutator, -1)), rule, (i, j))
 
     def eval_H_tilde(i, j, *n):
         if not any(n):
@@ -579,17 +557,14 @@ def _build_series(
     context["U'"] = make("U'", eval_Up)
     context["U'†"] = series_adjoint(context["U'"], name="U'†")
     context["A"] = cauchy_product(Hp_R, context["U'"], name="A", counter=counter)
-    context["A†"] = series_adjoint(context["A"], name="A†")
     context["U'†B"] = None  # placeholder until B exists
     context["B"] = make("B", eval_B)
     context["U'†B"] = cauchy_product(
         context["U'†"], context["B"], name="U'†B", counter=counter
     )
-    context["(U'†B)†"] = series_adjoint(context["U'†B"], name="(U'†B)†")
     context["VH'_S"] = cauchy_product(
         context["V"], Hp_S, name="VH'_S", counter=counter
     )
-    context["(VH'_S)†"] = series_adjoint(context["VH'_S"], name="(VH'_S)†")
     context["rhs"] = make("rhs", eval_rhs)
     context["H_tilde"] = make("H_tilde", eval_H_tilde)
     context["U"] = make("U", eval_U)
@@ -604,7 +579,8 @@ def transform_observable(
 
     Shares the memoized ``U`` entries of the diagonalization, so repeated
     transformations reuse the unitary's products, and tallies its products
-    in ``result.counter``.
+    in ``result.counter``. Dense or sparse entries of ``observable`` are
+    converted to ``complex128`` ndarrays when first used.
     """
     if observable.shape != (result.problem.n_blocks,) * 2:
         raise ValueError(
@@ -613,8 +589,17 @@ def transform_observable(
         )
     if observable.n_params != result.problem.n_params:
         raise ValueError("Observable has a different number of parameters.")
+
+    def eval_operand(i, j, *n):
+        value = observable.get((i, j), n)
+        structural = isinstance(value, (Zero, One, LinearOperator))
+        return value if structural else as_dense(value)
+
+    operand = BlockSeries(
+        eval_operand, observable.shape, observable.n_params, name=observable.name
+    )
     return cauchy_product(
-        result.u_adjoint, observable, result.u, name="U†OU", counter=result.counter
+        result.u_adjoint, operand, result.u, name="U†OU", counter=result.counter
     )
 
 

@@ -254,10 +254,7 @@ def build_extended_problem(
                 f"Implicit Sylvester solves only apply to block (0, 1), "
                 f"got {block}."
             )
-        array = to_array(rhs) if not isinstance(rhs, np.ndarray) else rhs
-        rows = [
-            solvers.solve_shifted_deflated(i, array[i]) for i in range(n_e)
-        ]
+        rows = [solvers.solve_shifted_deflated(i, rhs[i]) for i in range(n_e)]
         return np.vstack(rows)
 
     return PerturbationProblem(

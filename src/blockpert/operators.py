@@ -5,12 +5,16 @@ Series elements are one of:
 - ``zero``, a structural absorbing element that participates in products and
   sums at no cost,
 - ``one``, a structural multiplicative identity,
-- a dense ``numpy.ndarray`` (always complex double precision),
+- a dense ``numpy.ndarray`` of dtype ``complex128``,
 - a `scipy.sparse.linalg.LinearOperator`, used for matrix-free blocks.
 
+Inputs are brought to this form once, where they enter: the problem
+constructors, a custom Sylvester solver's output and the entries of a
+transformed observable go through `as_dense`.
 All arithmetic goes through the module-level functions `matmul`, `add`,
-`scale` and `adjoint`, which dispatch on these types. Products are counted
-where the engine makes them, into an `OperationCounter`.
+`scale` and `adjoint`, which dispatch on these types and convert nothing;
+`to_array` materializes any element for output. Products are counted where
+the engine makes them, into an `OperationCounter`.
 """
 
 from __future__ import annotations
@@ -43,17 +47,13 @@ class Zero:
 
     Absorbing element of products and neutral element of sums. It carries no
     entries, so skipping it costs nothing. A single module-level instance
-    ``zero`` is used everywhere; an optional shape may be attached for error
-    reporting when constructing shaped zeros explicitly.
+    ``zero`` is used everywhere.
     """
 
-    __slots__ = ("shape",)
-
-    def __init__(self, shape: tuple[int, int] | None = None):
-        self.shape = shape
+    __slots__ = ()
 
     def __repr__(self):
-        return "zero" if self.shape is None else f"zero{self.shape}"
+        return "zero"
 
     def __eq__(self, other):
         return isinstance(other, Zero)
@@ -159,46 +159,35 @@ def as_dense(array) -> np.ndarray:
     return result
 
 
-def _shape_of(a) -> tuple[int, int] | None:
-    if isinstance(a, (Zero, One)):
-        return getattr(a, "shape", None)
-    return a.shape
-
-
-def _check_matmul_shapes(a, b):
-    sa, sb = _shape_of(a), _shape_of(b)
-    if sa is not None and sb is not None and sa[1] != sb[0]:
-        raise ValueError(f"Dimension mismatch in product: {sa} @ {sb}.")
-
-
 def matmul(a, b, *, lazy: bool = False):
     """Matrix product of two operators.
 
     Products involving ``zero`` return ``zero`` and products with ``one``
-    return the other factor without scalar work. With ``lazy=True`` the result of a dense-dense product is kept
-    as a low-rank `~scipy.sparse.linalg.LinearOperator` factorization, which
-    the implicit method uses for blocks that must never be materialized.
+    return the other factor without scalar work. With ``lazy=True`` the
+    result of a dense-dense product is kept as a low-rank
+    `~scipy.sparse.linalg.LinearOperator` factorization, which the implicit
+    method uses for blocks that must never be materialized.
     """
     if isinstance(a, Zero) or isinstance(b, Zero):
-        _check_matmul_shapes(a, b)
         return zero
     if isinstance(a, One):
         return b
     if isinstance(b, One):
         return a
-    _check_matmul_shapes(a, b)
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"Dimension mismatch in product: {a.shape} @ {b.shape}.")
     a_op = isinstance(a, LinearOperator)
     b_op = isinstance(b, LinearOperator)
     if a_op and b_op:
         return a @ b  # stays lazy
     if a_op:
-        return a.matmat(as_dense(b))
+        return a.matmat(b)
     if b_op:
         # dense @ operator evaluated through the adjoint action
-        return adjoint(b.H.matmat(as_dense(a).conj().T))
+        return adjoint(b.H.matmat(a.conj().T))
     if lazy:
-        return aslinearoperator(as_dense(a)) @ aslinearoperator(as_dense(b))
-    return as_dense(a) @ as_dense(b)
+        return aslinearoperator(a) @ aslinearoperator(b)
+    return a @ b
 
 
 def add(a, b):
@@ -207,14 +196,11 @@ def add(a, b):
         return b
     if isinstance(b, Zero):
         return a
-    sa, sb = _shape_of(a), _shape_of(b)
-    if sa is not None and sb is not None and sa != sb:
-        raise ValueError(f"Dimension mismatch in sum: {sa} + {sb}.")
+    if a.shape != b.shape:
+        raise ValueError(f"Dimension mismatch in sum: {a.shape} + {b.shape}.")
     if isinstance(a, LinearOperator) or isinstance(b, LinearOperator):
-        a = a if isinstance(a, LinearOperator) else aslinearoperator(as_dense(a))
-        b = b if isinstance(b, LinearOperator) else aslinearoperator(as_dense(b))
-        return a + b
-    return as_dense(a) + as_dense(b)
+        return aslinearoperator(a) + aslinearoperator(b)
+    return a + b
 
 
 def scale(a, c: complex):
@@ -225,9 +211,7 @@ def scale(a, c: complex):
         return a
     if isinstance(a, One):
         raise ValueError("Cannot scale the structural identity; wrap it densely.")
-    if isinstance(a, LinearOperator):
-        return c * a
-    return as_dense(a) * c
+    return a * c
 
 
 def adjoint(a):
@@ -236,15 +220,15 @@ def adjoint(a):
         return a
     if isinstance(a, LinearOperator):
         return a.H
-    return as_dense(a).conj().T
+    return a.conj().T
 
 
 def to_array(a, shape: tuple[int, int] | None = None) -> np.ndarray:
     """Materialize any operator as a dense array (testing and output only)."""
     if isinstance(a, Zero):
-        if shape is None and a.shape is None:
-            raise ValueError("Cannot materialize an unshaped zero.")
-        return np.zeros(shape or a.shape, dtype=np.complex128)
+        if shape is None:
+            raise ValueError("Cannot materialize zero without a shape.")
+        return np.zeros(shape, dtype=np.complex128)
     if isinstance(a, One):
         if shape is None:
             raise ValueError("Cannot materialize the identity without a shape.")

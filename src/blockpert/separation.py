@@ -124,17 +124,13 @@ class EigenstructureInfo:
             )
 
 
-def _apply_mask(op, mask: np.ndarray):
-    return np.asarray(op, dtype=np.complex128) * mask
-
-
 def select(op, rule: SeparationRule, block: tuple[int, int]):
     """Selected part of one block of an operator."""
     i, j = block
     if isinstance(op, Zero) or i != j:
         return zero
     if i in rule.masks:
-        return _apply_mask(op, rule.masks[i])
+        return op * rule.masks[i]
     return op
 
 
@@ -145,7 +141,7 @@ def remain(op, rule: SeparationRule, block: tuple[int, int]):
         return zero
     if i != j:
         return op
-    return _apply_mask(op, ~rule.masks[i])
+    return op * ~rule.masks[i]
 
 
 @dataclass(frozen=True)

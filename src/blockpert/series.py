@@ -6,6 +6,7 @@ recurrence callback and stored, so that requesting additional orders reuses
 all previous work. Structural zeros propagate as the ``zero`` sentinel and
 are masked in range queries instead of being materialized.
 
+Every product of two series entries is made by one kernel, `contract`.
 `cauchy_product` is binary: every recurrence multiplies two series, and a
 product of more factors folds to the right into memoized binary products,
 so ``U†OU`` computes ``OU`` once and reuses it for every entry.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import threading
 from itertools import product as cartesian
-from typing import Any, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "BlockSeries",
     "RecurrenceCycleError",
     "cauchy_product",
+    "contract",
     "series_adjoint",
     "orders_up_to",
 ]
@@ -46,6 +48,15 @@ class RecurrenceCycleError(RuntimeError):
     def __str__(self):
         chain = " -> ".join(self.chain)
         return f"{self.entry} queried while being evaluated: {chain}"
+
+
+def _read_only(value):
+    """A read-only view of an ndarray, so no memoized entry can be changed
+    in place; the viewed array stays writeable. Any other operand as is."""
+    if isinstance(value, np.ndarray):
+        value = value.view()
+        value.flags.writeable = False
+    return value
 
 
 def orders_up_to(max_orders: tuple[int, ...]):
@@ -95,7 +106,7 @@ class BlockSeries:
             f"lambda_{i}" for i in range(n_params)
         )
         self.large_blocks = large_blocks
-        self._data: dict[tuple, Any] = dict(data) if data else {}
+        self._data = {k: _read_only(v) for k, v in (data or {}).items()}
         self._in_progress: dict[tuple, int] = {}  # key -> evaluating thread
 
     def __repr__(self):
@@ -107,8 +118,9 @@ class BlockSeries:
     def get(self, block: tuple[int, int], order: tuple[int, ...]):
         """Memoized entry at one block and order.
 
-        An entry that another thread is evaluating raises `RuntimeError` at
-        once; waiting for it could deadlock.
+        An ndarray entry, seeded or evaluated, is a read-only view. An entry
+        that another thread is evaluating raises `RuntimeError` at once;
+        waiting for it could deadlock.
         """
         key = (*block, *order)
         if key in self._data:
@@ -125,8 +137,7 @@ class BlockSeries:
             )
         try:
             value = self.eval(*key)
-            if value is None:
-                value = zero
+            value = zero if value is None else _read_only(value)
             self._data[key] = value
         except RecurrenceCycleError as error:
             error.chain.insert(0, f"{self.name}{key}")
@@ -191,6 +202,44 @@ class BlockSeries:
             raise IndexError(f"Invalid order index {orders} for {self.name}.")
 
 
+def contract(left, right, block, order, counter, *, hermitian=False):
+    """Entry ``block, order = (i, j), n`` of the Cauchy product of two series.
+
+    The engine's only product site: it sums ``left[i, l, m] right[l, j, n-m]``
+    over internal blocks ``l`` (outer loop) and orders ``m <= n``, and tallies
+    every product in ``counter``. Of each pair the factor at lower total
+    order is queried first (the left one on ties); a structural zero skips
+    the other query and the product. ``hermitian`` declares the pair
+    ``(p, m)`` the adjoint of ``(m, p)``, as in ``X†X`` on a diagonal block:
+    only pairs with ``m <= p`` are multiplied, and the ``m < p`` part is
+    added together with its adjoint once.
+    """
+    i, j = block
+    total = sum(order)
+    pairs = []
+    for m in orders_up_to(order):
+        p = tuple(a - b for a, b in zip(order, m))
+        if hermitian and m > p:
+            continue
+        pairs.append((m, p, 2 * sum(m) <= total, int(hermitian and m < p)))
+    large = left.large_blocks | right.large_blocks
+    lazy = i in large and j in large
+    sums = [zero, zero]  # the other pairs, and the m < p half
+    for l in range(left.shape[1]):
+        for m, p, left_first, half in pairs:
+            if left_first:
+                a = left.get((i, l), m)
+                b = zero if isinstance(a, Zero) else right.get((l, j), p)
+            else:
+                b = right.get((l, j), p)
+                a = zero if isinstance(b, Zero) else left.get((i, l), m)
+            if not (isinstance(a, Zero) or isinstance(b, Zero)):
+                counter.count(a, b)
+                sums[half] = add(sums[half], matmul(a, b, lazy=lazy))
+    result, half = sums
+    return add(result, add(half, adjoint(half)))
+
+
 def cauchy_product(
     *factors: BlockSeries,
     name: str = "product",
@@ -198,12 +247,9 @@ def cauchy_product(
 ) -> BlockSeries:
     """Block-contracting Cauchy product of two or more series.
 
-    The entry ``(i, j, n)`` of ``a b`` sums ``a[i, l, m] b[l, j, n - m]`` over
-    internal blocks ``l`` and orders ``m <= n``. Of each pair the factor at
-    lower total order is queried first (the left one on ties), and a
-    structural zero skips the other query and the product. More factors fold
-    to the right, ``a (b c)``, so the inner product is a memoized series that
-    every outer term reuses. Every product is tallied in ``counter``.
+    Each entry is made by `contract`. More factors fold to the right,
+    ``a (b c)``, so the inner product is a memoized series that every outer
+    term reuses. Every product is tallied in ``counter``.
     """
     if len(factors) < 2:
         raise ValueError("Need at least two factors.")
@@ -220,28 +266,9 @@ def cauchy_product(
         raise ValueError(f"Block shape mismatch: {left.shape} @ {right.shape}.")
     if left.n_params != right.n_params:
         raise ValueError("Factors have different numbers of parameters.")
-    large = left.large_blocks | right.large_blocks
 
     def eval(i, j, *n):
-        total = sum(n)
-        pairs = []
-        for m in orders_up_to(n):
-            p = tuple(a - b for a, b in zip(n, m))
-            pairs.append((m, p, 2 * sum(m) <= total))
-        lazy = i in large and j in large
-        result = zero
-        for l in range(left.shape[1]):
-            for m, p, left_first in pairs:
-                if left_first:
-                    a = left.get((i, l), m)
-                    b = zero if isinstance(a, Zero) else right.get((l, j), p)
-                else:
-                    b = right.get((l, j), p)
-                    a = zero if isinstance(b, Zero) else left.get((i, l), m)
-                if not (isinstance(a, Zero) or isinstance(b, Zero)):
-                    counter.count(a, b)
-                    result = add(result, matmul(a, b, lazy=lazy))
-        return result
+        return contract(left, right, (i, j), n, counter)
 
     return BlockSeries(
         eval=eval,
@@ -249,7 +276,7 @@ def cauchy_product(
         n_params=left.n_params,
         name=name,
         param_names=left.param_names,
-        large_blocks=large,
+        large_blocks=left.large_blocks | right.large_blocks,
     )
 
 

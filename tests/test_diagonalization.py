@@ -1,4 +1,5 @@
 import re
+from itertools import product as cartesian
 
 import numpy as np
 import pytest
@@ -189,12 +190,9 @@ def test_commutator_consistency(rng):
             commutator += u_prime[(m,)] @ h_part - h_part @ u_prime[(m,)]
         np.testing.assert_allclose(x_n, commutator, atol=1e-12)
         # The antihermitian part used by the recurrences matches.
-        z_n = 0.5 * (
-            assemble_full(result.context["A"], problem, (n,))
-            - assemble_full(result.context["A†"], problem, (n,))
-            - assemble_full(result.context["U'†B"], problem, (n,))
-            + assemble_full(result.context["(U'†B)†"], problem, (n,))
-        )
+        a_n = assemble_full(result.context["A"], problem, (n,))
+        p_n = assemble_full(result.context["U'†B"], problem, (n,))
+        z_n = 0.5 * (a_n - a_n.conj().T - p_n + p_n.conj().T)
         np.testing.assert_allclose(z_n, 0.5 * (x_n - x_n.conj().T), atol=1e-12)
 
 
@@ -269,13 +267,45 @@ def test_operation_counts_dense_and_offdiagonal():
     assert counts(True) == [0, 0, 1, 0, 9]
 
 
+def real_sparse_solver(problem):
+    """The default solver, returning its real solutions as sparse matrices."""
+    default = make_eigenbasis_solver(
+        problem.eigenvalues, problem.rule, problem.eig.tolerance
+    )
+
+    def solve(rhs, block, order):
+        solution = default(rhs, block, order)
+        assert not np.any(solution.imag)
+        return sparse.csr_matrix(solution.real)
+
+    return solve
+
+
 def test_transmon_slice_masks_odd_orders():
-    model = transmon_problem()
-    result = block_diagonalize(model.problem())
-    window = result.h_tilde[0, 0, :3]
-    assert not window.mask[0]
-    assert window.mask[1]  # order one has no block-diagonal part
-    assert not window.mask[2]
+    problem = transmon_problem().problem()
+    reference = block_diagonalize(problem)
+    # A custom solver may return real sparse solutions; they give the same H̃.
+    for solver in (None, real_sparse_solver(problem)):
+        result = block_diagonalize(problem, solver)
+        window = result.h_tilde[0, 0, :3]
+        assert not window.mask[0]
+        assert window.mask[1]  # order one has no block-diagonal part
+        assert not window.mask[2]
+        for block, order in cartesian(range(problem.n_blocks), range(5)):
+            size = problem.block_sizes[block]
+            np.testing.assert_allclose(
+                to_array(result.h_tilde.get((block, block), (order,)), (size,) * 2),
+                to_array(reference.h_tilde.get((block, block), (order,)), (size,) * 2),
+                rtol=0,
+                atol=1e-15,
+            )
+        # The solutions are stored in the one operand form.
+        v = result.context["V"]
+        for key in v.stored_keys():
+            value = v.get(key[:2], key[2:])
+            assert value is zero or (
+                type(value) is np.ndarray and value.dtype == np.complex128
+            )
 
 
 def test_transform_observable_identity(rng):
@@ -301,22 +331,60 @@ def test_transform_observable_identity(rng):
     )
 
 
+def sparse_real_h(problem):
+    """The H of a real problem as a caller may pass it: sparse at order 0
+    and off the diagonal, real ndarrays on the diagonal at order 1."""
+    entries = {
+        (i, j, order): to_array(problem.block(i, j, (order,))).real
+        for i, j, order in cartesian(range(2), range(2), range(2))
+        if not isinstance(problem.block(i, j, (order,)), Zero)
+    }
+    return BlockSeries(
+        data={
+            key: sparse.csr_matrix(value) if key[2] == 0 or key[0] != key[1] else value
+            for key, value in entries.items()
+        },
+        eval=lambda *key: zero,
+        shape=(2, 2),
+        n_params=1,
+        name="H",
+    )
+
+
 def test_transform_observable_reproduces_h_tilde(rng):
     energies, perturbations, labels = random_two_block(2, 3, seed=9)
-    problem = PerturbationProblem.from_diagonal(energies, perturbations, labels)
-    result = block_diagonalize(problem)
-    transformed = transform_observable(result, result.context["H"])
-    for order in range(4):
-        for block in [(0, 0), (1, 1), (0, 1)]:
-            shape = (
-                problem.block_sizes[block[0]],
-                problem.block_sizes[block[1]],
-            )
-            np.testing.assert_allclose(
-                to_array(transformed.get(block, (order,)), shape),
-                to_array(result.h_tilde.get(block, (order,)), shape),
-                atol=1e-12,
-            )
+    real_perturbations = {order: term.real for order, term in perturbations.items()}
+    # The complex problem, then a real copy of it whose H is also given in
+    # the caller's form; that form must give the same complex ndarrays.
+    for terms in (perturbations, real_perturbations):
+        problem = PerturbationProblem.from_diagonal(energies, terms, labels)
+        result = block_diagonalize(problem)
+        transformed = transform_observable(result, result.context["H"])
+        given = None
+        if terms is real_perturbations:
+            given = transform_observable(result, sparse_real_h(problem))
+        for order in range(4):
+            for block in [(0, 0), (1, 1), (0, 1)]:
+                shape = (
+                    problem.block_sizes[block[0]],
+                    problem.block_sizes[block[1]],
+                )
+                np.testing.assert_allclose(
+                    to_array(transformed.get(block, (order,)), shape),
+                    to_array(result.h_tilde.get(block, (order,)), shape),
+                    atol=1e-12,
+                )
+                if given is None:
+                    continue
+                value = given.get(block, (order,))
+                if order:
+                    assert type(value) is np.ndarray and value.dtype == np.complex128
+                np.testing.assert_allclose(
+                    to_array(value, shape),
+                    to_array(transformed.get(block, (order,)), shape),
+                    rtol=0,
+                    atol=1e-15,
+                )
 
 
 def test_transform_observable_block_diagonal_case():
@@ -342,6 +410,33 @@ def test_transform_observable_block_diagonal_case():
     )
     first = to_array(transformed.get((0, 0), (1,)), (2, 2))
     np.testing.assert_allclose(first, 0, atol=1e-14)
+
+
+def test_memoized_entries_are_read_only():
+    """A memoized entry cannot be changed in place; the caller's arrays can."""
+    h1 = np.array([[0.7, G], [G, 0.3]], dtype=complex)
+    problem = PerturbationProblem.from_diagonal(
+        np.array([0.0, 1.0]), {(1,): h1}, [0, 1]
+    )
+    result = block_diagonalize(problem)
+    with pytest.raises(ValueError, match="read-only"):
+        result.h_tilde.get((0, 0), (0,))[0, 0] = 1.0
+    observed = np.array([[2.0]], dtype=complex)
+    observable = BlockSeries(
+        eval=lambda i, j, *n: observed if (i, j, *n) == (0, 0, 0) else None,
+        shape=(2, 2),
+        n_params=1,
+        name="observable",
+    )
+    transformed = transform_observable(result, observable)
+    with pytest.raises(ValueError, match="read-only"):
+        transformed.get((0, 0), (0,))[0, 0] = 1.0
+    assert observable.get((0, 0), (0,)) is not observed
+    # Entries seeded through ``data`` are stored as read-only views as well.
+    seeded = BlockSeries(data={(0, 0, 0): observed}, shape=(1, 1), n_params=1)
+    with pytest.raises(ValueError, match="read-only"):
+        seeded.get((0, 0), (0,))[0, 0] = 1.0
+    h1[0, 0] = observed[0, 0] = 0.5
 
 
 def test_evaluate_truncated():

@@ -172,6 +172,48 @@ def test_cli_rejects_negative_orders(tmp_path, argv, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--max-order", "0"], "at least 1"),
+        (["verify", "--max-order", "-1"], "at least 1"),
+        (["bench", "implicit-timing", "--size", "2"], "at least 4"),
+        (["bench", "implicit-timing", "--size", "3"], "at least 4"),
+    ],
+)
+def test_cli_rejects_inputs_that_run_nothing_or_crash(tmp_path, argv, message, capsys):
+    if argv[0] == "verify":
+        path = document_path(tmp_path, two_block_document())
+        argv = [argv[0], "--input", path, *argv[1:]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("lam=0:1:x", "non-numeric"),
+        ("lam=a:1:3", "non-numeric"),
+        ("lam=x", "non-numeric"),
+        ("lam=0:1:-1", "at least one point"),
+        ("lam=0:1:0", "at least one point"),
+        ("lam=0:1:3:lin", "must be 'log'"),
+        ("lam=0:1:3:log", "positive bounds"),
+        ("lam=-1:1:3:log", "positive bounds"),
+        ("lam=0:1", "name=lo:hi:n"),
+    ],
+)
+def test_cli_spectrum_rejects_bad_grids(tmp_path, grid, message, capsys):
+    path = document_path(tmp_path, two_block_document())
+    argv = ["spectrum", "--input", path, "--max-order", "2", "--grid", grid]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_cli_verify_passes_and_fails(tmp_path, capsys):
     path = document_path(tmp_path, two_block_document())
     assert main(["verify", "--input", path, "--max-order", "3"]) == 0

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+import scipy.sparse.linalg as sla
 
+from blockpert.diagonalization import PerturbationProblem
+from blockpert.implicit import build_extended_problem
 from blockpert.operators import (
     MatrixFreeOperator,
     add,
@@ -11,6 +15,7 @@ from blockpert.operators import (
     to_array,
     zero,
 )
+from blockpert.problems import lattice_problem
 
 from conftest import random_hermitian
 
@@ -74,9 +79,37 @@ def test_ring_axioms(seed):
     )
 
 
-def test_real_input_promoted():
-    result = matmul(np.eye(2), np.ones((2, 2)))
-    assert result.dtype == np.complex128
+def _operand_form(blocks):
+    """Whether every block is a complex128 ndarray or a matrix-free operator."""
+    return all(
+        isinstance(block, MatrixFreeOperator)
+        or (type(block) is np.ndarray and block.dtype == np.complex128)
+        for block in blocks.values()
+    )
+
+
+def test_assembly_produces_the_operand_form(rng):
+    """Real and sparse inputs are converted once, when a problem is built."""
+    perturbation = rng.normal(size=(4, 4))
+    perturbation = perturbation + perturbation.T
+    for term in (perturbation, sparse.csr_matrix(perturbation)):
+        problem = PerturbationProblem.from_diagonal(
+            np.arange(4.0), {(1,): term}, [0, 0, 1, 1]
+        )
+        assert _operand_form(problem.blocks)
+    vectors = np.eye(4)
+    problem = PerturbationProblem.from_eigenvectors(
+        np.diag(np.arange(4.0)), {(1,): perturbation}, [vectors[:, :2], vectors[:, 2:]]
+    )
+    assert _operand_form(problem.blocks)
+    h0, perturbations = lattice_problem(4, seed=1)
+    h0 = h0.real.tocsr()
+    perturbations = {order: term.real.tocsr() for order, term in perturbations.items()}
+    energies, psi = sla.eigsh(h0, k=2, which="SA")
+    assert psi.dtype == np.float64
+    problem = build_extended_problem(h0, perturbations, psi, energies)
+    assert _operand_form(problem.blocks)
+    assert any(isinstance(b, MatrixFreeOperator) for b in problem.blocks.values())
 
 
 def test_matrix_free_operator_probes(rng):
