@@ -160,6 +160,7 @@ def cmd_diagonalize(args) -> int:
 def _parse_grid(specs, param_names) -> list[np.ndarray]:
     """Axes from ``name=value`` or ``name=lo:hi:n[:log]`` specifications."""
     axes = [np.zeros(1) for _ in param_names]
+    seen = set()
     for spec in specs or []:
         name, _, body = spec.partition("=")
         parts = body.split(":")
@@ -169,6 +170,9 @@ def _parse_grid(specs, param_names) -> list[np.ndarray]:
             raise DocumentError(
                 f"Unknown parameter {name!r}; have {list(param_names)}."
             )
+        if name in seen:
+            raise DocumentError(f"Parameter {name!r} has more than one --grid.")
+        seen.add(name)
         try:
             bounds = [float(part) for part in parts[:2]]
             count = int(parts[2]) if len(parts) > 2 else 1
@@ -189,6 +193,8 @@ def _parse_grid(specs, param_names) -> list[np.ndarray]:
 
 def cmd_spectrum(args) -> int:
     problem, _ = load_problem(args.input)
+    if args.block and len(args.block) > 1:
+        raise DocumentError("spectrum takes one --block.")
     block = tuple(args.block[0]) if args.block else (0, 0)
     _check_block(block, problem)
     if block[0] != block[1]:
@@ -302,16 +308,31 @@ def cmd_bench(args) -> int:
     started = time.perf_counter()
     sla.eigsh(h0, k=n_low, which="SA")
     second_diagonalization = time.perf_counter() - started
+    records = problem.implicit_context.solvers.records
     print(f"lattice {width}x{width}, {n_low} explicit states")
     print(f"sparse diagonalization  {diagonalization_time:10.4f} s")
     print(f"factorizations          {factorization_time:10.4f} s")
     print(f"corrections (orders<=3) {corrections_time:10.4f} s")
-    print(f"reference: one extra sparse diagonalization {second_diagonalization:10.4f} s")
+    print(
+        f"shifted solves          {len(records):10d}, at most "
+        f"{max((r.steps for r in records), default=0)} refinement steps, "
+        f"largest relative residual "
+        f"{max((r.residual for r in records), default=0.0):.1e}"
+    )
+    print("reference: one extra sparse diagonalization")
+    as_passed = f"  of H_0 as passed ({h0.dtype})"
+    print(f"{as_passed:<34}{second_diagonalization:10.4f} s")
+    # The lattice is real but stored as complex128, which doubles the cost
+    # of eigsh; its float64 copy is the fair reference for a real operator.
+    started = time.perf_counter()
+    sla.eigsh(h0.real.astype(np.float64), k=n_low, which="SA")
+    real_diagonalization = time.perf_counter() - started
+    print(f"{'  of its float64 copy':<34}{real_diagonalization:10.4f} s")
     total = factorization_time + corrections_time
     verdict = "below" if total < second_diagonalization else "NOT below"
     print(
         f"correction cost {total:.4f} s is {verdict} one sparse "
-        f"diagonalization (machine-dependent)"
+        f"diagonalization of the operator as passed (machine-dependent)"
     )
     return EXIT_OK
 

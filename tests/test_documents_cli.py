@@ -214,6 +214,22 @@ def test_cli_spectrum_rejects_bad_grids(tmp_path, grid, message, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--block", "0", "0", "--block", "1", "1"], "one --block"),
+        (["--grid", "lam=0.1", "--grid", "lam=0.2"], "more than one --grid"),
+    ],
+)
+def test_cli_spectrum_rejects_repeated_arguments(tmp_path, extra, message, capsys):
+    path = document_path(tmp_path, two_block_document())
+    argv = ["spectrum", "--input", path, "--max-order", "2", *extra]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
 def test_cli_verify_passes_and_fails(tmp_path, capsys):
     path = document_path(tmp_path, two_block_document())
     assert main(["verify", "--input", path, "--max-order", "3"]) == 0

@@ -7,12 +7,16 @@ import scipy.sparse.linalg as sla
 
 from blockpert.diagonalization import PerturbationProblem, block_diagonalize
 from blockpert.implicit import (
+    DEFLATION_ATOL,
+    RESIDUAL_RTOL,
     DeflationError,
+    FactorizationError,
     ShiftedSolverSet,
     build_extended_problem,
     projected_operator,
 )
 from blockpert.operators import to_array
+from blockpert.problems import lattice_problem
 from blockpert.series import orders_up_to
 
 from conftest import random_hermitian
@@ -81,6 +85,92 @@ def test_shifted_solver_residual_random(rng):
         residual = solution @ (h0.toarray() - energies[i] * np.eye(n)) - rhs
         assert np.linalg.norm(residual) <= 1e-8 * np.linalg.norm(rhs)
         assert np.linalg.norm(solution @ vectors) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "kind, real_factors",
+    [("complex128, real data", True), ("float64, dense", True), ("complex", False)],
+)
+def test_shifted_solver_factorizes_real_data_in_real_arithmetic(
+    rng, kind, real_factors
+):
+    """Real entries take a real LU whatever the dtype; every solve is logged."""
+    h0 = {
+        "complex128, real data": lambda: lattice_problem(12, 1)[0],
+        "float64, dense": lambda: lattice_problem(12, 1)[0].real.toarray(),
+        "complex": lambda: random_sparse_hermitian(rng, 144),
+    }[kind]()
+    n = h0.shape[0]
+    energies, vectors = np.linalg.eigh(to_array(h0))
+    energies, vectors = energies[:3], vectors[:, :3]
+    solvers = ShiftedSolverSet(h0, vectors, energies)
+    assert solvers.real_factors == real_factors
+    factor_dtype = np.float64 if real_factors else np.complex128
+    assert all(lu.L.dtype == factor_dtype for lu in solvers._factors)
+    projector = np.eye(n) - vectors @ vectors.conj().T
+    for i in range(3):
+        rhs = (rng.normal(size=n) + 1j * rng.normal(size=n)) @ projector
+        solution = solvers.solve_shifted_deflated(i, rhs)
+        residual = solution @ (to_array(h0) - energies[i] * np.eye(n)) - rhs
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
+        assert np.linalg.norm(solution @ vectors) <= 1e-10
+    assert [record.shift for record in solvers.records] == [0, 1, 2]
+    for record in solvers.records:
+        assert 1 <= record.steps <= 3
+        assert record.residual <= RESIDUAL_RTOL
+        assert record.overlap <= DEFLATION_ATOL
+
+
+@pytest.mark.parametrize(
+    "h0, states",
+    [
+        # Clean lattice: the lowest six states hold two degenerate pairs.
+        (lattice_problem(20, 0, disorder=0.0)[0], slice(0, 6)),
+        # Disordered lattice, explicit states inside the spectrum.
+        (lattice_problem(20, 4)[0], slice(3, 6)),
+    ],
+    ids=["degenerate pairs", "interior states"],
+)
+def test_implicit_matches_explicit_lattice(rng, h0, states):
+    perturbation = sparse.diags(rng.uniform(-0.5, 0.5, h0.shape[0])).tocsr()
+    energies, vectors = np.linalg.eigh(h0.toarray())
+    problem = build_extended_problem(
+        h0, {(1,): perturbation}, vectors[:, states], energies[states]
+    )
+    result = block_diagonalize(problem)
+    explicit = np.zeros(len(energies), bool)
+    explicit[states] = True
+    explicit_result = block_diagonalize(
+        PerturbationProblem.from_eigenvectors(
+            h0.toarray(),
+            {(1,): perturbation.toarray()},
+            [vectors[:, explicit], vectors[:, ~explicit]],
+        )
+    )
+    size = int(explicit.sum())
+    for order in range(5):
+        np.testing.assert_allclose(
+            to_array(result.h_tilde.get((0, 0), (order,)), (size, size)),
+            to_array(explicit_result.h_tilde.get((0, 0), (order,)), (size, size)),
+            atol=1e-10,
+        )
+    assert max(r.residual for r in problem.implicit_context.solvers.records) <= 1e-12
+
+
+def test_split_degenerate_pair_raises(rng):
+    """An implicit state degenerate with an explicit one makes the solve fail."""
+    h0 = lattice_problem(20, 0, disorder=0.0)[0]
+    energies, vectors = np.linalg.eigh(h0.toarray())
+    assert np.isclose(energies[1], energies[2])  # states 1 and 2 form a pair
+    perturbation = sparse.diags(rng.uniform(-0.5, 0.5, h0.shape[0])).tocsr()
+    problem = build_extended_problem(
+        h0, {(1,): perturbation}, vectors[:, :2], energies[:2]
+    )
+    result = block_diagonalize(problem)
+    with pytest.raises(FactorizationError, match="relative residual"):
+        result.h_tilde.get((0, 0), (2,))
+    failed = problem.implicit_context.solvers.records[-1]
+    assert np.isfinite(failed.residual) and failed.residual > RESIDUAL_RTOL
 
 
 @pytest.mark.parametrize(
