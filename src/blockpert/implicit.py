@@ -51,11 +51,13 @@ EIGEN_RESIDUAL_RTOL = 1e-8
 DEFLATION_ATOL = 1e-10
 RESIDUAL_RTOL = 1e-8
 # Each factorization is shifted below its eigenvalue by this fraction of the
-# distance to the nearest other explicit eigenvalue. On the width-100 lattice,
-# 1e-3 took 3.3 refinement steps per solve and 1e-6 or 1e-9 two, and only
-# 1e-9 kept H-tilde within 5e-14 of exact deflated solves. Much smaller
-# fractions let the rounding that the near-singular LU amplifies grow.
-SHIFT_FRACTION = 1e-9
+# energy scale, about 5e4 times the rounding of the largest eigenvalue.
+# Refinement shrinks the residual by about shift / (distance from E_i to the
+# implicit spectrum) per step. On width-100 lattices, seeds 1-3, fractions
+# from 1e-10 to 1e-13 took 2 steps per solve, and those from 1e-11 to 1e-13
+# kept H-tilde within 2e-13 of bordered solves (1e-10: 4e-13). 1e-9 took up
+# to 3 steps, and from 1e-14 on some solves stopped after 1.
+SHIFT_FRACTION = 1e-11
 # Refinement stops at this projected residual relative to the right-hand
 # side, near rounding, or when a step shrinks the residual by less than
 # STALL_RATIO, which also bounds the number of steps.
@@ -112,10 +114,10 @@ class ShiftedSolverSet:
     """Deflated solvers of ``x (H_0 - E_i) = rhs`` for each explicit state.
 
     Each explicit state ``i`` owns one sparse LU of ``H_0 - sigma_i`` with
-    ``sigma_i = E_i - SHIFT_FRACTION * g_i``, where ``g_i`` is the distance
-    from ``E_i`` to the nearest explicit eigenvalue outside its degenerate
-    set (the energy scale when there is none). Degenerate states share the
-    shift and span the near-kernel of the shifted operator together. The
+    ``sigma_i = E_i - SHIFT_FRACTION * scale``, ``scale`` being the largest
+    explicit ``|E|`` or 1. The shift stays far above the rounding of
+    ``E_i``, also when other explicit eigenvalues lie close to it, and the
+    explicit directions that the LU amplifies are projected out. The
     factorization is real when the entries of ``H_0`` are, and a complex
     right-hand side then goes through it as two real columns.
 
@@ -123,8 +125,11 @@ class ShiftedSolverSet:
     refines ``x <- x + P LU_i^-1 r`` on the residual ``r = P(rhs - (H_0 -
     E_i) x)`` until it is near rounding or stops shrinking; the unprojected
     residual must then be below ``RESIDUAL_RTOL``, or the solve raises
-    `FactorizationError`. Every solve that reaches the refinement is logged
-    in ``records``.
+    `FactorizationError`. Both projections are needed. The explicit part of
+    the raw residual, ``-(H_0 Psi - Psi E)^H x``, comes from the eigenvector
+    error of ``Psi``, and the LU would amplify it by ``1 / shift``; the
+    explicit part of the LU's output would do the same through ``H_0``.
+    Every solve that reaches the refinement is logged in ``records``.
     """
 
     def __init__(self, h0, psi: np.ndarray, energies: np.ndarray):
@@ -137,16 +142,13 @@ class ShiftedSolverSet:
         if self.real_factors:
             matrix = matrix.real
         identity = sparse.identity(matrix.shape[0], dtype=matrix.dtype, format="csc")
-        scale = max(1.0, float(np.max(np.abs(self.energies))))
+        shift = SHIFT_FRACTION * max(1.0, float(np.max(np.abs(self.energies))))
         self._factors = []
         for energy in self.energies:
-            distances = np.abs(self.energies - energy)
-            others = distances[distances > 1e-10 * scale]
-            gap = float(np.min(others)) if others.size else scale
             try:
                 self._factors.append(
                     sla.splu(
-                        matrix - (energy - SHIFT_FRACTION * gap) * identity,
+                        matrix - (energy - shift) * identity,
                         permc_spec="MMD_AT_PLUS_A",
                         diag_pivot_thresh=0.001,
                         options=dict(SymmetricMode=True),
@@ -165,7 +167,7 @@ class ShiftedSolverSet:
         """``P LU_i^-1 column``, the preconditioned refinement step."""
         if self.real_factors:  # real and imaginary parts as two columns
             parts = self._factors[i].solve(column.view(np.float64).reshape(-1, 2))
-            solved = parts[:, 0] + 1j * parts[:, 1]
+            solved = np.ascontiguousarray(parts).view(np.complex128).ravel()
         else:
             solved = self._factors[i].solve(column)
         return _project_out(self.psi, solved)
@@ -190,7 +192,7 @@ class ShiftedSolverSet:
         correction = column
         previous = norm
         for steps in itertools.count(1):
-            solution = solution + self._precondition(i, correction)
+            solution += self._precondition(i, correction)
             residual = column - (self.h0 @ solution - energy * solution)
             correction = _project_out(self.psi, residual)
             current = np.linalg.norm(correction)

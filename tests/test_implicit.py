@@ -121,15 +121,24 @@ def test_shifted_solver_factorizes_real_data_in_real_arithmetic(
         assert record.overlap <= DEFLATION_ATOL
 
 
+def weakly_split_lattice():
+    """Clean 20x20 lattice whose two lowest degenerate pairs are split by 1e-8."""
+    h0 = lattice_problem(20, 0, disorder=0.0)[0]
+    onsite = 2e-7 * np.random.default_rng(1).uniform(-1, 1, h0.shape[0])
+    return (h0 + sparse.diags(onsite)).tocsr()
+
+
 @pytest.mark.parametrize(
     "h0, states",
     [
         # Clean lattice: the lowest six states hold two degenerate pairs.
         (lattice_problem(20, 0, disorder=0.0)[0], slice(0, 6)),
+        # The same pairs split by about 1e-8, far closer than the shift.
+        (weakly_split_lattice(), slice(0, 6)),
         # Disordered lattice, explicit states inside the spectrum.
         (lattice_problem(20, 4)[0], slice(3, 6)),
     ],
-    ids=["degenerate pairs", "interior states"],
+    ids=["degenerate pairs", "weakly split pairs", "interior states"],
 )
 def test_implicit_matches_explicit_lattice(rng, h0, states):
     perturbation = sparse.diags(rng.uniform(-0.5, 0.5, h0.shape[0])).tocsr()
@@ -155,6 +164,45 @@ def test_implicit_matches_explicit_lattice(rng, h0, states):
             atol=1e-10,
         )
     assert max(r.residual for r in problem.implicit_context.solvers.records) <= 1e-12
+
+
+def test_weakly_split_lattice_has_close_pairs():
+    energies = np.linalg.eigvalsh(weakly_split_lattice().toarray())[:6]
+    gaps = np.diff(energies)[[1, 4]]
+    assert np.all((gaps > 5e-9) & (gaps < 5e-8))
+
+
+def test_loose_eigenvectors_converge(rng):
+    """Explicit vectors with eigen-residuals near 1e-9 still give accurate solves.
+
+    Their error gives the raw residual an explicit part that the shifted LU
+    amplifies by the inverse shift; refinement converges only because both the
+    residual and the LU's output are projected.
+    """
+    h0 = lattice_problem(20, 4)[0]
+    energies, vectors = np.linalg.eigh(h0.toarray())
+    psi, _ = np.linalg.qr(vectors[:, :6] + 1e-10 * rng.normal(size=(h0.shape[0], 6)))
+    rayleigh = np.real(np.einsum("ij,ij->j", psi.conj(), h0 @ psi))
+    assert np.max(np.abs(h0 @ psi - psi * rayleigh)) > 1e-10
+    perturbation = sparse.diags(rng.uniform(-0.5, 0.5, h0.shape[0])).tocsr()
+    problem = build_extended_problem(h0, {(1,): perturbation}, psi, rayleigh)
+    result = block_diagonalize(problem)
+    explicit_result = block_diagonalize(
+        PerturbationProblem.from_eigenvectors(
+            h0.toarray(),
+            {(1,): perturbation.toarray()},
+            [vectors[:, :6], vectors[:, 6:]],
+        )
+    )
+    for order in range(1, 5):
+        np.testing.assert_allclose(
+            np.linalg.eigvalsh(to_array(result.h_tilde.get((0, 0), (order,)), (6, 6))),
+            np.linalg.eigvalsh(
+                to_array(explicit_result.h_tilde.get((0, 0), (order,)), (6, 6))
+            ),
+            atol=1e-8,
+        )
+    assert max(r.residual for r in problem.implicit_context.solvers.records) <= 1e-8
 
 
 def test_split_degenerate_pair_raises(rng):
