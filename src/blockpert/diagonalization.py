@@ -614,8 +614,9 @@ def evaluate_truncated(
 
     Points ``values`` of shape ``(..., k)`` give dense blocks of shape
     ``(..., rows, cols)``: the non-zero terms are stacked once and contracted
-    with the weights of all points in one product. ``shape`` is only needed
-    when every term is structurally zero.
+    with the weights of all points in one product. Structural ``one`` terms
+    are materialized with the block's shape, taken from ``shape`` or from
+    the other terms; ``shape`` is needed only when no term carries it.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim == 0 or values.shape[-1] != series.n_params:
@@ -629,7 +630,10 @@ def evaluate_truncated(
             raise ValueError("All terms are structurally zero; pass an explicit shape.")
         return np.zeros(values.shape[:-1] + tuple(shape), dtype=np.complex128)
     orders = np.array(list(orders_up_to(max_orders)))[present]
-    terms = np.stack([to_array(term) for term in entries.compressed()])
+    terms = entries.compressed()
+    if shape is None:
+        shape = next((t.shape for t in terms if not isinstance(t, One)), None)
+    terms = np.stack([to_array(term, shape) for term in terms])
     weights = np.prod(values[..., None, :] ** orders, axis=-1)
     return np.tensordot(weights, terms, axes=1)
 

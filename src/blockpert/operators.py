@@ -13,8 +13,10 @@ constructors, a custom Sylvester solver's output and the entries of a
 transformed observable go through `as_dense`.
 All arithmetic goes through the module-level functions `matmul`, `add`,
 `scale` and `adjoint`, which dispatch on these types and convert nothing;
-`to_array` materializes any element for output. Products are counted where
-the engine makes them, into an `OperationCounter`.
+`to_array` materializes any element for output. `matmul` and `add` hand
+two ndarrays to numpy before any dispatch: on small blocks the dispatch
+would cost more than the arithmetic. Products are counted where the engine
+makes them, into an `OperationCounter`.
 """
 
 from __future__ import annotations
@@ -84,9 +86,10 @@ one = One()
 class OperationCounter:
     """Shared tally of matrix-matrix products.
 
-    The engine calls `count` at each of its products. A product counts when
-    neither operand is ``zero`` or ``one``; elementwise operations (sums,
-    scalar multiples, Sylvester denominators) never count. Not thread safe;
+    The engine's product kernel, `blockpert.series.contract`, adds the
+    products of each entry it computes. A product counts when neither
+    operand is ``zero`` or ``one``; elementwise operations (sums, scalar
+    multiples, Sylvester denominators) never count. Not thread safe;
     evaluation contexts are single-threaded.
     """
 
@@ -94,11 +97,6 @@ class OperationCounter:
 
     def __init__(self):
         self.matmul_count = 0
-
-    def count(self, a, b):
-        """Tally the product ``a @ b`` unless an operand is structural."""
-        if not isinstance(a, (Zero, One)) and not isinstance(b, (Zero, One)):
-            self.matmul_count += 1
 
     def __repr__(self):
         return f"OperationCounter(matmul_count={self.matmul_count})"
@@ -168,6 +166,8 @@ def matmul(a, b, *, lazy: bool = False):
     `~scipy.sparse.linalg.LinearOperator` factorization, which the implicit
     method uses for blocks that must never be materialized.
     """
+    if type(a) is np.ndarray and type(b) is np.ndarray and not lazy:
+        return a @ b
     if isinstance(a, Zero) or isinstance(b, Zero):
         return zero
     if isinstance(a, One):
@@ -192,6 +192,10 @@ def matmul(a, b, *, lazy: bool = False):
 
 def add(a, b):
     """Elementwise sum; ``zero`` is the neutral element."""
+    if type(a) is np.ndarray and type(b) is np.ndarray:
+        if a.shape != b.shape:
+            raise ValueError(f"Dimension mismatch in sum: {a.shape} + {b.shape}.")
+        return a + b
     if isinstance(a, Zero):
         return b
     if isinstance(b, Zero):

@@ -10,17 +10,26 @@ Every product of two series entries is made by one kernel, `contract`.
 `cauchy_product` is binary: every recurrence multiplies two series, and a
 product of more factors folds to the right into memoized binary products,
 so ``U†OU`` computes ``OU`` once and reuses it for every entry.
+
+On small blocks the kernel's bookkeeping, not its arithmetic, sets the
+time, so it keeps that small. The order pairs of an entry come from a plan
+cached per order, shared by every block and series. Factors are read
+straight from the memo dict of each series, stored flat under
+``(i, j, *order)`` keys; only a missing entry takes the series' evaluation
+path, which does all that `BlockSeries.get` does on a miss. Products are
+tallied once per entry.
 """
 
 from __future__ import annotations
 
 import threading
+from functools import lru_cache
 from itertools import product as cartesian
 from typing import Callable
 
 import numpy as np
 
-from blockpert.operators import OperationCounter, Zero, adjoint, add, matmul, zero
+from blockpert.operators import OperationCounter, Zero, adjoint, add, matmul, one, zero
 
 __all__ = [
     "BlockSeries",
@@ -50,9 +59,12 @@ class RecurrenceCycleError(RuntimeError):
         return f"{self.entry} queried while being evaluated: {chain}"
 
 
-def _read_only(value):
-    """A read-only view of an ndarray, so no memoized entry can be changed
-    in place; the viewed array stays writeable. Any other operand as is."""
+def _memo_value(value):
+    """The form in which an entry is stored: ``zero`` for ``None``, and a
+    read-only view of an ndarray, so no memoized entry can be changed in
+    place (the viewed array stays writeable). Any other operand as is."""
+    if value is None:
+        return zero
     if isinstance(value, np.ndarray):
         value = value.view()
         value.flags.writeable = False
@@ -106,7 +118,7 @@ class BlockSeries:
             f"lambda_{i}" for i in range(n_params)
         )
         self.large_blocks = large_blocks
-        self._data = {k: _read_only(v) for k, v in (data or {}).items()}
+        self._data = {k: _memo_value(v) for k, v in (data or {}).items()}
         self._in_progress: dict[tuple, int] = {}  # key -> evaluating thread
 
     def __repr__(self):
@@ -123,8 +135,16 @@ class BlockSeries:
         waiting for it could deadlock.
         """
         key = (*block, *order)
-        if key in self._data:
-            return self._data[key]
+        value = self._data.get(key)
+        return self._evaluate(key) if value is None else value
+
+    def _evaluate(self, key: tuple):
+        """Evaluate and store the entry ``key``, which is not stored yet.
+
+        The miss path of `get` and of `contract`'s direct lookups. ``eval``
+        is read at call time, so a wrapper installed after construction
+        sees every evaluation.
+        """
         self._check_key(key)
         if self.eval is None:
             raise KeyError(f"{self.name}{key} has no stored value and no eval.")
@@ -136,8 +156,7 @@ class BlockSeries:
                 f"{self.name}{key} is being evaluated by another thread."
             )
         try:
-            value = self.eval(*key)
-            value = zero if value is None else _read_only(value)
+            value = _memo_value(self.eval(*key))
             self._data[key] = value
         except RecurrenceCycleError as error:
             error.chain.insert(0, f"{self.name}{key}")
@@ -202,6 +221,25 @@ class BlockSeries:
             raise IndexError(f"Invalid order index {orders} for {self.name}.")
 
 
+@lru_cache(maxsize=None)
+def _pair_plan(order: tuple[int, ...], hermitian: bool) -> tuple:
+    """The pairs ``(m, n - m, left_first, half)`` that `contract` sums at
+    order ``n``, ``m`` in lexicographic order.
+
+    Cached per order only: every block, series and internal block
+    contracted at that order shares one plan, so the cache holds at most
+    two plans per order queried.
+    """
+    total = sum(order)
+    plan = []
+    for m in orders_up_to(order):
+        p = tuple(a - b for a, b in zip(order, m))
+        if hermitian and m > p:
+            continue
+        plan.append((m, p, 2 * sum(m) <= total, int(hermitian and m < p)))
+    return tuple(plan)
+
+
 def contract(left, right, block, order, counter, *, hermitian=False):
     """Entry ``block, order = (i, j), n`` of the Cauchy product of two series.
 
@@ -213,29 +251,49 @@ def contract(left, right, block, order, counter, *, hermitian=False):
     ``(p, m)`` the adjoint of ``(m, p)``, as in ``X†X`` on a diagonal block:
     only pairs with ``m <= p`` are multiplied, and the ``m < p`` part is
     added together with its adjoint once.
+
+    The pairs of an order come from a plan cached per ``(n, hermitian)``.
+    Factors are read straight from each series' memo, under the key
+    ``(i, l) + m``; a missing entry is evaluated and stored by the series,
+    as `BlockSeries.get` would. Sums are never formed in place, since a
+    product with ``one`` is the stored factor itself.
     """
     i, j = block
-    total = sum(order)
-    pairs = []
-    for m in orders_up_to(order):
-        p = tuple(a - b for a, b in zip(order, m))
-        if hermitian and m > p:
-            continue
-        pairs.append((m, p, 2 * sum(m) <= total, int(hermitian and m < p)))
     large = left.large_blocks | right.large_blocks
     lazy = i in large and j in large
+    left_memo, right_memo = left._data.get, right._data.get
     sums = [zero, zero]  # the other pairs, and the m < p half
+    products = 0
+    plan = _pair_plan(tuple(order), hermitian)
     for l in range(left.shape[1]):
-        for m, p, left_first, half in pairs:
+        row, column = (i, l), (l, j)
+        for m, p, left_first, half in plan:
             if left_first:
-                a = left.get((i, l), m)
-                b = zero if isinstance(a, Zero) else right.get((l, j), p)
+                a = left_memo(row + m)
+                if a is None:
+                    a = left._evaluate(row + m)
+                if a is zero:
+                    continue
+                b = right_memo(column + p)
+                if b is None:
+                    b = right._evaluate(column + p)
+                if b is zero:
+                    continue
             else:
-                b = right.get((l, j), p)
-                a = zero if isinstance(b, Zero) else left.get((i, l), m)
-            if not (isinstance(a, Zero) or isinstance(b, Zero)):
-                counter.count(a, b)
-                sums[half] = add(sums[half], matmul(a, b, lazy=lazy))
+                b = right_memo(column + p)
+                if b is None:
+                    b = right._evaluate(column + p)
+                if b is zero:
+                    continue
+                a = left_memo(row + m)
+                if a is None:
+                    a = left._evaluate(row + m)
+                if a is zero:
+                    continue
+            if a is not one and b is not one:
+                products += 1
+            sums[half] = add(sums[half], matmul(a, b, lazy=lazy))
+    counter.matmul_count += products
     result, half = sums
     return add(result, add(half, adjoint(half)))
 

@@ -516,6 +516,52 @@ def test_evaluate_truncated_all_zero_and_empty_stacks():
         evaluate_truncated(ones, (0, 0), (2, 1), np.ones((4, 3)))
 
 
+@pytest.mark.parametrize("name", ["u", "u_adjoint"])
+def test_evaluate_truncated_materializes_the_identity(name):
+    """Diagonal blocks of U and U† start with the structural ``one``."""
+    energies, perturbations, labels = random_two_block(2, 3, seed=13)
+    problem = PerturbationProblem.from_diagonal(energies, perturbations, labels)
+    series = getattr(block_diagonalize(problem), name)
+    for block, size in enumerate(problem.block_sizes):
+        shape = (size, size)
+        expected = sum(
+            0.1**n * to_array(series.get((block, block), (n,)), shape) for n in range(4)
+        )
+        for given_shape in (None, shape):
+            value = evaluate_truncated(
+                series, (block, block), (3,), [0.1], shape=given_shape
+            )
+            np.testing.assert_allclose(value, expected, rtol=0, atol=1e-15)
+        # The identity alone takes its shape from ``shape``.
+        value = evaluate_truncated(series, (block, block), (0,), [0.1], shape=shape)
+        np.testing.assert_array_equal(value, np.eye(size))
+        with pytest.raises(ValueError, match="identity"):
+            evaluate_truncated(series, (block, block), (0,), [0.1])
+
+
+def test_identity_pair_shares_no_writeable_buffer():
+    """``U†OU`` at order 0 is ``one`` times a stored entry of ``OU``, which is
+    the observable's entry itself: the result is read-only, and summing
+    later orders onto products with it changes neither."""
+    energies, perturbations, labels = random_two_block(2, 3, seed=14)
+    problem = PerturbationProblem.from_diagonal(energies, perturbations, labels)
+    result = block_diagonalize(problem)
+    observed = np.arange(4.0).reshape(2, 2).astype(complex)
+    observable = BlockSeries(
+        data={(0, 0, 0): observed}, eval=lambda *k: zero, shape=(2, 2), n_params=1
+    )
+    transformed = transform_observable(result, observable)
+    entry = transformed.get((0, 0), (0,))
+    np.testing.assert_array_equal(entry, observed)
+    assert not (np.shares_memory(entry, observed) and entry.flags.writeable)
+    for order in range(1, 4):
+        for block in [(0, 0), (1, 1), (0, 1)]:
+            transformed.get(block, (order,))
+    np.testing.assert_array_equal(entry, np.arange(4.0).reshape(2, 2))
+    np.testing.assert_array_equal(observed, np.arange(4.0).reshape(2, 2))
+    assert observed.flags.writeable
+
+
 def test_retention_discard_clears_intermediates():
     energies, perturbations, labels = random_two_block(2, 3, seed=11)
     problem = PerturbationProblem.from_diagonal(energies, perturbations, labels)

@@ -61,6 +61,12 @@ def test_shape_mismatch_raises():
         matmul(np.eye(2), np.eye(3))
     with pytest.raises(ValueError, match="mismatch"):
         add(np.eye(2), np.eye(3))
+    # Shapes numpy would broadcast are rejected as well.
+    for other in (np.ones((2, 1)), np.ones(2)):
+        with pytest.raises(ValueError, match="mismatch"):
+            add(np.eye(2), other)
+        with pytest.raises(ValueError, match="mismatch"):
+            add(other, np.eye(2))
 
 
 @pytest.mark.parametrize("seed", range(3))

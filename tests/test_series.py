@@ -6,11 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockpert.operators import Zero, zero
+from blockpert import series as series_module
+from blockpert.diagonalization import block_diagonalize
+from blockpert.operators import OperationCounter, Zero, one, zero
+from blockpert.problems import bilayer_graphene_problem
 from blockpert.series import (
     BlockSeries,
     RecurrenceCycleError,
     cauchy_product,
+    contract,
     orders_up_to,
     series_adjoint,
 )
@@ -348,3 +352,116 @@ def test_cauchy_product_matches_dense_polynomial_product(
         else:
             np.testing.assert_array_equal(value, twin)
             np.testing.assert_allclose(value, expected, rtol=1e-12, atol=1e-12)
+
+
+def _reference_contract(left, right, block, order, hermitian=False):
+    """`contract` as a plain loop, with the products it counts: internal
+    block ``l`` outer, ``m`` lexicographic inner, the factor at lower total
+    order queried first (the left one on ties), and with ``hermitian`` the
+    ``m < p`` half summed apart and added with its adjoint at the end."""
+    i, j = block
+    total = sum(order)
+    sums = [None, None]
+    products = 0
+    for l in range(left.shape[1]):
+        for m in orders_up_to(order):
+            p = tuple(a - b for a, b in zip(order, m))
+            if hermitian and m > p:
+                continue
+            if 2 * sum(m) <= total:
+                a = left.get((i, l), m)
+                b = zero if a is zero else right.get((l, j), p)
+            else:
+                b = right.get((l, j), p)
+                a = zero if b is zero else left.get((i, l), m)
+            if a is zero or b is zero:
+                continue
+            if a is one:
+                term = b
+            elif b is one:
+                term = a
+            else:
+                term = a @ b
+                products += 1
+            half = int(hermitian and m < p)
+            sums[half] = term if sums[half] is None else sums[half] + term
+    result, half = sums
+    if half is not None:
+        half = half + half.conj().T
+        result = half if result is None else result + half
+    return (zero if result is None else result), products
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_contract_keeps_the_summation_order_bitwise(seed, hermitian):
+    """`contract` against the reference loop, byte for byte, on three blocks
+    of sizes 2, 3 and 1, two parameters, structural zeros and ``one`` on the
+    diagonal at order zero; with ``hermitian`` the product is ``X†X``."""
+    rng = np.random.default_rng(seed)
+    sizes = (2, 3, 1)
+    max_orders = (3, 2)
+
+    def random_series(name):
+        entries = {}
+        for i, j in cartesian(range(3), repeat=2):
+            for order in orders_up_to(max_orders):
+                if not any(order):
+                    entries[(i, j, *order)] = one if i == j else zero
+                elif rng.random() < 0.6:
+                    shape = (sizes[i], sizes[j])
+                    entries[(i, j, *order)] = rng.normal(size=shape) + 1j * rng.normal(
+                        size=shape
+                    )
+        return BlockSeries(
+            eval=lambda *key: entries.get(key, zero), shape=(3, 3), n_params=2, name=name
+        )
+
+    right = random_series("X")
+    left = series_adjoint(right) if hermitian else random_series("Y")
+    blocks = [(i, i) for i in range(3)] if hermitian else list(cartesian(range(3), repeat=2))
+    for block, order in cartesian(blocks, orders_up_to(max_orders)):
+        counter = OperationCounter()
+        value = contract(left, right, block, order, counter, hermitian=hermitian)
+        expected, products = _reference_contract(left, right, block, order, hermitian)
+        assert counter.matmul_count == products
+        if isinstance(expected, np.ndarray):
+            assert value.tobytes() == expected.tobytes()
+        else:
+            assert value is expected  # zero, or one times one
+
+
+def test_cycle_through_the_product_kernel():
+    """A factor that queries the product at the same order is reported
+    through the kernel's direct lookups as through `BlockSeries.get`."""
+    factor = BlockSeries(
+        eval=lambda i, j, n: product.get((i, j), (n,)),
+        shape=(1, 1),
+        n_params=1,
+        name="factor",
+    )
+    product = cauchy_product(factor, scalar_series({(0,): 1.0}), name="product")
+    with pytest.raises(RecurrenceCycleError) as info:
+        product.get((0, 0), (1,))
+    assert str(info.value) == (
+        "factor(0, 0, 0) queried while being evaluated: "
+        "product(0, 0, 1) -> factor(0, 0, 0) -> product(0, 0, 0)"
+    )
+
+
+def test_pair_plan_cache_is_per_order():
+    """After the bilayer graphene solve to (6, 6, 2) the plan cache holds at
+    most one plan per (order, hermitian) pair, whatever the block."""
+    plans = series_module._pair_plan
+    plans.cache_clear()
+    result = block_diagonalize(bilayer_graphene_problem().problem())
+    orders = list(orders_up_to((6, 6, 2)))
+    for order in orders:
+        result.h_tilde.get((0, 0), order)
+    queried = plans.cache_info().currsize
+    assert 0 < queried <= 2 * len(orders)
+    # Asking for every (order, hermitian) pair adds exactly the missing
+    # ones, so no other key was held.
+    for order, hermitian in cartesian(orders, (False, True)):
+        plans(order, hermitian)
+    assert plans.cache_info().currsize == 2 * len(orders)
