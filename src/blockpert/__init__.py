@@ -34,7 +34,7 @@ from blockpert.separation import (
     select,
     validate_rule,
 )
-from blockpert.series import BlockSeries, cauchy_product, series_adjoint
+from blockpert.series import BlockSeries, cauchy_product
 
 __all__ = [
     "BlockSeries",
@@ -57,7 +57,6 @@ __all__ = [
     "remain",
     "scale",
     "select",
-    "series_adjoint",
     "to_array",
     "transform_observable",
     "validate_rule",

@@ -308,7 +308,7 @@ def cmd_bench(args) -> int:
     started = time.perf_counter()
     sla.eigsh(h0, k=n_low, which="SA")
     second_diagonalization = time.perf_counter() - started
-    records = problem.implicit_context.solvers.records
+    records = problem.implicit_context.records
     print(f"lattice {width}x{width}, {n_low} explicit states")
     print(f"sparse diagonalization  {diagonalization_time:10.4f} s")
     print(f"factorizations          {factorization_time:10.4f} s")

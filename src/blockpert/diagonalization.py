@@ -25,7 +25,9 @@ In the eigenbasis the Sylvester solution is elementwise,
 ``V_kl = RHS_kl / (E_l - E_k)`` on remaining elements, and ``V_S = 0``.
 
 ``B`` and the right-hand side take the adjoints of ``A``, ``U'^H B`` and
-``V H'_S`` on demand; only ``U'^H`` is stored, as a factor of the kernel.
+``V H'_S`` on demand. No conjugate transpose is needed for ``U'^H`` either:
+since ``W`` is Hermitian and ``V`` anti-Hermitian, ``U'^H = W - V``, so on
+two whole blocks its diagonal entries are the stored ``W`` entries.
 """
 
 from __future__ import annotations
@@ -59,9 +61,7 @@ from blockpert.separation import (
     remain,
     select,
 )
-from blockpert.series import (
-    BlockSeries, cauchy_product, contract, orders_up_to, series_adjoint
-)
+from blockpert.series import BlockSeries, cauchy_product, contract, orders_up_to
 
 __all__ = [
     "PerturbationProblem",
@@ -487,6 +487,14 @@ def _build_series(
             return zero
         return add(context["W"].get((i, j), n), context["V"].get((i, j), n))
 
+    def eval_Up_adjoint(i, j, *n):
+        # U'† = W - V, since W is Hermitian and V anti-Hermitian.
+        if not any(n):
+            return zero
+        return add(
+            context["W"].get((i, j), n), scale(context["V"].get((i, j), n), -1)
+        )
+
     def plus_adjoint(name, i, j, n, sign=1):
         """``X_ij + sign X_ji†`` of a stored series, the adjoint made on demand."""
         series = context[name]
@@ -555,7 +563,7 @@ def _build_series(
     context["W"] = make("W", eval_W)
     context["V"] = make("V", eval_V)
     context["U'"] = make("U'", eval_Up)
-    context["U'†"] = series_adjoint(context["U'"], name="U'†")
+    context["U'†"] = make("U'†", eval_Up_adjoint)
     context["A"] = cauchy_product(Hp_R, context["U'"], name="A", counter=counter)
     context["U'†B"] = None  # placeholder until B exists
     context["B"] = make("B", eval_B)

@@ -41,7 +41,6 @@ __all__ = [
     "FactorizationError",
     "ShiftedSolverSet",
     "SolveRecord",
-    "ExtendedContext",
     "build_extended_problem",
     "projected_operator",
 ]
@@ -210,19 +209,6 @@ class ShiftedSolverSet:
         return solution.conj()
 
 
-@dataclass
-class ExtendedContext:
-    """Bookkeeping of an implicit problem: basis, solvers, and projections."""
-
-    psi: np.ndarray
-    energies: np.ndarray
-    solvers: ShiftedSolverSet
-
-    @property
-    def factorization_count(self) -> int:
-        return self.solvers.factorization_count
-
-
 def build_extended_problem(
     h0,
     perturbations: dict[tuple[int, ...], object],
@@ -232,6 +218,10 @@ def build_extended_problem(
     param_names: tuple[str, ...] | None = None,
 ) -> PerturbationProblem:
     """Two-block problem with an explicit subspace and a matrix-free rest.
+
+    The problem's ``implicit_context`` is the `ShiftedSolverSet` that its
+    Sylvester solver uses, with the basis, the factorizations and the
+    record of every solve.
 
     Parameters
     ----------
@@ -291,7 +281,6 @@ def build_extended_problem(
         blocks[(1, 1, order)] = projected_operator(term, psi)
 
     solvers = ShiftedSolverSet(h0, psi, energies)
-    context = ExtendedContext(psi=psi, energies=energies, solvers=solvers)
 
     def solve_sylvester(rhs, block, order):
         if block != (0, 1):
@@ -312,5 +301,5 @@ def build_extended_problem(
         solver=solve_sylvester,
         large_blocks=frozenset({1}),
         param_names=param_names,
-        implicit_context=context,
+        implicit_context=solvers,
     )

@@ -36,7 +36,6 @@ __all__ = [
     "RecurrenceCycleError",
     "cauchy_product",
     "contract",
-    "series_adjoint",
     "orders_up_to",
 ]
 
@@ -217,7 +216,7 @@ class BlockSeries:
         if not (0 <= i < self.shape[0] and 0 <= j < self.shape[1]):
             raise IndexError(f"Block {key[:2]} outside shape {self.shape}.")
         orders = key[2:]
-        if len(orders) != self.n_params or any(n < 0 for n in orders):
+        if len(orders) != self.n_params or (orders and min(orders) < 0):
             raise IndexError(f"Invalid order index {orders} for {self.name}.")
 
 
@@ -335,26 +334,4 @@ def cauchy_product(
         name=name,
         param_names=left.param_names,
         large_blocks=left.large_blocks | right.large_blocks,
-    )
-
-
-def series_adjoint(series: BlockSeries, name: str | None = None) -> BlockSeries:
-    """Adjoint series; delegates to the transposed block of the original.
-
-    No products are performed: the entry ``(i, j, n)`` is the conjugate
-    transpose of the original ``(j, i, n)`` entry, so memoized values are
-    reused rather than recomputed.
-    """
-
-    def eval(*key):
-        i, j = key[:2]
-        return adjoint(series.get((j, i), key[2:]))
-
-    return BlockSeries(
-        eval=eval,
-        shape=(series.shape[1], series.shape[0]),
-        n_params=series.n_params,
-        name=name or series.name + "†",
-        param_names=series.param_names,
-        large_blocks=series.large_blocks,
     )

@@ -20,8 +20,8 @@ from blockpert.diagonalization import (
     transform_observable,
 )
 from blockpert.implicit import build_extended_problem
-from blockpert.operators import One, Zero
-from blockpert.problems import lattice_problem
+from blockpert.operators import One, Zero, adjoint, to_array, zero
+from blockpert.problems import lattice_problem, random_two_block
 from blockpert.separation import RuleValidationError
 from blockpert.series import BlockSeries
 from blockpert.verify import orders_with_total_up_to, run_verification
@@ -133,6 +133,49 @@ def test_counter_matches_matmul_calls(kwargs, data):
         transformed.get((block, block), (0,) * (n_params - 1) + (MAX_ORDER,))
     assert tally.count > 0
     assert result.counter.matmul_count == tally.count
+
+
+@settings(max_examples=15, deadline=None)
+@given(problems())
+def test_u_prime_adjoint_is_the_adjoint_of_u_prime(kwargs):
+    """``U'† = W - V`` agrees with the conjugate transpose of ``U' = W + V``:
+    bitwise on two whole blocks, where every sum has one structural zero,
+    and to rounding of the block's scale otherwise."""
+    problem = PerturbationProblem.from_diagonal(**kwargs)
+    result = block_diagonalize(problem)
+    query_everything(result, problem.n_params)
+    u_prime, u_prime_adjoint = result.context["U'"], result.context["U'†"]
+    two_whole = problem.n_blocks == 2 and not problem.rule.masks
+    sizes = problem.block_sizes
+    keys = u_prime_adjoint.stored_keys()
+    assert keys
+    for i, j, *n in keys:
+        shape = (sizes[i], sizes[j])
+        value = to_array(u_prime_adjoint.get((i, j), n), shape)
+        expected = to_array(adjoint(u_prime.get((j, i), n)), shape)
+        if two_whole:
+            assert value.tobytes() == expected.tobytes(), (i, j, n)
+        else:
+            scale = np.abs(expected).max(initial=0.0)
+            assert np.abs(value - expected).max() <= 1e-15 * scale, (i, j, n)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_u_prime_adjoint_shares_the_diagonal_of_w(seed):
+    """On two whole blocks ``V_ii`` is zero, so ``U'†_ii`` is ``W_ii``
+    itself and holds no memory of its own."""
+    problem = PerturbationProblem.from_diagonal(*random_two_block(3, 4, seed))
+    result = block_diagonalize(problem)
+    for order in range(MAX_ORDER + 2):
+        result.h_tilde.get((0, 0), (order,))
+    w, u_prime_adjoint = result.context["W"], result.context["U'†"]
+    shared = 0
+    for i, j, *n in u_prime_adjoint.stored_keys():
+        if i != j or w.get((i, i), n) is zero:
+            continue
+        assert np.shares_memory(u_prime_adjoint.get((i, i), n), w.get((i, i), n))
+        shared += 1
+    assert shared > 0
 
 
 def test_counter_matches_matmul_calls_implicit(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from blockpert import series as series_module
 from blockpert.diagonalization import block_diagonalize
-from blockpert.operators import OperationCounter, Zero, one, zero
+from blockpert.operators import OperationCounter, Zero, adjoint, one, zero
 from blockpert.problems import bilayer_graphene_problem
 from blockpert.series import (
     BlockSeries,
@@ -16,7 +16,6 @@ from blockpert.series import (
     cauchy_product,
     contract,
     orders_up_to,
-    series_adjoint,
 )
 
 
@@ -262,20 +261,6 @@ def test_block_contraction():
     )
 
 
-def test_series_adjoint_delegates(rng):
-    block = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
-
-    def eval(i, j, *n):
-        return block if (i, j, n) == (0, 1, (1,)) else zero
-
-    series = BlockSeries(eval=eval, shape=(2, 2), n_params=1, name="M")
-    adj = series_adjoint(series)
-    np.testing.assert_array_equal(adj.get((1, 0), (1,)), block.conj().T)
-    twice = series_adjoint(adj)
-    np.testing.assert_array_equal(twice.get((0, 1), (1,)), block)
-    assert adj.get((0, 1), (1,)) is zero
-
-
 def test_shape_mismatch_in_product():
     a = BlockSeries(eval=lambda *k: zero, shape=(2, 3), n_params=1)
     b = BlockSeries(eval=lambda *k: zero, shape=(2, 2), n_params=1)
@@ -418,7 +403,15 @@ def test_contract_keeps_the_summation_order_bitwise(seed, hermitian):
         )
 
     right = random_series("X")
-    left = series_adjoint(right) if hermitian else random_series("Y")
+    if hermitian:
+        left = BlockSeries(
+            eval=lambda i, j, *n: adjoint(right.get((j, i), n)),
+            shape=(3, 3),
+            n_params=2,
+            name="X†",
+        )
+    else:
+        left = random_series("Y")
     blocks = [(i, i) for i in range(3)] if hermitian else list(cartesian(range(3), repeat=2))
     for block, order in cartesian(blocks, orders_up_to(max_orders)):
         counter = OperationCounter()
