@@ -7,7 +7,6 @@ for large sparse problems and built-in verification oracles.
 """
 
 from blockpert.diagonalization import (
-    DegenerateSubspaceError,
     DiagonalizationResult,
     PerturbationProblem,
     block_diagonalize,
@@ -27,7 +26,6 @@ from blockpert.operators import (
     zero,
 )
 from blockpert.separation import (
-    EigenstructureInfo,
     RuleValidationError,
     SeparationRule,
     remain,
@@ -38,9 +36,7 @@ from blockpert.series import BlockSeries, cauchy_product
 
 __all__ = [
     "BlockSeries",
-    "DegenerateSubspaceError",
     "DiagonalizationResult",
-    "EigenstructureInfo",
     "MatrixFreeOperator",
     "OperationCounter",
     "PerturbationProblem",

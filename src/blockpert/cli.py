@@ -27,7 +27,6 @@ import numpy as np
 import scipy.sparse.linalg as sla
 
 from blockpert.diagonalization import (
-    DegenerateSubspaceError,
     PerturbationProblem,
     block_diagonalize,
     evaluate_truncated,
@@ -41,7 +40,6 @@ from blockpert.implicit import DeflationError, FactorizationError, build_extende
 from blockpert.operators import Zero, to_array
 from blockpert.oracles import reference_count_benchmark
 from blockpert.problems import lattice_problem, random_two_block
-from blockpert.separation import RuleValidationError
 from blockpert.verify import orders_with_total_up_to, run_verification
 
 __all__ = ["main"]
@@ -143,8 +141,8 @@ def cmd_diagonalize(args) -> int:
     if retention == "discard":
         result.clear_intermediates()
     tolerances = {}
-    if problem.eig is not None:
-        tolerances["degeneracy"] = problem.eig.tolerance
+    if problem.tolerance is not None:
+        tolerances["degeneracy"] = problem.tolerance
     payload = result_document(
         entries,
         metadata={
@@ -393,13 +391,10 @@ def main(argv=None) -> int:
     except DocumentError as error:
         print(f"error: {error}", file=sys.stderr)
         return EXIT_PARSE
-    except (RuleValidationError, DegenerateSubspaceError) as error:
-        print(f"validation error: {error}", file=sys.stderr)
-        return EXIT_VALIDATION
     except (DeflationError, FactorizationError, np.linalg.LinAlgError) as error:
         print(f"solver error: {error}", file=sys.stderr)
         return EXIT_SOLVER
-    except ValueError as error:
+    except ValueError as error:  # RuleValidationError among them
         print(f"validation error: {error}", file=sys.stderr)
         return EXIT_VALIDATION
 

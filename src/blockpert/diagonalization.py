@@ -55,10 +55,11 @@ from blockpert.operators import (
     zero,
 )
 from blockpert.separation import (
-    EigenstructureInfo,
     SeparationRule,
     check_rule,
+    degeneracy_tolerance,
     remain,
+    require_tolerance,
     select,
 )
 from blockpert.series import BlockSeries, cauchy_product, contract, orders_up_to
@@ -66,7 +67,6 @@ from blockpert.series import BlockSeries, cauchy_product, contract, orders_up_to
 __all__ = [
     "PerturbationProblem",
     "DiagonalizationResult",
-    "DegenerateSubspaceError",
     "block_diagonalize",
     "make_eigenbasis_solver",
     "transform_observable",
@@ -74,21 +74,9 @@ __all__ = [
 ]
 
 HERMITICITY_RTOL = 1e-10
+ORTHONORMALITY_ATOL = 1e-10
 
 SylvesterSolver = Callable[[Any, tuple[int, int], tuple[int, ...]], Any]
-
-
-class DegenerateSubspaceError(ValueError):
-    """A Sylvester denominator between remaining states vanished."""
-
-    def __init__(self, block, pairs, tolerance):
-        self.block = block
-        self.pairs = pairs
-        listing = ", ".join(str(p) for p in pairs[:10])
-        super().__init__(
-            f"Degenerate denominators in block {block} at state pairs "
-            f"[{listing}] (tolerance {tolerance:.3e})."
-        )
 
 
 def _max_abs(matrix) -> float:
@@ -103,6 +91,14 @@ def _max_abs(matrix) -> float:
 def _require_finite(matrix, what: str):
     if not math.isfinite(_max_abs(matrix)):
         raise ValueError(f"{what} has non-finite entries.")
+
+
+def _require_orthonormal(vectors: np.ndarray, what: str):
+    """Reject columns that are not finite or not orthonormal."""
+    _require_finite(vectors, what)
+    gram = vectors.conj().T @ vectors
+    if np.max(np.abs(gram - np.eye(gram.shape[0])), initial=0.0) > ORTHONORMALITY_ATOL:
+        raise ValueError(f"{what} are not orthonormal.")
 
 
 def _check_operand(matrix, what: str):
@@ -125,18 +121,28 @@ class PerturbationProblem:
     per (block row, block column, order); exact zero blocks are dropped so
     that structural sparsity propagates through the series. Use the
     ``from_*`` constructors rather than filling fields by hand.
+
+    ``eigenvalues`` holds the energies of each block, or ``None`` for the
+    matrix-free complement of an implicit problem, which makes the problem
+    `implicit`. ``tolerance`` is the gap below which two eigenvalues count as
+    degenerate; the explicit constructors default it to
+    `~blockpert.separation.degeneracy_tolerance`, and implicit problems,
+    which carry their own ``solver``, have none.
     """
 
     eigenvalues: tuple[np.ndarray | None, ...]
     rule: SeparationRule
     n_params: int
     blocks: dict[tuple, Any]
-    eig: EigenstructureInfo | None
-    implicit: bool = False
+    tolerance: float | None = None
     solver: SylvesterSolver | None = None
     large_blocks: frozenset[int] = frozenset()
     param_names: tuple[str, ...] | None = None
     implicit_context: Any = None
+
+    @property
+    def implicit(self) -> bool:
+        return any(e is None for e in self.eigenvalues)
 
     @property
     def n_blocks(self) -> int:
@@ -227,15 +233,12 @@ class PerturbationProblem:
         for k, group in enumerate(groups):
             _require_finite(group, f"Eigenvector group {k}")
         basis = np.hstack(groups)
-        n = basis.shape[0]
-        if basis.shape[1] != n:
+        if basis.shape[1] != basis.shape[0]:
             raise ValueError(
                 "Eigenvector groups must jointly span the full space; for a "
                 "partial basis use the implicit mode."
             )
-        gram = basis.conj().T @ basis
-        if np.max(np.abs(gram - np.eye(n))) > 1e-10:
-            raise ValueError("Subspace eigenvectors are not orthonormal.")
+        _require_orthonormal(basis, "Subspace eigenvectors")
         h0 = h0.tocsr() if sparse.issparse(h0) else as_dense(h0)
         _check_operand(h0, "H_0")
         rotated_h0 = basis.conj().T @ h0 @ basis
@@ -257,8 +260,8 @@ class PerturbationProblem:
         )
 
 
-def _normalize_orders(perturbations: dict, n_params: int | None = None):
-    normalized = {}
+def _normalize_orders(perturbations: dict):
+    normalized, n_params = {}, None
     for order, term in perturbations.items():
         if isinstance(order, (int, np.integer)):
             order = (int(order),)
@@ -284,11 +287,13 @@ def _assemble_explicit(
     block are contiguous.
     """
     perturbations, n_params = _normalize_orders(perturbations)
-    rule = SeparationRule(tuple(block_sizes), dict(masks))
+    rule = SeparationRule(tuple(block_sizes), masks)
     splits = np.cumsum((0,) + rule.block_sizes)
     ranges = [slice(a, b) for a, b in zip(splits, splits[1:])]
     eigenvalues = tuple(energies[rows] for rows in ranges)
-    eig = EigenstructureInfo(eigenvalues, tolerance)
+    if tolerance is None:
+        tolerance = degeneracy_tolerance(eigenvalues)
+    tolerance = require_tolerance(tolerance)
     zero_order = (0,) * n_params
     blocks: dict[tuple, Any] = {
         (i, i, zero_order): np.diag(e).astype(np.complex128)
@@ -316,7 +321,7 @@ def _assemble_explicit(
         rule=rule,
         n_params=n_params,
         blocks=blocks,
-        eig=eig,
+        tolerance=tolerance,
         param_names=param_names,
     )
 
@@ -329,19 +334,17 @@ def make_eigenbasis_solver(
     Returns the solution of ``[V, H_0] = RHS`` restricted to remaining
     elements: ``V_kl = RHS_kl / (E_l - E_k)``, with ``V_S = 0`` enforced
     structurally. Divisions are elementwise and perform no matrix products.
+    Raises `RuleValidationError` when built if a remaining pair is degenerate
+    within ``tolerance``, so no solve divides by a vanishing denominator.
     """
+    check_rule(rule, eigenvalues, tolerance)
 
     def solve(rhs, block, order):
         i, j = block
-        e_row, e_col = eigenvalues[i], eigenvalues[j]
-        denominators = e_col[None, :] - e_row[:, None]
+        denominators = eigenvalues[j][None, :] - eigenvalues[i][:, None]
         remaining = rule.remaining_mask(block)
         if remaining is None:
             remaining = np.ones(denominators.shape, dtype=bool)
-        bad = remaining & (np.abs(denominators) <= tolerance)
-        if bad.any():
-            pairs = [tuple(map(int, p)) for p in np.argwhere(bad)]
-            raise DegenerateSubspaceError(block, pairs, tolerance)
         safe = np.where(remaining, denominators, 1.0)
         return np.where(remaining, rhs / safe, 0.0)
 
@@ -389,17 +392,23 @@ def block_diagonalize(
     converted to a ``complex128`` ndarray. Every product is tallied in
     ``counter``, a new one unless given, which the result exposes as
     ``result.counter``.
+
+    An explicit problem is checked once, whichever solver it uses, and
+    raises `~blockpert.separation.RuleValidationError` if a remaining pair
+    of states is degenerate within ``problem.tolerance``: the default
+    solver's factory makes that check, and a caller's ``solver`` gets it
+    here. Implicit problems are not checked; their solver owns the gap.
     """
     if solver is None:
         solver = problem.solver
     if solver is None:
-        if problem.eig is None:
+        if problem.implicit:
             raise ValueError("Problem carries no eigenvalues and no solver.")
         solver = make_eigenbasis_solver(
-            problem.eigenvalues, problem.rule, problem.eig.tolerance
+            problem.eigenvalues, problem.rule, problem.tolerance
         )
-    if problem.eig is not None:
-        check_rule(problem.rule, problem.eig)
+    elif not problem.implicit:
+        check_rule(problem.rule, problem.eigenvalues, problem.tolerance)
     if counter is None:
         counter = OperationCounter()
     context = _build_series(problem, solver, counter)
@@ -421,7 +430,6 @@ def _build_series(
     rule = problem.rule
     b = rule.n_blocks
     n_params = problem.n_params
-    zero_order = problem.zero_order()
     two_block = b == 2 and not rule.masks
     large = problem.large_blocks
 

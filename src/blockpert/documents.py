@@ -196,6 +196,8 @@ def load_problem(path, tol_override: float | None = None) -> tuple[PerturbationP
         param_names = tuple(str(p) for p in param_names)
     options = doc.get("options", {})
     tol = tol_override if tol_override is not None else options.get("tol_degeneracy")
+    if tol is not None and not isinstance(tol, (int, float)):
+        raise DocumentError(f"{path}: options.tol_degeneracy must be a number.")
     subspaces = doc.get("subspaces", {})
     if len(subspaces) != 1:
         raise DocumentError(

@@ -33,6 +33,7 @@ from blockpert.diagonalization import (
     _check_operand,
     _normalize_orders,
     _require_finite,
+    _require_orthonormal,
 )
 from blockpert.separation import SeparationRule
 
@@ -45,7 +46,6 @@ __all__ = [
     "projected_operator",
 ]
 
-ORTHONORMALITY_ATOL = 1e-10
 EIGEN_RESIDUAL_RTOL = 1e-8
 DEFLATION_ATOL = 1e-10
 RESIDUAL_RTOL = 1e-8
@@ -240,7 +240,6 @@ def build_extended_problem(
     psi = np.asarray(explicit_vectors, dtype=np.complex128)
     if psi.ndim != 2:
         raise ValueError("explicit_vectors must be a matrix of columns.")
-    _require_finite(psi, "explicit_vectors")
     n, n_e = psi.shape
     if n_e == 0:
         raise ValueError("The explicit subspace is empty.")
@@ -253,9 +252,7 @@ def build_extended_problem(
     if len(energies) != n_e:
         raise ValueError("One eigenvalue per explicit vector is required.")
     _require_finite(energies, "eigenvalues")
-    gram = psi.conj().T @ psi
-    if np.max(np.abs(gram - np.eye(n_e))) > ORTHONORMALITY_ATOL:
-        raise ValueError("Explicit vectors are not orthonormal.")
+    _require_orthonormal(psi, "explicit_vectors")
     _check_operand(h0, "H_0")
     eigen_residual = h0 @ psi - psi * energies[None, :]
     scale = max(1.0, float(np.max(np.abs(energies))))
@@ -296,8 +293,6 @@ def build_extended_problem(
         rule=SeparationRule((n_e, n)),
         n_params=n_params,
         blocks=blocks,
-        eig=None,
-        implicit=True,
         solver=solve_sylvester,
         large_blocks=frozenset({1}),
         param_names=param_names,

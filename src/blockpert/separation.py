@@ -4,7 +4,9 @@ A separation rule fixes, for every block of a block operator, which matrix
 elements are *selected* (kept in the effective Hamiltonian) and which are
 *remaining* (eliminated by the unitary). Off-diagonal blocks are always fully
 remaining. A diagonal block is either selected as a whole, or split
-elementwise by a symmetric boolean mask whose diagonal is selected.
+elementwise by a symmetric boolean mask whose diagonal is selected; a mask
+that selects its whole block is dropped, so ``rule.masks`` holds only real
+splits.
 
 The split satisfies, exactly and by construction:
 
@@ -13,12 +15,14 @@ The split satisfies, exactly and by construction:
 - both parts commute with the adjoint.
 
 Remaining elements must connect non-degenerate eigenstates of the
-unperturbed operator; `validate_rule` enforces this before any Sylvester
-solve is attempted.
+unperturbed operator. `validate_rule` lists the pairs closer than the
+degeneracy tolerance, and `check_rule` raises `RuleValidationError` on them;
+it runs once per explicit problem, before any Sylvester solve.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,20 +31,33 @@ from blockpert.operators import Zero, zero
 
 __all__ = [
     "SeparationRule",
-    "EigenstructureInfo",
     "RuleViolation",
     "RuleValidationError",
     "select",
     "remain",
     "validate_rule",
+    "check_rule",
     "degeneracy_tolerance",
 ]
 
 
 def degeneracy_tolerance(eigenvalues) -> float:
-    """Default tolerance below which two eigenvalues count as degenerate."""
+    """Default tolerance below which two eigenvalues count as degenerate.
+
+    ``1e-10 * max |E|`` over all blocks, with an absolute floor of ``1e-12``.
+    """
     scale = max((float(np.max(np.abs(e))) for e in eigenvalues if len(e)), default=0.0)
     return max(1e-10 * scale, 1e-12)
+
+
+def require_tolerance(tolerance) -> float:
+    """A degeneracy tolerance as a float; it must be finite and non-negative."""
+    tolerance = float(tolerance)
+    if not 0.0 <= tolerance < math.inf:
+        raise ValueError(
+            f"Degeneracy tolerance {tolerance} must be finite and non-negative."
+        )
+    return tolerance
 
 
 @dataclass(frozen=True)
@@ -56,6 +73,8 @@ class SeparationRule:
         keyed by block label; ``True`` marks a selected element. Blocks
         without a mask are selected as a whole. Masks must be symmetric with
         an all-``True`` diagonal and may only be attached to diagonal blocks.
+        The rule keeps its own dict of bool arrays, without the masks that
+        select their whole block.
     """
 
     block_sizes: tuple[int, ...]
@@ -64,6 +83,7 @@ class SeparationRule:
     def __post_init__(self):
         if not self.block_sizes or any(s < 1 for s in self.block_sizes):
             raise ValueError("Block sizes must be positive.")
+        masks = {}
         for label, mask in self.masks.items():
             if not 0 <= label < self.n_blocks:
                 raise ValueError(f"Mask label {label} is not a diagonal block.")
@@ -80,7 +100,9 @@ class SeparationRule:
                 raise ValueError(
                     f"Mask for block {label} must select the diagonal."
                 )
-            self.masks[label] = mask
+            if not mask.all():
+                masks[label] = mask
+        object.__setattr__(self, "masks", masks)
 
     @property
     def n_blocks(self) -> int:
@@ -102,26 +124,6 @@ class SeparationRule:
         if i != j:
             return None
         return ~self.masks[i] if i in self.masks else None
-
-
-@dataclass(frozen=True)
-class EigenstructureInfo:
-    """Eigenvalues of the unperturbed operator, grouped by block.
-
-    The tolerance decides which eigenvalue pairs count as degenerate; it
-    defaults to ``1e-10 * max |E|`` with an absolute floor of ``1e-12``.
-    """
-
-    eigenvalues: tuple[np.ndarray, ...]
-    tolerance: float | None = None
-
-    def __post_init__(self):
-        values = tuple(np.asarray(e, dtype=float) for e in self.eigenvalues)
-        object.__setattr__(self, "eigenvalues", values)
-        if self.tolerance is None:
-            object.__setattr__(
-                self, "tolerance", degeneracy_tolerance(values)
-            )
 
 
 def select(op, rule: SeparationRule, block: tuple[int, int]):
@@ -173,26 +175,26 @@ class RuleValidationError(ValueError):
         )
 
 
-def validate_rule(rule: SeparationRule, eig: EigenstructureInfo):
-    """Check that all remaining elements have nonzero energy denominators.
+def validate_rule(rule: SeparationRule, eigenvalues, tolerance: float):
+    """Remaining element pairs whose energies lie within ``tolerance``.
 
-    Returns the list of violations (empty when the rule is valid); callers
-    that must not proceed use `RuleValidationError` via ``raise_on_error``.
+    ``eigenvalues`` holds one array per block. Returns the list of
+    violations, empty when the rule is valid; `check_rule` raises on them.
     """
-    if len(eig.eigenvalues) != rule.n_blocks:
+    if len(eigenvalues) != rule.n_blocks:
         raise ValueError("Eigenvalue groups do not match the number of blocks.")
-    for label, energies in zip(range(rule.n_blocks), eig.eigenvalues):
+    eigenvalues = [np.asarray(e, dtype=float) for e in eigenvalues]
+    for label, energies in enumerate(eigenvalues):
         if len(energies) != rule.block_sizes[label]:
             raise ValueError(
                 f"Block {label} has {rule.block_sizes[label]} states but "
                 f"{len(energies)} eigenvalues."
             )
+    tolerance = require_tolerance(tolerance)
     violations = []
     for i in range(rule.n_blocks):
         for j in range(i, rule.n_blocks):
-            gaps = np.abs(
-                eig.eigenvalues[i][:, None] - eig.eigenvalues[j][None, :]
-            )
+            gaps = np.abs(eigenvalues[i][:, None] - eigenvalues[j][None, :])
             if i == j:
                 mask = rule.remaining_mask((i, j))
                 if mask is None:
@@ -200,7 +202,7 @@ def validate_rule(rule: SeparationRule, eig: EigenstructureInfo):
                 remaining = mask
             else:
                 remaining = np.ones_like(gaps, dtype=bool)
-            bad = remaining & (gaps <= eig.tolerance)
+            bad = remaining & (gaps <= tolerance)
             for row, col in zip(*np.nonzero(bad)):
                 violations.append(
                     RuleViolation((i, j), (int(row), int(col)), float(gaps[row, col]))
@@ -208,8 +210,8 @@ def validate_rule(rule: SeparationRule, eig: EigenstructureInfo):
     return violations
 
 
-def check_rule(rule: SeparationRule, eig: EigenstructureInfo):
+def check_rule(rule: SeparationRule, eigenvalues, tolerance: float):
     """Validate a rule and raise `RuleValidationError` on any violation."""
-    violations = validate_rule(rule, eig)
+    violations = validate_rule(rule, eigenvalues, tolerance)
     if violations:
-        raise RuleValidationError(violations, eig.tolerance)
+        raise RuleValidationError(violations, tolerance)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from blockpert import diagonalization, series as series_module
 from blockpert.diagonalization import (
-    DegenerateSubspaceError,
     PerturbationProblem,
     block_diagonalize,
     evaluate_truncated,
@@ -25,7 +24,7 @@ from blockpert.operators import (
 )
 from blockpert.problems import random_multiblock, random_two_block, transmon_problem
 from blockpert.series import BlockSeries, orders_up_to
-from blockpert.separation import RuleValidationError
+from blockpert.separation import RuleValidationError, degeneracy_tolerance
 
 G = 0.25
 
@@ -270,7 +269,7 @@ def test_operation_counts_dense_and_offdiagonal():
 def real_sparse_solver(problem):
     """The default solver, returning its real solutions as sparse matrices."""
     default = make_eigenbasis_solver(
-        problem.eigenvalues, problem.rule, problem.eig.tolerance
+        problem.eigenvalues, problem.rule, problem.tolerance
     )
 
     def solve(rhs, block, order):
@@ -701,15 +700,69 @@ def test_rejects_reserved_zero_order():
 
 
 def test_degenerate_solver_error():
-    solver = make_eigenbasis_solver(
-        (np.array([0.0]), np.array([1e-14])),
-        rule=PerturbationProblem.from_diagonal(
-            np.array([0.0, 1.0]), {(1,): np.eye(2) * 0}, [0, 1]
-        ).rule,
-        tolerance=1e-12,
+    rule = PerturbationProblem.from_diagonal(
+        np.array([0.0, 1.0]), {(1,): np.eye(2) * 0}, [0, 1]
+    ).rule
+    with pytest.raises(RuleValidationError, match="blocks \\(0, 1\\)"):
+        make_eigenbasis_solver(
+            (np.array([0.0]), np.array([1e-14])), rule=rule, tolerance=1e-12
+        )
+
+
+def test_custom_solver_on_degenerate_problem_is_rejected():
+    """A caller's solver does not skip the degeneracy check."""
+    problem = PerturbationProblem.from_diagonal(
+        np.array([1.0, 1.0, 3.0]), {(1,): np.ones((3, 3))}, [0, 1, 1]
     )
-    with pytest.raises(DegenerateSubspaceError, match="\\(0, 1\\)"):
-        solver(np.array([[1.0]]), (0, 1), (1,))
+
+    def solver(rhs, block, order):
+        raise AssertionError("the solver must not be reached")
+
+    with pytest.raises(RuleValidationError, match="blocks \\(0, 1\\)"):
+        block_diagonalize(problem, solver)
+
+
+def test_explicit_check_runs_once(monkeypatch):
+    """Default solver or a caller's, an explicit problem is checked once."""
+    calls = []
+    check = diagonalization.check_rule
+    monkeypatch.setattr(
+        diagonalization, "check_rule", lambda *args: calls.append(check(*args))
+    )
+    problem = PerturbationProblem.from_diagonal(
+        np.array([0.0, 1.0]), {(1,): np.ones((2, 2))}, [0, 1]
+    )
+    block_diagonalize(problem)
+    assert len(calls) == 1
+    solver = real_sparse_solver(problem)
+    calls.clear()
+    block_diagonalize(problem, solver)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, np.nan, np.inf])
+def test_rejects_bad_degeneracy_tolerance(tolerance):
+    with pytest.raises(ValueError, match="Degeneracy tolerance"):
+        PerturbationProblem.from_diagonal(
+            np.array([1.0, 1.0, 3.0]),
+            {(1,): np.ones((3, 3))},
+            [0, 1, 1],
+            tolerance=tolerance,
+        )
+
+
+def test_explicit_problems_are_not_implicit():
+    diagonal = PerturbationProblem.from_diagonal(
+        np.array([0.0, 1.0]), {(1,): np.ones((2, 2))}, [0, 1]
+    )
+    rotated = PerturbationProblem.from_eigenvectors(
+        np.diag([0.0, 1.0]),
+        {(1,): np.ones((2, 2))},
+        [np.eye(2)[:, :1], np.eye(2)[:, 1:]],
+    )
+    for problem in (diagonal, rotated):
+        assert not problem.implicit
+        assert problem.tolerance == degeneracy_tolerance(problem.eigenvalues)
 
 
 def test_multiblock_hermitian_pairs(rng):
@@ -761,6 +814,26 @@ def test_single_cauchy_product_by_selected_part(monkeypatch):
     entries = {id(selected.get(key[:2], key[2:])) for key in selected.stored_keys()}
     consumers = {name for name, a, b in products if {id(a), id(b)} & entries}
     assert consumers == {"VH'_S"}
+
+
+def test_whole_block_masks_keep_the_two_block_costs():
+    """All-True masks describe the unmasked problem, at its product count."""
+    energies, perturbations, labels = random_two_block(10, 20, seed=0)
+    whole = {0: np.ones((10, 10), dtype=bool), 1: np.ones((20, 20), dtype=bool)}
+    results = []
+    for labels_masked in ((), (0,), (0, 1)):
+        masks = {label: whole[label] for label in labels_masked}
+        problem = PerturbationProblem.from_diagonal(
+            energies, perturbations, labels, masks=masks
+        )
+        result = block_diagonalize(problem)
+        values = [to_array(result.h_tilde.get((0, 0), (n,))) for n in range(1, 7)]
+        assert result.counter.matmul_count == 57
+        results.append(values)
+    for values in results[1:]:
+        for value, expected in zip(values, results[0]):
+            scale = np.abs(expected).max()
+            assert np.abs(value - expected).max() <= 1e-12 * scale
 
 
 def test_zero_perturbation_costs_nothing():

@@ -66,6 +66,10 @@ def test_load_problem_round_trip(tmp_path):
             lambda d: d["perturbations"][0].update(order=[0]),
             "invalid order",
         ),
+        (
+            lambda d: d.update(options={"tol_degeneracy": [1e-9]}),
+            "tol_degeneracy must be a number",
+        ),
     ],
 )
 def test_schema_violations(tmp_path, mutate, message):
@@ -154,6 +158,17 @@ def test_cli_exit_codes(tmp_path):
     )
     path = document_path(tmp_path, degenerate, "degenerate.json")
     assert main(["diagonalize", "--input", path, "--order", "1"]) == 3
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "nan"])
+def test_cli_rejects_bad_degeneracy_tolerance(tmp_path, tolerance, capsys):
+    doc = problem_document(
+        np.diag([1.0, 1.0, 3.0]), {(1,): np.ones((3, 3))}, subspace_indices=[0, 1, 1]
+    )
+    path = document_path(tmp_path, doc)
+    argv = ["diagonalize", "--input", path, "--order", "2", "--tol-degeneracy"]
+    assert main([*argv, tolerance]) == 3
+    assert "Degeneracy tolerance" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -335,3 +335,4 @@ def test_implicit_rejects_masks(rng, small_toy):
     # No mask entry points exist for implicit problems; the rule has none.
     assert problem.rule.masks == {}
     assert problem.implicit
+    assert problem.tolerance is None

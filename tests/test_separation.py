@@ -3,10 +3,10 @@ import pytest
 
 from blockpert.operators import to_array, zero
 from blockpert.separation import (
-    EigenstructureInfo,
     RuleValidationError,
     SeparationRule,
     check_rule,
+    degeneracy_tolerance,
     remain,
     select,
     validate_rule,
@@ -96,18 +96,17 @@ def test_mask_requirements():
 
 def test_validate_rule_accepts_gapped_blocks():
     rule = SeparationRule((1, 1))
-    eig = EigenstructureInfo((np.array([0.0]), np.array([1.0])))
-    assert validate_rule(rule, eig) == []
+    assert validate_rule(rule, (np.array([0.0]), np.array([1.0])), 1e-12) == []
 
 
 def test_validate_rule_rejects_degenerate_blocks():
     rule = SeparationRule((1, 1))
-    eig = EigenstructureInfo((np.array([1.0]), np.array([1.0])))
-    violations = validate_rule(rule, eig)
+    eigenvalues = (np.array([1.0]), np.array([1.0]))
+    violations = validate_rule(rule, eigenvalues, 1e-12)
     assert [v.states for v in violations] == [(0, 0)]
     assert violations[0].blocks == (0, 1)
     with pytest.raises(RuleValidationError, match="blocks \\(0, 1\\)"):
-        check_rule(rule, eig)
+        check_rule(rule, eigenvalues, 1e-12)
 
 
 def test_validate_rule_rejects_degenerate_mask_pair():
@@ -116,13 +115,28 @@ def test_validate_rule_rejects_degenerate_mask_pair():
         [[True, False, True], [False, True, True], [True, True, True]]
     )
     rule = SeparationRule((3,), {0: mask})
-    eig = EigenstructureInfo((np.array([2.0, 2.0, 3.0]),))
-    violations = validate_rule(rule, eig)
+    violations = validate_rule(rule, (np.array([2.0, 2.0, 3.0]),), 1e-12)
     assert any(v.states == (0, 1) for v in violations)
 
 
 def test_tolerance_default_scales():
-    eig = EigenstructureInfo((np.array([0.0, 1e6]),))
-    assert eig.tolerance == pytest.approx(1e-4)
-    tiny = EigenstructureInfo((np.array([0.0, 1e-3]),))
-    assert tiny.tolerance == 1e-12
+    assert degeneracy_tolerance((np.array([0.0, 1e6]),)) == pytest.approx(1e-4)
+    assert degeneracy_tolerance((np.array([0.0, 1e-3]),)) == 1e-12
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, np.nan, np.inf])
+def test_validate_rule_rejects_bad_tolerance(tolerance):
+    rule = SeparationRule((1, 1))
+    with pytest.raises(ValueError, match="Degeneracy tolerance"):
+        validate_rule(rule, (np.array([1.0]), np.array([1.0])), tolerance)
+
+
+def test_whole_block_masks_are_dropped():
+    """A mask selecting its whole block is no split; the caller's dict is kept."""
+    split = np.array([[True, False], [False, True]])
+    masks = {0: np.ones((2, 2), dtype=int), 1: split}
+    rule = SeparationRule((2, 2), masks)
+    assert list(rule.masks) == [1]
+    assert rule.masks[1].dtype == bool
+    assert not rule.has_remaining_part((0, 0))
+    assert masks[0].dtype == int and masks[1] is split
