@@ -18,7 +18,6 @@ or degeneracy error, 4 solver failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from itertools import product as cartesian
@@ -35,6 +34,7 @@ from blockpert.documents import (
     DocumentError,
     load_problem,
     result_document,
+    write_document,
 )
 from blockpert.implicit import DeflationError, FactorizationError, build_extended_problem
 from blockpert.operators import Zero, to_array
@@ -102,16 +102,6 @@ def _check_block(block: tuple[int, int], problem: PerturbationProblem):
         raise DocumentError(f"Block {block} is implicit and has no dense form.")
 
 
-def _write_output(payload: dict, path: str | None):
-    if path:
-        with open(path, "w") as handle:
-            json.dump(payload, handle, allow_nan=False)
-            handle.write("\n")
-    else:
-        json.dump(payload, sys.stdout, allow_nan=False)
-        sys.stdout.write("\n")
-
-
 def cmd_diagonalize(args) -> int:
     problem, doc = load_problem(args.input, tol_override=args.tol_degeneracy)
     if args.implicit and not problem.implicit:
@@ -151,7 +141,7 @@ def cmd_diagonalize(args) -> int:
             "tolerances": tolerances,
         },
     )
-    _write_output(payload, args.output)
+    write_document(payload, args.output)
     return EXIT_OK
 
 
@@ -242,7 +232,7 @@ def cmd_verify(args) -> int:
         ]
     }
     if args.output:
-        _write_output(report, args.output)
+        write_document(report, args.output)
     return EXIT_OK if all(c.passed for c in checks) else EXIT_VERIFY
 
 

@@ -11,23 +11,25 @@ product by the selected part of the perturbation:
 
 - ``W = -(U'^H U') / 2`` from unitarity, made by the shared product kernel
   `blockpert.series.contract` with its Hermitian half-product option,
-- ``A = H'_R U'``, the term reused by several series,
-- ``B`` with remaining part ``-(U'^H B)_R`` and selected part
-  ``[-(U'^H B - h.c.)/2 - (A + h.c.)/2 + (V H'_S + h.c.)]_S``,
+- ``A = H'_R U'``, the term reused by several series.
+
+With ``M = A - U'^H B`` and the commutator ``[V, H'_S] = V H'_S + (V H'_S)^H``,
+one bracket ``G = (M + M^H)/2 - [V, H'_S]`` gives the rest:
+
+- ``H_tilde = H'_S + G_S``,
+- ``B = -(U'^H B + G_S)``,
 - ``V`` from the Sylvester equation ``[V, H_0] = RHS`` with
-  ``RHS = (B + H' + A - [V, H'_S])_R`` when there are exactly two
-  whole blocks, and the equivalent Hermitian form
-  ``RHS = (H'_R + (A + h.c.)/2 - (U'^H B + h.c.)/2 - [V, H'_S])_R``
-  otherwise,
-- ``H_tilde = H_S + [A - U'^H B - 2 V H'_S + h.c.]_S / 2``.
+  ``RHS = (H + G)_R``. When there are exactly two whole blocks,
+  ``M_01 = M_10^H``, so ``RHS = (H + M - [V, H'_S])_R`` holds too; this
+  form needs no adjoint-partner products. The right-hand side is handed to
+  the solver and not stored.
 
 In the eigenbasis the Sylvester solution is elementwise,
 ``V_kl = RHS_kl / (E_l - E_k)`` on remaining elements, and ``V_S = 0``.
 
-``B`` and the right-hand side take the adjoints of ``A``, ``U'^H B`` and
-``V H'_S`` on demand. No conjugate transpose is needed for ``U'^H`` either:
-since ``W`` is Hermitian and ``V`` anti-Hermitian, ``U'^H = W - V``, so on
-two whole blocks its diagonal entries are the stored ``W`` entries.
+No conjugate transpose is stored for ``U'^H``: since ``W`` is Hermitian and
+``V`` anti-Hermitian, ``U'^H = W - V``, so on two whole blocks its diagonal
+entries are the stored ``W`` entries.
 """
 
 from __future__ import annotations
@@ -62,7 +64,13 @@ from blockpert.separation import (
     require_tolerance,
     select,
 )
-from blockpert.series import BlockSeries, cauchy_product, contract, orders_up_to
+from blockpert.series import (
+    BlockSeries,
+    _memo_value,
+    cauchy_product,
+    contract,
+    orders_up_to,
+)
 
 __all__ = [
     "PerturbationProblem",
@@ -443,10 +451,7 @@ def _build_series(
             large_blocks=large,
         )
 
-    def eval_H(i, j, *n):
-        return problem.block(i, j, n)
-
-    H = make("H", eval_H)
+    H = make("H", lambda i, j, *n: problem.block(i, j, n))
 
     def eval_Hp_S(i, j, *n):
         if not any(n) or not rule.has_selected_part((i, j)):
@@ -461,9 +466,7 @@ def _build_series(
     Hp_S = make("H'_S", eval_Hp_S)
     Hp_R = make("H'_R", eval_Hp_R)
 
-    # Forward declarations closed over by the recurrence callbacks.
-    context: dict[str, BlockSeries] = {}
-
+    # The callbacks close over series made below; none runs before all exist.
     def eval_W(i, j, *n):
         if not any(n):
             return zero
@@ -472,73 +475,53 @@ def _build_series(
             # diagonal, so these entries vanish identically.
             return zero
         if i > j:
-            return adjoint(context["W"].get((j, i), n))
-        product = contract(
-            context["U'†"], context["U'"], (i, j), n, counter, hermitian=i == j
-        )
-        return scale(product, -0.5)
+            return adjoint(W.get((j, i), n))
+        return scale(contract(Up_adj, Up, (i, j), n, counter, hermitian=i == j), -0.5)
 
     def eval_V(i, j, *n):
         if not any(n):
             return zero
         if i > j:
-            return scale(adjoint(context["V"].get((j, i), n)), -1)
+            return scale(adjoint(V.get((j, i), n)), -1)
         if not rule.has_remaining_part((i, j)):
             return zero
-        rhs = context["rhs"].get((i, j), n)
+        # Two whole blocks have M_01 = M_10†: no adjoint-partner products.
+        rhs = add(H.get((i, j), n), bracket(i, j, n, hermitian=not two_block))
+        rhs = remain(rhs, rule, (i, j))
         if isinstance(rhs, Zero):
             return zero
-        return as_dense(solver(rhs, (i, j), tuple(n)))
+        return as_dense(solver(_memo_value(rhs), (i, j), tuple(n)))
 
     def eval_Up(i, j, *n):
         if not any(n):
             return zero
-        return add(context["W"].get((i, j), n), context["V"].get((i, j), n))
+        return add(W.get((i, j), n), V.get((i, j), n))
 
     def eval_Up_adjoint(i, j, *n):
         # U'† = W - V, since W is Hermitian and V anti-Hermitian.
         if not any(n):
             return zero
-        return add(
-            context["W"].get((i, j), n), scale(context["V"].get((i, j), n), -1)
-        )
+        return add(W.get((i, j), n), scale(V.get((i, j), n), -1))
 
-    def plus_adjoint(name, i, j, n, sign=1):
-        """``X_ij + sign X_ji†`` of a stored series, the adjoint made on demand."""
-        series = context[name]
-        return add(series.get((i, j), n), scale(adjoint(series.get((j, i), n)), sign))
+    def bracket(i, j, n, hermitian=True):
+        """``G_ij``, or ``M_ij - [V, H'_S]_ij`` when not ``hermitian``."""
+
+        def m(k, l):
+            return add(A.get((k, l), n), scale(UdB.get((k, l), n), -1))
+
+        mixed = m(i, j)
+        if hermitian:
+            mixed = scale(add(mixed, adjoint(mixed if i == j else m(j, i))), 0.5)
+        commutator = add(VHS.get((i, j), n), adjoint(VHS.get((j, i), n)))
+        return add(mixed, scale(commutator, -1))
 
     def eval_B(i, j, *n):
         if not any(n):
             return zero
-        result = zero
-        if rule.has_remaining_part((i, j)):
-            result = add(
-                result,
-                remain(scale(context["U'†B"].get((i, j), n), -1), rule, (i, j)),
-            )
+        total = UdB.get((i, j), n)
         if rule.has_selected_part((i, j)):
-            bracket = add(
-                scale(plus_adjoint("U'†B", i, j, n, -1), -0.5),
-                scale(plus_adjoint("A", i, j, n), -0.5),
-            )
-            bracket = add(bracket, plus_adjoint("VH'_S", i, j, n))
-            result = add(result, select(bracket, rule, (i, j)))
-        return result
-
-    def eval_rhs(i, j, *n):
-        if not any(n) or not rule.has_remaining_part((i, j)):
-            return zero
-        commutator = plus_adjoint("VH'_S", i, j, n)
-        if two_block:
-            # [W, H_S] has no remaining part here, which removes the
-            # adjoint-partner products from the right-hand side.
-            total = add(context["B"].get((i, j), n), H.get((i, j), n))
-            total = add(total, context["A"].get((i, j), n))
-        else:
-            total = add(Hp_R.get((i, j), n), scale(plus_adjoint("A", i, j, n), 0.5))
-            total = add(total, scale(plus_adjoint("U'†B", i, j, n), -0.5))
-        return remain(add(total, scale(commutator, -1)), rule, (i, j))
+            total = add(total, select(bracket(i, j, n), rule, (i, j)))
+        return scale(total, -1)
 
     def eval_H_tilde(i, j, *n):
         if not any(n):
@@ -547,45 +530,28 @@ def _build_series(
             # The remaining part cancels by construction and is never
             # evaluated as a numeric residual.
             return zero
-        m_val = add(
-            context["A"].get((i, j), n),
-            scale(context["U'†B"].get((i, j), n), -1),
-        )
-        m_val = add(m_val, scale(context["VH'_S"].get((i, j), n), -2))
-        sym = scale(add(m_val, adjoint(m_val)), 0.5)
-        return add(Hp_S.get((i, j), n), select(sym, rule, (i, j)))
+        return add(Hp_S.get((i, j), n), select(bracket(i, j, n), rule, (i, j)))
 
-    def eval_U(i, j, *n):
-        if not any(n):
-            return one if i == j else zero
-        return context["U'"].get((i, j), n)
+    def identity_plus(part):
+        """``1 + part``: ``U`` from ``U'`` and ``U†`` from ``U'†``."""
 
-    def eval_U_adjoint(i, j, *n):
-        if not any(n):
-            return one if i == j else zero
-        return context["U'†"].get((i, j), n)
+        def eval(i, j, *n):
+            return part.get((i, j), n) if any(n) else (one if i == j else zero)
 
-    context["H"] = H
-    context["H'_S"] = Hp_S
-    context["H'_R"] = Hp_R
-    context["W"] = make("W", eval_W)
-    context["V"] = make("V", eval_V)
-    context["U'"] = make("U'", eval_Up)
-    context["U'†"] = make("U'†", eval_Up_adjoint)
-    context["A"] = cauchy_product(Hp_R, context["U'"], name="A", counter=counter)
-    context["U'†B"] = None  # placeholder until B exists
-    context["B"] = make("B", eval_B)
-    context["U'†B"] = cauchy_product(
-        context["U'†"], context["B"], name="U'†B", counter=counter
-    )
-    context["VH'_S"] = cauchy_product(
-        context["V"], Hp_S, name="VH'_S", counter=counter
-    )
-    context["rhs"] = make("rhs", eval_rhs)
-    context["H_tilde"] = make("H_tilde", eval_H_tilde)
-    context["U"] = make("U", eval_U)
-    context["U†"] = make("U†", eval_U_adjoint)
-    return context
+        return eval
+
+    W = make("W", eval_W)
+    V = make("V", eval_V)
+    Up = make("U'", eval_Up)
+    Up_adj = make("U'†", eval_Up_adjoint)
+    A = cauchy_product(Hp_R, Up, name="A", counter=counter)
+    B = make("B", eval_B)
+    UdB = cauchy_product(Up_adj, B, name="U'†B", counter=counter)
+    VHS = cauchy_product(V, Hp_S, name="VH'_S", counter=counter)
+    H_tilde = make("H_tilde", eval_H_tilde)
+    U, U_adj = make("U", identity_plus(Up)), make("U†", identity_plus(Up_adj))
+    series = (H, Hp_S, Hp_R, W, V, Up, Up_adj, A, UdB, B, VHS, H_tilde, U, U_adj)
+    return {s.name: s for s in series}
 
 
 def transform_observable(
@@ -614,9 +580,11 @@ def transform_observable(
     operand = BlockSeries(
         eval_operand, observable.shape, observable.n_params, name=observable.name
     )
-    return cauchy_product(
-        result.u_adjoint, operand, result.u, name="U†OU", counter=result.counter
+    counter = result.counter
+    inner = cauchy_product(
+        operand, result.u, name=f"{observable.name}·U", counter=counter
     )
+    return cauchy_product(result.u_adjoint, inner, name="U†OU", counter=counter)
 
 
 def evaluate_truncated(
@@ -633,6 +601,8 @@ def evaluate_truncated(
     with the weights of all points in one product. Structural ``one`` terms
     are materialized with the block's shape, taken from ``shape`` or from
     the other terms; ``shape`` is needed only when no term carries it.
+    Raises `ValueError`, naming the points, where the weights or the sum
+    overflow.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim == 0 or values.shape[-1] != series.n_params:
@@ -650,8 +620,16 @@ def evaluate_truncated(
     if shape is None:
         shape = next((t.shape for t in terms if not isinstance(t, One)), None)
     terms = np.stack([to_array(term, shape) for term in terms])
-    weights = np.prod(values[..., None, :] ** orders, axis=-1)
-    return np.tensordot(weights, terms, axes=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.prod(values[..., None, :] ** orders, axis=-1)
+        total = np.tensordot(weights, terms, axes=1)
+    bad = values[~(np.isfinite(weights).all(-1) & np.isfinite(total).all((-2, -1)))]
+    if len(bad):
+        raise ValueError(
+            f"The truncated series is not finite at {len(bad)} parameter "
+            f"point(s), starting with {bad[:3].tolist()}."
+        )
+    return total
 
 
 def eigenvalues_of_truncation(

@@ -10,7 +10,9 @@ full precision through JSON's repr round-trip.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import sys
 from typing import Any
 
 import numpy as np
@@ -71,33 +73,44 @@ def _pairs_to_complex(pairs, where: str) -> np.ndarray:
     return values[:, 0] + 1j * values[:, 1]
 
 
+def _typed(value, kind: type, where: str):
+    """``value`` if it is a JSON list or object, else a `DocumentError`."""
+    if not isinstance(value, kind):
+        article = "a list" if kind is list else "an object"
+        raise DocumentError(f"{where} must be {article}.")
+    return value
+
+
+def _integers(value, where: str) -> tuple[int, ...]:
+    """A JSON list of integers; booleans and floats are rejected."""
+    items = _typed(value, list, where)
+    if not all(isinstance(n, int) and not isinstance(n, bool) for n in items):
+        raise DocumentError(f"{where} must be a list of integers.")
+    return tuple(items)
+
+
 def decode_matrix(spec: dict, where: str = "matrix"):
     """Decode a matrix; sparse encodings produce sparse operators."""
-    if not isinstance(spec, dict):
-        raise DocumentError(f"{where}: expected an object.")
-    if "dense" in spec:
-        body = spec["dense"]
-        shape = tuple(body.get("shape", ()))
-        if len(shape) != 2:
-            raise DocumentError(f"{where}.dense: shape must have two entries.")
-        entries = _pairs_to_complex(body.get("entries", []), f"{where}.dense")
+    _typed(spec, dict, where)
+    kind = next((k for k in ("dense", "sparse") if k in spec), None)
+    if kind is None:
+        raise DocumentError(f"{where}: must contain 'dense' or 'sparse'.")
+    where = f"{where}.{kind}"
+    body = _typed(spec[kind], dict, where)
+    shape = _integers(body.get("shape", []), f"{where}.shape")
+    if len(shape) != 2 or min(shape) < 0:
+        raise DocumentError(f"{where}: shape must have two non-negative entries.")
+    if kind == "dense":
+        entries = _pairs_to_complex(body.get("entries", []), where)
         if len(entries) != shape[0] * shape[1]:
-            raise DocumentError(
-                f"{where}.dense: {len(entries)} entries for shape {shape}."
-            )
+            raise DocumentError(f"{where}: {len(entries)} entries for shape {shape}.")
         return entries.reshape(shape)
-    if "sparse" in spec:
-        body = spec["sparse"]
-        shape = tuple(body.get("shape", ()))
-        if len(shape) != 2:
-            raise DocumentError(f"{where}.sparse: shape must have two entries.")
-        vals = _pairs_to_complex(body.get("vals", []), f"{where}.sparse")
-        rows = body.get("rows", [])
-        cols = body.get("cols", [])
-        if not (len(rows) == len(cols) == len(vals)):
-            raise DocumentError(f"{where}.sparse: rows/cols/vals lengths differ.")
-        return sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
-    raise DocumentError(f"{where}: must contain 'dense' or 'sparse'.")
+    vals = _pairs_to_complex(body.get("vals", []), where)
+    rows = _integers(body.get("rows", []), f"{where}.rows")
+    cols = _integers(body.get("cols", []), f"{where}.cols")
+    if not (len(rows) == len(cols) == len(vals)):
+        raise DocumentError(f"{where}: rows/cols/vals lengths differ.")
+    return sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
 def problem_document(
@@ -150,8 +163,10 @@ def problem_document(
     return doc
 
 
-def write_document(doc: dict, path):
-    with open(path, "w") as handle:
+def write_document(doc: dict, path=None):
+    """Write ``doc`` as strict JSON and a newline to ``path``, or to standard
+    output when no path is given. NaN or infinity raises `ValueError`."""
+    with open(path, "w") if path else contextlib.nullcontext(sys.stdout) as handle:
         json.dump(doc, handle, allow_nan=False)
         handle.write("\n")
 
@@ -181,11 +196,12 @@ def load_problem(path, tol_override: float | None = None) -> tuple[PerturbationP
     except KeyError:
         raise DocumentError(f"{path}: missing 'h0'.")
     perturbations = {}
-    for k, item in enumerate(doc.get("perturbations", [])):
+    items = _typed(doc.get("perturbations", []), list, f"{path}: perturbations")
+    for k, item in enumerate(items):
         where = f"perturbations[{k}]"
-        if "order" not in item or "matrix" not in item:
+        if not isinstance(item, dict) or "order" not in item or "matrix" not in item:
             raise DocumentError(f"{path}: {where} needs 'order' and 'matrix'.")
-        order = tuple(int(n) for n in item["order"])
+        order = _integers(item["order"], f"{path}: {where}.order")
         if any(n < 0 for n in order) or not any(order):
             raise DocumentError(f"{path}: {where} has invalid order {order}.")
         perturbations[order] = decode_matrix(item["matrix"], where)
@@ -193,12 +209,22 @@ def load_problem(path, tol_override: float | None = None) -> tuple[PerturbationP
         raise DocumentError(f"{path}: at least one perturbation is required.")
     param_names = doc.get("param_names")
     if param_names is not None:
-        param_names = tuple(str(p) for p in param_names)
-    options = doc.get("options", {})
+        n_params = len(next(iter(perturbations)))
+        if not (
+            isinstance(param_names, list)
+            and all(isinstance(name, str) for name in param_names)
+            and len(set(param_names)) == len(param_names) == n_params
+        ):
+            raise DocumentError(
+                f"{path}: param_names must be {n_params} distinct string(s), "
+                "one per parameter."
+            )
+        param_names = tuple(param_names)
+    options = _typed(doc.get("options", {}), dict, f"{path}: options")
     tol = tol_override if tol_override is not None else options.get("tol_degeneracy")
-    if tol is not None and not isinstance(tol, (int, float)):
+    if tol is not None and (isinstance(tol, bool) or not isinstance(tol, (int, float))):
         raise DocumentError(f"{path}: options.tol_degeneracy must be a number.")
-    subspaces = doc.get("subspaces", {})
+    subspaces = _typed(doc.get("subspaces", {}), dict, f"{path}: subspaces")
     if len(subspaces) != 1:
         raise DocumentError(
             f"{path}: exactly one subspace definition is required, "
@@ -207,7 +233,8 @@ def load_problem(path, tol_override: float | None = None) -> tuple[PerturbationP
     masks = None
     if "fully_diagonalize" in doc:
         masks = {}
-        for label, mask in doc["fully_diagonalize"].items():
+        where = f"{path}: fully_diagonalize"
+        for label, mask in _typed(doc["fully_diagonalize"], dict, where).items():
             try:
                 masks[int(label)] = np.asarray(mask, dtype=bool)
             except (TypeError, ValueError):
@@ -216,15 +243,16 @@ def load_problem(path, tol_override: float | None = None) -> tuple[PerturbationP
         problem = PerturbationProblem.from_diagonal(
             h0,
             perturbations,
-            subspaces["indices"],
+            _integers(subspaces["indices"], f"{path}: subspaces.indices"),
             masks=masks,
             tolerance=tol,
             param_names=param_names,
         )
     elif "eigenvectors" in subspaces:
+        where = f"{path}: subspaces.eigenvectors"
         vectors = [
             decode_matrix(v, f"subspaces.eigenvectors[{k}]")
-            for k, v in enumerate(subspaces["eigenvectors"])
+            for k, v in enumerate(_typed(subspaces["eigenvectors"], list, where))
         ]
         problem = PerturbationProblem.from_eigenvectors(
             h0,
@@ -239,8 +267,10 @@ def load_problem(path, tol_override: float | None = None) -> tuple[PerturbationP
             raise DocumentError(
                 f"{path}: fully_diagonalize is not supported in implicit mode."
             )
-        body = subspaces["implicit"]
-        vectors = decode_matrix(body["explicit_vectors"], "subspaces.implicit")
+        body = _typed(subspaces["implicit"], dict, f"{path}: subspaces.implicit")
+        vectors = decode_matrix(
+            body.get("explicit_vectors"), "subspaces.implicit.explicit_vectors"
+        )
         if sparse.issparse(vectors):
             vectors = vectors.toarray()
         problem = build_extended_problem(

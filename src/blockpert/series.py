@@ -7,9 +7,10 @@ all previous work. Structural zeros propagate as the ``zero`` sentinel and
 are masked in range queries instead of being materialized.
 
 Every product of two series entries is made by one kernel, `contract`.
-`cauchy_product` is binary: every recurrence multiplies two series, and a
-product of more factors folds to the right into memoized binary products,
-so ``U†OU`` computes ``OU`` once and reuses it for every entry.
+`cauchy_product` multiplies two series. Every recurrence is such a binary
+product, and ``U†OU`` is the nested ``U†(OU)``, so ``OU`` is a memoized
+series whose entries are computed once and reused by every entry of the
+outer product.
 
 On small blocks the kernel's bookkeeping, not its arithmetic, sets the
 time, so it keeps that small. The order pairs of an entry come from a plan
@@ -298,27 +299,23 @@ def contract(left, right, block, order, counter, *, hermitian=False):
 
 
 def cauchy_product(
-    *factors: BlockSeries,
+    left: BlockSeries,
+    right: BlockSeries,
+    *more: BlockSeries,
     name: str = "product",
     counter: OperationCounter | None = None,
 ) -> BlockSeries:
-    """Block-contracting Cauchy product of two or more series.
+    """Block-contracting Cauchy product of two series.
 
-    Each entry is made by `contract`. More factors fold to the right,
-    ``a (b c)``, so the inner product is a memoized series that every outer
-    term reuses. Every product is tallied in ``counter``.
+    Each entry is made by `contract`, which tallies every product in
+    ``counter``. Further factors fold to the right, ``left (right ...)``, as
+    a nested product would; the library itself always nests explicitly.
     """
-    if len(factors) < 2:
-        raise ValueError("Need at least two factors.")
     if counter is None:
         counter = OperationCounter()
-    left, right = factors[0], factors[1]
-    if len(factors) > 2:
-        right = cauchy_product(
-            *factors[1:],
-            name="·".join(f.name for f in factors[1:]),
-            counter=counter,
-        )
+    if more:
+        name_right = "·".join(f.name for f in (right, *more))
+        right = cauchy_product(right, *more, name=name_right, counter=counter)
     if left.shape[1] != right.shape[0]:
         raise ValueError(f"Block shape mismatch: {left.shape} @ {right.shape}.")
     if left.n_params != right.n_params:

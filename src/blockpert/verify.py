@@ -87,7 +87,9 @@ def run_verification(
 
     # Similarity and cancellation from the reconstructed triple product.
     transformed = cauchy_product(
-        result.u_adjoint, result.context["H"], result.u, name="U†HU"
+        result.u_adjoint,
+        cauchy_product(result.context["H"], result.u, name="H·U"),
+        name="U†HU",
     )
     similarity = 0.0
     cancellation = 0.0

@@ -4,6 +4,7 @@ from itertools import product as cartesian
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+import scipy.sparse.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from blockpert.diagonalization import (
     make_eigenbasis_solver,
     transform_observable,
 )
+from blockpert.implicit import build_extended_problem
 from blockpert.operators import (
     MatrixFreeOperator,
     OperationCounter,
@@ -22,7 +24,13 @@ from blockpert.operators import (
     to_array,
     zero,
 )
-from blockpert.problems import random_multiblock, random_two_block, transmon_problem
+from blockpert.problems import (
+    bilayer_graphene_problem,
+    lattice_problem,
+    random_multiblock,
+    random_two_block,
+    transmon_problem,
+)
 from blockpert.series import BlockSeries, orders_up_to
 from blockpert.separation import RuleValidationError, degeneracy_tolerance
 
@@ -125,19 +133,29 @@ def test_w_starts_at_second_order(rng):
         np.testing.assert_allclose(full, full.conj().T, atol=1e-13)
 
 
-def test_sylvester_residual(rng):
-    """[V, H_0]_n equals the right-hand side elementwise."""
+def test_sylvester_residual():
+    """[V, H_0]_n equals the right-hand side the solver received, which is a
+    read-only complex128 array."""
     energies, perturbations, labels = random_two_block(2, 3, seed=2)
     problem = PerturbationProblem.from_diagonal(energies, perturbations, labels)
-    result = block_diagonalize(problem)
-    h0 = np.diag(np.concatenate(problem.eigenvalues))
+    default = make_eigenbasis_solver(
+        problem.eigenvalues, problem.rule, problem.tolerance
+    )
+    received = {}
+
+    def solver(rhs, block, order):
+        received[block, order] = rhs
+        return default(rhs, block, order)
+
+    result = block_diagonalize(problem, solver)
+    result.h_tilde.get((0, 0), (4,))  # force evaluation
+    e_0, e_1 = problem.eigenvalues
     for order in [(1,), (2,), (3,)]:
-        result.h_tilde.get((0, 0), (sum(order) + 1,))  # force evaluation
-        v_full = assemble_full(result.context["V"], problem, order)
-        rhs_full = assemble_full(result.context["rhs"], problem, order)
-        np.testing.assert_allclose(
-            v_full @ h0 - h0 @ v_full, rhs_full, atol=1e-12
-        )
+        rhs = received[(0, 1), order]
+        assert rhs.dtype == np.complex128 and not rhs.flags.writeable
+        v = to_array(result.context["V"].get((0, 1), order))
+        np.testing.assert_allclose(v * e_1 - e_0[:, None] * v, rhs, atol=1e-12)
+    assert {block for block, _ in received} == {(0, 1)}
 
 
 def test_b_starts_at_second_order(rng):
@@ -264,6 +282,53 @@ def test_operation_counts_dense_and_offdiagonal():
 
     assert counts(False) == [0, 0, 1, 3, 11]
     assert counts(True) == [0, 0, 1, 0, 9]
+
+
+def _dense_two_block():
+    return PerturbationProblem.from_diagonal(*random_two_block(4, 6, 0))
+
+
+def _multiblock():
+    return PerturbationProblem.from_diagonal(*random_multiblock((2, 3, 2, 4), 3))
+
+
+def _masked_two_block():
+    mask = np.ones((4, 4), dtype=bool)
+    mask[0, 3] = mask[3, 0] = False
+    energies, perturbations, labels = random_two_block(4, 6, 5)
+    return PerturbationProblem.from_diagonal(
+        energies, perturbations, labels, masks={0: mask}
+    )
+
+
+def _implicit_lattice():
+    h0, perturbations = lattice_problem(9, seed=3)
+    v0 = np.random.default_rng(3).standard_normal(h0.shape[0])
+    energies, vectors = sla.eigsh(h0, k=4, which="SA", v0=v0)
+    return build_extended_problem(h0, perturbations, vectors, energies)
+
+
+def _graphene():
+    return bilayer_graphene_problem().problem()
+
+
+@pytest.mark.parametrize(
+    "make, block, max_orders, products",
+    [
+        (_dense_two_block, (0, 0), (6,), 57),
+        (_graphene, (0, 0), (6, 6, 2), 30969),
+        (_multiblock, (1, 1), (5,), 288),
+        (_masked_two_block, (0, 0), (5,), 63),
+        (_implicit_lattice, (0, 0), (6,), 57),
+    ],
+    ids=["dense", "graphene", "multiblock", "masked", "implicit"],
+)
+def test_product_counts_per_problem_family(make, block, max_orders, products):
+    """Products for one H̃ block up to ``max_orders``, pinned per family."""
+    result = block_diagonalize(make())
+    for order in orders_up_to(max_orders):
+        result.h_tilde.get(block, order)
+    assert result.counter.matmul_count == products
 
 
 def real_sparse_solver(problem):
@@ -513,6 +578,19 @@ def test_evaluate_truncated_all_zero_and_empty_stacks():
     assert evaluate_truncated(ones, (0, 0), (2, 1), empty).shape == (0, 2, 2)
     with pytest.raises(ValueError, match="one parameter value"):
         evaluate_truncated(ones, (0, 0), (2, 1), np.ones((4, 3)))
+
+
+def test_evaluate_truncated_rejects_overflow():
+    """A point whose weights or sum overflow raises a `ValueError` naming it,
+    and no `RuntimeWarning` escapes."""
+    terms = {(1,): np.full((1, 1), 1e300), (2,): np.eye(1)}
+    series = BlockSeries(
+        eval=lambda i, j, *n: terms.get(n, zero), shape=(1, 1), n_params=1
+    )
+    # 1e200 overflows the weight of order 2; 1e10 overflows the sum.
+    for point, text in ((1e200, r"1e\+200"), (1e10, r"10000000000\.0")):
+        with pytest.raises(ValueError, match=rf"not finite at 1 parameter .*{text}"):
+            evaluate_truncated(series, (0, 0), (2,), [[0.5], [point]])
 
 
 @pytest.mark.parametrize("name", ["u", "u_adjoint"])

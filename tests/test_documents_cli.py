@@ -80,6 +80,31 @@ def test_schema_violations(tmp_path, mutate, message):
         load_problem(path)
 
 
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (lambda d: d.update(perturbations=[5]), "perturbations[0]"),
+        (lambda d: d["perturbations"][0].update(order=["a"]), "perturbations[0].order"),
+        (lambda d: d.update(h0={"dense": 5}), "h0.dense"),
+        (lambda d: d.update(fully_diagonalize=[1]), "fully_diagonalize"),
+        (lambda d: d.update(subspaces={"implicit": {}}), "explicit_vectors"),
+        (lambda d: d.update(param_names=5), "param_names"),
+        (lambda d: d.update(param_names=["a", "b"]), "param_names"),
+        (lambda d: d.update(options=[1]), "options"),
+        (lambda d: d.update(options={"tol_degeneracy": True}), "tol_degeneracy"),
+    ],
+)
+def test_malformed_documents_exit_2(tmp_path, mutate, field, capsys):
+    """A malformed field is a parse error that names it, never a traceback."""
+    doc = two_block_document()
+    mutate(doc)
+    path = document_path(tmp_path, doc)
+    assert main(["diagonalize", "--input", path, "--order", "1"]) == 2
+    captured = capsys.readouterr()
+    assert field in captured.err
+    assert captured.out == ""
+
+
 def test_invalid_json_reports_location(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -281,6 +306,15 @@ def test_cli_spectrum_csv(tmp_path, capsys):
     # at lambda = 0 the eigenvalues are those of the unperturbed block
     problem, _ = load_problem(path)
     np.testing.assert_allclose(first[1:], problem.eigenvalues[0], atol=1e-15)
+
+
+def test_cli_spectrum_rejects_overflowing_points(tmp_path, capsys):
+    path = document_path(tmp_path, two_block_document())
+    argv = ["spectrum", "--input", path, "--max-order", "3", "--grid", "lam=1e200"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "not finite" in captured.err and "1e+200" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_spectrum_convergence(tmp_path):
