@@ -103,15 +103,12 @@ def _check_block(block: tuple[int, int], problem: PerturbationProblem):
 
 
 def cmd_diagonalize(args) -> int:
-    problem, doc = load_problem(args.input, tol_override=args.tol_degeneracy)
+    problem, _ = load_problem(args.input, tol_override=args.tol_degeneracy)
     if args.implicit and not problem.implicit:
         raise DocumentError(
             "--implicit requires an implicit subspace definition in the "
             "document."
         )
-    retention = args.retention or doc.get("options", {}).get("retention", "keep")
-    if retention not in ("keep", "discard"):
-        raise ValueError("retention must be 'keep' or 'discard'.")
     blocks = [tuple(b) for b in args.block or [(0, 0)]]
     for block in blocks:
         _check_block(block, problem)
@@ -128,8 +125,6 @@ def cmd_diagonalize(args) -> int:
         else:
             entries.append((block, order, to_array(value)))
     evaluate_time = time.perf_counter() - started
-    if retention == "discard":
-        result.clear_intermediates()
     tolerances = {}
     if problem.tolerance is not None:
         tolerances["degeneracy"] = problem.tolerance
@@ -344,9 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     diag.add_argument("--max-order", type=int)
     diag.add_argument("--tol-degeneracy", type=float, default=None)
     diag.add_argument("--implicit", action="store_true")
-    diag.add_argument(
-        "--retention", choices=("keep", "discard"), default=None
-    )
     diag.set_defaults(run=cmd_diagonalize)
 
     spectrum = commands.add_parser(

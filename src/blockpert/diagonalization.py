@@ -375,13 +375,6 @@ class DiagonalizationResult:
     context: dict[str, BlockSeries]
     counter: OperationCounter
 
-    def clear_intermediates(self):
-        """Drop memoized intermediates, keeping the three output series."""
-        outputs = {"H_tilde", "U", "U†"}
-        for name, series in self.context.items():
-            if name not in outputs:
-                series.clear()
-
 
 def block_diagonalize(
     problem: PerturbationProblem,

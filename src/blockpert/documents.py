@@ -89,6 +89,26 @@ def _integers(value, where: str) -> tuple[int, ...]:
     return tuple(items)
 
 
+def _reals(value, where: str) -> np.ndarray:
+    """A JSON list of numbers; booleans and strings are rejected."""
+    items = _typed(value, list, where)
+    if not all(type(x) in (int, float) for x in items):
+        raise DocumentError(f"{where} must be a list of numbers.")
+    return np.asarray(items, dtype=float)
+
+
+def _indices(value, size: int, where: str) -> np.ndarray:
+    """A JSON list of integers in ``[0, size)``, checked as one array."""
+    try:
+        indices = np.array(_integers(value, where), dtype=np.int64)
+        valid = indices.size == 0 or (indices.min() >= 0 and indices.max() < size)
+    except OverflowError:  # beyond int64, so beyond any shape
+        valid = False
+    if not valid:
+        raise DocumentError(f"{where}: indices must lie in [0, {size}).")
+    return indices
+
+
 def decode_matrix(spec: dict, where: str = "matrix"):
     """Decode a matrix; sparse encodings produce sparse operators."""
     _typed(spec, dict, where)
@@ -106,8 +126,8 @@ def decode_matrix(spec: dict, where: str = "matrix"):
             raise DocumentError(f"{where}: {len(entries)} entries for shape {shape}.")
         return entries.reshape(shape)
     vals = _pairs_to_complex(body.get("vals", []), where)
-    rows = _integers(body.get("rows", []), f"{where}.rows")
-    cols = _integers(body.get("cols", []), f"{where}.cols")
+    rows = _indices(body.get("rows", []), shape[0], f"{where}.rows")
+    cols = _indices(body.get("cols", []), shape[1], f"{where}.cols")
     if not (len(rows) == len(cols) == len(vals)):
         raise DocumentError(f"{where}: rows/cols/vals lengths differ.")
     return sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
@@ -123,7 +143,6 @@ def problem_document(
     implicit: dict | None = None,
     fully_diagonalize: dict[int, np.ndarray] | None = None,
     tol_degeneracy: float | None = None,
-    retention: str = "keep",
 ) -> dict:
     """Assemble a problem document from in-memory operators."""
     orders = sorted(perturbations)
@@ -157,9 +176,8 @@ def problem_document(
             str(label): np.asarray(mask, dtype=bool).tolist()
             for label, mask in fully_diagonalize.items()
         }
-    doc["options"] = {"retention": retention}
     if tol_degeneracy is not None:
-        doc["options"]["tol_degeneracy"] = float(tol_degeneracy)
+        doc["options"] = {"tol_degeneracy": float(tol_degeneracy)}
     return doc
 
 
@@ -267,18 +285,15 @@ def load_problem(path, tol_override: float | None = None) -> tuple[PerturbationP
             raise DocumentError(
                 f"{path}: fully_diagonalize is not supported in implicit mode."
             )
-        body = _typed(subspaces["implicit"], dict, f"{path}: subspaces.implicit")
-        vectors = decode_matrix(
-            body.get("explicit_vectors"), "subspaces.implicit.explicit_vectors"
-        )
+        where = "subspaces.implicit"
+        body = _typed(subspaces["implicit"], dict, f"{path}: {where}")
+        vectors = body.get("explicit_vectors")
+        vectors = decode_matrix(vectors, f"{where}.explicit_vectors")
         if sparse.issparse(vectors):
             vectors = vectors.toarray()
+        energies = _reals(body.get("eigenvalues", []), f"{path}: {where}.eigenvalues")
         problem = build_extended_problem(
-            h0,
-            perturbations,
-            vectors,
-            np.asarray(body.get("eigenvalues", []), dtype=float),
-            param_names=param_names,
+            h0, perturbations, vectors, energies, param_names=param_names
         )
     else:
         raise DocumentError(f"{path}: unknown subspace definition.")

@@ -208,10 +208,6 @@ class BlockSeries:
         """Keys of all memoized entries."""
         return set(self._data)
 
-    def clear(self):
-        """Drop all memoized entries (retention control)."""
-        self._data.clear()
-
     def _check_key(self, key):
         i, j = key[:2]
         if not (0 <= i < self.shape[0] and 0 <= j < self.shape[1]):
@@ -301,21 +297,17 @@ def contract(left, right, block, order, counter, *, hermitian=False):
 def cauchy_product(
     left: BlockSeries,
     right: BlockSeries,
-    *more: BlockSeries,
+    *,
     name: str = "product",
     counter: OperationCounter | None = None,
 ) -> BlockSeries:
     """Block-contracting Cauchy product of two series.
 
     Each entry is made by `contract`, which tallies every product in
-    ``counter``. Further factors fold to the right, ``left (right ...)``, as
-    a nested product would; the library itself always nests explicitly.
+    ``counter``. A product of three factors is nested, ``a (b c)``.
     """
     if counter is None:
         counter = OperationCounter()
-    if more:
-        name_right = "·".join(f.name for f in (right, *more))
-        right = cauchy_product(right, *more, name=name_right, counter=counter)
     if left.shape[1] != right.shape[0]:
         raise ValueError(f"Block shape mismatch: {left.shape} @ {right.shape}.")
     if left.n_params != right.n_params:

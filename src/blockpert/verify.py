@@ -1,9 +1,13 @@
 """Invariant suite: unitarity, cancellation, similarity, and oracle checks.
 
-Used by the command-line ``verify`` subcommand and by tests. All checks
-reconstruct their targets independently of the recurrences under test: the
-similarity check multiplies out the Cauchy triple product, and the
-Schrieffer-Wolff check uses the order-by-order ``exp(S)`` oracle.
+Used by the command-line ``verify`` subcommand and by tests. The checks share
+no code with the engine they test. Each order of ``U``, ``U†``, ``H`` and
+``H̃`` up to the total order checked becomes one full matrix, and ``(U†U)_n``
+and ``(U†(HU))_n`` are Cauchy sums of plain matrix products over the orders
+``m <= n``. A sum is rounded by about the machine epsilon times the largest
+term it adds, so the deviation of order ``n`` may reach the check's
+tolerance times that largest entry (at least 1). The Schrieffer-Wolff check
+compares with the order-by-order ``exp(S)`` oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import numpy as np
 from blockpert.diagonalization import DiagonalizationResult, block_diagonalize
 from blockpert.operators import Zero, to_array
 from blockpert.oracles import sw_reference
-from blockpert.series import cauchy_product
 
 __all__ = ["CheckResult", "run_verification", "orders_with_total_up_to"]
 
@@ -25,6 +28,18 @@ SIMILARITY_TOL = 1e-12
 CANCELLATION_TOL = 1e-12
 SW_TOL = 1e-10
 GAUGE_TOL = 1e-12
+
+# Tolerance and report of each numerical check, in report order.
+_NUMERICAL = {
+    "unitarity": (UNITARITY_TOL, "max |(U†U)_n - δ_n| = {:.3e} for orders <= {}"),
+    "similarity": (SIMILARITY_TOL, "max |(U†HU)_n - H̃_n| = {:.3e}"),
+    "cancellation": (CANCELLATION_TOL, "max remaining part of U†HU = {:.3e}"),
+    "sw-equivalence": (SW_TOL, "max deviation from exp(S) oracle = {:.3e}"),
+    "gauge-structure": (
+        GAUGE_TOL,
+        "Hermitian diagonal / antihermitian off-diagonal defect = {:.3e}",
+    ),
+}
 
 
 @dataclass
@@ -46,9 +61,46 @@ def orders_with_total_up_to(n_params: int, max_total: int):
             yield order
 
 
-def _block_array(series, problem, i, j, order):
-    shape = (problem.block_sizes[i], problem.block_sizes[j])
-    return to_array(series.get((i, j), order), shape)
+def _largest(matrix) -> float:
+    return float(np.max(np.abs(matrix)))
+
+
+def _full_matrices(get, ranges, orders) -> dict:
+    """``{order: full matrix}`` from a block getter ``get(block, order)``,
+    with ``0.0`` where every block of the order is a structural zero."""
+    matrices = {}
+    for order in orders:
+        full = 0.0
+        for (i, rows), (j, cols) in cartesian(enumerate(ranges), repeat=2):
+            block = get((i, j), order)
+            if isinstance(block, Zero):
+                continue
+            if np.isscalar(full):
+                full = np.zeros((ranges[-1].stop,) * 2, dtype=np.complex128)
+            full[rows, cols] = to_array(block, full[rows, cols].shape)
+        matrices[order] = full
+    return matrices
+
+
+def _cauchy(left: dict, right: dict, order) -> tuple:
+    """Order ``order`` of the product of two per-order matrix series, and
+    the largest entry of the terms summed into it. A scalar stands for that
+    multiple of the identity."""
+    total, largest = 0.0, 0.0
+    for m in cartesian(*(range(n + 1) for n in order)):
+        a, b = left[m], right[tuple(n - k for n, k in zip(order, m))]
+        term = a * b if np.isscalar(a) or np.isscalar(b) else a @ b
+        total, largest = total + term, max(largest, _largest(term))
+    return total, largest
+
+
+def _check(name, deviations, max_order) -> CheckResult:
+    """Pass when each ``(deviation, scale)`` pair of the check has
+    ``deviation <= tolerance * max(1, scale)``; report the worst deviation."""
+    tolerance, detail = _NUMERICAL[name]
+    worst = max((d for d, _ in deviations[name]), default=0.0)
+    passed = all(d <= tolerance * max(1.0, s) for d, s in deviations[name])
+    return CheckResult(name, passed, detail.format(worst, max_order), value=worst)
 
 
 def run_verification(
@@ -57,168 +109,59 @@ def run_verification(
     """Run the invariant suite up to a total order on one problem."""
     if result is None:
         result = block_diagonalize(problem)
-    b = problem.n_blocks
-    checks = []
+    splits = np.cumsum((0, *problem.block_sizes))
+    ranges = [slice(a, b) for a, b in zip(splits, splits[1:])]
+    checked = list(orders_with_total_up_to(problem.n_params, max_order))
+    orders = [problem.zero_order(), *checked]
+    u = _full_matrices(result.u.get, ranges, orders)
+    u_adjoint = _full_matrices(result.u_adjoint.get, ranges, orders)
+    h = _full_matrices(lambda block, n: problem.block(*block, n), ranges, orders)
+    h_tilde = _full_matrices(result.h_tilde.get, ranges, checked)
+    for series in (u, u_adjoint):  # products with an identity cost nothing
+        if np.array_equal(series[orders[0]], np.eye(splits[-1])):
+            series[orders[0]] = 1.0
+    h_u, inner = {}, {}
+    for n in orders:
+        h_u[n], inner[n] = _cauchy(h, u, n)
+    # Elements that the transformation must cancel, whole blocks or masked.
+    remaining = np.ones((splits[-1],) * 2, dtype=bool)
+    for i, rows in enumerate(ranges):
+        mask = problem.rule.remaining_mask((i, i))
+        remaining[rows, rows] = False if mask is None else mask
 
-    scale = max(
-        1.0,
-        max(
-            (float(np.max(np.abs(e))) for e in problem.eigenvalues if e is not None),
-            default=1.0,
-        ),
+    deviations = {name: [] for name in _NUMERICAL}
+    for n in checked:
+        identity, largest = _cauchy(u_adjoint, u, n)
+        deviations["unitarity"].append((_largest(identity), largest))
+        transformed, largest = _cauchy(u_adjoint, h_u, n)
+        largest = max(largest, inner[n])  # (HU)_n's terms enter through U†_0
+        deviations["similarity"].append((_largest(transformed - h_tilde[n]), largest))
+        deviations["cancellation"].append((_largest(transformed * remaining), largest))
+    pairs = cartesian(checked, cartesian(range(problem.n_blocks), repeat=2))
+    structural = all(
+        isinstance(result.h_tilde.get(ij, n), Zero) for n, ij in pairs if ij[0] != ij[1]
     )
+    names = list(_NUMERICAL)
+    checks = [_check(name, deviations, max_order) for name in names[:3]]
+    zeros = "off-diagonal blocks of H̃ are structural zeros"
+    checks.append(CheckResult("structural-zeros", structural, zeros))
+    if problem.n_blocks != 2 or problem.rule.masks or problem.implicit:
+        return checks
 
-    # Unitarity: (U^H U)_n vanishes for every n > 0.
-    identity_product = cauchy_product(result.u_adjoint, result.u, name="U†U")
-    worst = 0.0
-    for order in orders_with_total_up_to(problem.n_params, max_order):
-        for i in range(b):
-            for j in range(b):
-                value = _block_array(identity_product, problem, i, j, order)
-                worst = max(worst, float(np.max(np.abs(value))))
-    checks.append(
-        CheckResult(
-            "unitarity",
-            worst <= UNITARITY_TOL,
-            f"max |(U†U)_n - δ_n| = {worst:.3e} for orders <= {max_order}",
-            value=worst,
-        )
+    # Two whole blocks: the exp(S) oracle and the gauge of U. An order may
+    # deviate by the tolerance times the largest entry of what it compares.
+    h_ref, u_ref, _ = sw_reference(
+        np.concatenate(problem.eigenvalues),
+        {n: h[n] for n in checked if not np.isscalar(h[n])},
+        problem.block_sizes[0],
+        (max_order,) * problem.n_params,
     )
-
-    # Similarity and cancellation from the reconstructed triple product.
-    transformed = cauchy_product(
-        result.u_adjoint,
-        cauchy_product(result.context["H"], result.u, name="H·U"),
-        name="U†HU",
-    )
-    similarity = 0.0
-    cancellation = 0.0
-    for order in orders_with_total_up_to(problem.n_params, max_order):
-        for i in range(b):
-            for j in range(b):
-                reconstructed = _block_array(transformed, problem, i, j, order)
-                effective = _block_array(result.h_tilde, problem, i, j, order)
-                similarity = max(
-                    similarity, float(np.max(np.abs(reconstructed - effective)))
-                )
-                remaining_mask = problem.rule.remaining_mask((i, j))
-                if i != j:
-                    cancellation = max(
-                        cancellation, float(np.max(np.abs(reconstructed)))
-                    )
-                elif remaining_mask is not None:
-                    cancellation = max(
-                        cancellation,
-                        float(np.max(np.abs(reconstructed * remaining_mask))),
-                    )
-    checks.append(
-        CheckResult(
-            "similarity",
-            similarity <= SIMILARITY_TOL * scale,
-            f"max |(U†HU)_n - H̃_n| = {similarity:.3e}",
-            value=similarity,
-        )
-    )
-    checks.append(
-        CheckResult(
-            "cancellation",
-            cancellation <= CANCELLATION_TOL * scale,
-            f"max remaining part of U†HU = {cancellation:.3e}",
-            value=cancellation,
-        )
-    )
-
-    # Structural cancellation: the engine never materializes remaining parts
-    # of whole blocks.
-    structural = True
-    for order in orders_with_total_up_to(problem.n_params, max_order):
-        for i in range(b):
-            for j in range(b):
-                if i != j and not isinstance(
-                    result.h_tilde.get((i, j), order), Zero
-                ):
-                    structural = False
-    checks.append(
-        CheckResult(
-            "structural-zeros",
-            structural,
-            "off-diagonal blocks of H̃ are structural zeros",
-        )
-    )
-
-    if b == 2 and not problem.rule.masks and not problem.implicit:
-        checks.extend(_two_block_checks(problem, result, max_order))
-    return checks
-
-
-def _two_block_checks(problem, result, max_order):
-    """Gauge structure and exp(S) equivalence, two whole blocks only."""
-    checks = []
-    n_a = problem.block_sizes[0]
-    energies = np.concatenate(problem.eigenvalues)
-    perturbations = {}
-    splits = (slice(0, n_a), slice(n_a, problem.dimension))
-    for (i, j, order), block in problem.blocks.items():
-        if not any(order):
-            continue
-        full = perturbations.setdefault(
-            order, np.zeros((problem.dimension,) * 2, dtype=np.complex128)
-        )
-        full[splits[i], splits[j]] = to_array(block)
-    max_orders = (max_order,) * problem.n_params
-    h_ref, u_ref, _ = sw_reference(energies, perturbations, n_a, max_orders)
-
-    worst_h = worst_u = worst_gauge = 0.0
-    for order in orders_with_total_up_to(problem.n_params, max_order):
-        reference_h = h_ref.get(order)
-        reference_u = u_ref.get(order)
-        for i in range(2):
-            for j in range(2):
-                engine_h = _block_array(result.h_tilde, problem, i, j, order)
-                engine_u = _block_array(result.u, problem, i, j, order)
-                if reference_h is not None:
-                    worst_h = max(
-                        worst_h,
-                        float(
-                            np.max(
-                                np.abs(engine_h - reference_h[splits[i], splits[j]])
-                            )
-                        ),
-                    )
-                if reference_u is not None:
-                    worst_u = max(
-                        worst_u,
-                        float(
-                            np.max(
-                                np.abs(engine_u - reference_u[splits[i], splits[j]])
-                            )
-                        ),
-                    )
-        diag_aa = _block_array(result.u, problem, 0, 0, order)
-        diag_bb = _block_array(result.u, problem, 1, 1, order)
-        off_ab = _block_array(result.u, problem, 0, 1, order)
-        off_ba = _block_array(result.u, problem, 1, 0, order)
-        worst_gauge = max(
-            worst_gauge,
-            float(np.max(np.abs(diag_aa - diag_aa.conj().T))),
-            float(np.max(np.abs(diag_bb - diag_bb.conj().T))),
-            float(np.max(np.abs(off_ab + off_ba.conj().T))),
-        )
-    checks.append(
-        CheckResult(
-            "sw-equivalence",
-            max(worst_h, worst_u) <= SW_TOL,
-            f"max deviation from exp(S) oracle = {max(worst_h, worst_u):.3e}",
-            value=max(worst_h, worst_u),
-        )
-    )
-    checks.append(
-        CheckResult(
-            "gauge-structure",
-            worst_gauge <= GAUGE_TOL,
-            f"Hermitian diagonal / antihermitian off-diagonal defect = "
-            f"{worst_gauge:.3e}",
-            value=worst_gauge,
-        )
-    )
-    return checks
+    for n in checked:
+        for engine, reference in ((h_tilde[n], h_ref), (u[n], u_ref)):
+            reference = reference.get(n, 0.0)
+            scale = max(_largest(engine), _largest(reference))
+            deviations["sw-equivalence"].append((_largest(engine - reference), scale))
+        x = np.asarray(u[n])
+        defect = np.where(remaining, x + x.conj().T, x - x.conj().T)
+        deviations["gauge-structure"].append((_largest(defect), _largest(x)))
+    return checks + [_check(name, deviations, max_order) for name in names[3:]]

@@ -234,7 +234,7 @@ def test_criterion_8_selective_diagonalization():
     )
     result = block_diagonalize(problem)
     transformed = cauchy_product(
-        result.u_adjoint, result.context["H"], result.u, name="U†HU"
+        result.u_adjoint, cauchy_product(result.context["H"], result.u), name="U†HU"
     )
     worst_unmasked = 0.0
     masked_norm = 0.0

@@ -639,17 +639,6 @@ def test_identity_pair_shares_no_writeable_buffer():
     assert observed.flags.writeable
 
 
-def test_retention_discard_clears_intermediates():
-    energies, perturbations, labels = random_two_block(2, 3, seed=11)
-    problem = PerturbationProblem.from_diagonal(energies, perturbations, labels)
-    result = block_diagonalize(problem)
-    value = result.h_tilde.get((0, 0), (2,))
-    result.clear_intermediates()
-    assert not isinstance(value, Zero)
-    assert result.context["V"].stored_keys() == set()
-    assert result.h_tilde.stored_keys()  # outputs are kept
-
-
 def test_rejects_non_hermitian_inputs():
     with pytest.raises(ValueError, match="Hermitian"):
         PerturbationProblem.from_diagonal(

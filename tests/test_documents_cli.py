@@ -27,6 +27,17 @@ def document_path(tmp_path, doc, name="problem.json"):
     return str(path)
 
 
+def sparse_entry(rows, cols):
+    """A sparse 5x5 perturbation with one entry per index pair."""
+    vals = [[1.0, 0.0]] * len(rows)
+    return {"sparse": {"shape": [5, 5], "rows": rows, "cols": cols, "vals": vals}}
+
+
+def implicit_subspace(eigenvalues):
+    vectors = encode_matrix(np.eye(5)[:, :1])
+    return {"implicit": {"explicit_vectors": vectors, "eigenvalues": eigenvalues}}
+
+
 def two_block_document(seed=0, **kwargs):
     energies, perturbations, labels = random_two_block(2, 3, seed=seed)
     return problem_document(
@@ -92,6 +103,30 @@ def test_schema_violations(tmp_path, mutate, message):
         (lambda d: d.update(param_names=["a", "b"]), "param_names"),
         (lambda d: d.update(options=[1]), "options"),
         (lambda d: d.update(options={"tol_degeneracy": True}), "tol_degeneracy"),
+        (
+            lambda d: d["perturbations"][0].update(matrix=sparse_entry([7], [0])),
+            "perturbations[0].sparse.rows",
+        ),
+        (
+            lambda d: d["perturbations"][0].update(matrix=sparse_entry([-1], [0])),
+            "perturbations[0].sparse.rows",
+        ),
+        (
+            lambda d: d["perturbations"][0].update(matrix=sparse_entry([0], [5])),
+            "perturbations[0].sparse.cols",
+        ),
+        (
+            lambda d: d["perturbations"][0].update(matrix=sparse_entry([0], [2**70])),
+            "perturbations[0].sparse.cols",
+        ),
+        (
+            lambda d: d.update(subspaces=implicit_subspace(["a"])),
+            "subspaces.implicit.eigenvalues",
+        ),
+        (
+            lambda d: d.update(subspaces=implicit_subspace([True])),
+            "subspaces.implicit.eigenvalues",
+        ),
     ],
 )
 def test_malformed_documents_exit_2(tmp_path, mutate, field, capsys):
@@ -103,6 +138,14 @@ def test_malformed_documents_exit_2(tmp_path, mutate, field, capsys):
     captured = capsys.readouterr()
     assert field in captured.err
     assert captured.out == ""
+
+
+def test_options_that_nothing_reads_are_ignored(tmp_path):
+    """Documents of older versions may carry options that are no longer read."""
+    doc = two_block_document()
+    doc["options"] = {"obsolete": "discard"}
+    problem, _ = load_problem(document_path(tmp_path, doc))
+    assert problem.n_blocks == 2
 
 
 def test_invalid_json_reports_location(tmp_path):
@@ -455,20 +498,6 @@ def test_cli_rejects_bad_blocks(tmp_path, command, block, message, capsys):
     argv = [command, "--input", path, "--max-order", "2", "--block", *block]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
-
-
-def test_cli_retention_discard_writes_the_same_entries(tmp_path):
-    path = document_path(tmp_path, two_block_document())
-    payloads = {}
-    for retention in ("keep", "discard"):
-        out = str(tmp_path / f"{retention}.json")
-        argv = ["diagonalize", "--input", path, "--max-order", "4", "--output", out]
-        argv += ["--block", "0", "0", "--block", "1", "1", "--retention", retention]
-        assert main(argv) == 0
-        payloads[retention] = json.load(open(out))["entries"]
-    assert payloads["discard"] == payloads["keep"]
-    bogus = document_path(tmp_path, two_block_document(retention="bogus"), "bogus.json")
-    assert main(["diagonalize", "--input", bogus, "--order", "1"]) == 3
 
 
 def test_cli_spectrum_in_chunks_writes_the_one_chunk_csv(tmp_path, monkeypatch):

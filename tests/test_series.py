@@ -290,8 +290,8 @@ def _dense_polynomial_product(left, right):
 def test_cauchy_product_matches_dense_polynomial_product(
     n_params, sizes, n_factors, max_total, zero_fraction, seed
 ):
-    """Products of random block series with structural zeros against full
-    matrices; the n-ary fold equals the nested binary products exactly."""
+    """Nested binary products of random block series with structural zeros
+    against full matrices."""
     rng = np.random.default_rng(seed)
     b = len(sizes)
     splits = np.cumsum([0] + sizes)
@@ -322,20 +322,16 @@ def test_cauchy_product_matches_dense_polynomial_product(
     reference = dense[0]
     for full in dense[1:]:
         reference = _dense_polynomial_product(reference, full)
-    folded = cauchy_product(*series)
     nested = series[-1]
     for factor in reversed(series[:-1]):
         nested = cauchy_product(factor, nested)
 
     for (i, j), order in cartesian(cartesian(range(b), repeat=2), orders):
         expected = reference[order][splits[i] : splits[i + 1], splits[j] : splits[j + 1]]
-        value = folded.get((i, j), order)
-        twin = nested.get((i, j), order)
+        value = nested.get((i, j), order)
         if isinstance(value, Zero):
-            assert isinstance(twin, Zero)
             assert not np.any(expected)
         else:
-            np.testing.assert_array_equal(value, twin)
             np.testing.assert_allclose(value, expected, rtol=1e-12, atol=1e-12)
 
 
