@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from itertools import product as cartesian
 from math import factorial
+from operator import sub
 
 import numpy as np
 
@@ -28,55 +29,27 @@ __all__ = [
 ]
 
 
-def _orders_up_to(max_orders):
-    return cartesian(*(range(n + 1) for n in max_orders))
+def _cauchy(n, s, other, product):
+    """Order ``n`` of ``sum_m product(S_m, other_{n-m})`` in the stored order of
+    ``S``; only ``m <= n`` meet a key of ``other``. None when no term is present."""
+    total = None
+    for m, s_m in s.items():
+        if (rest := tuple(map(sub, n, m))) in other:
+            term = product(s_m, other[rest])
+            total = term if total is None else total + term
+    return total
 
 
-def _series_add(target: dict, other: dict, factor: complex = 1.0):
-    for order, term in other.items():
-        if order in target:
-            target[order] = target[order] + factor * term
-        else:
-            target[order] = factor * term
-
-
-def _series_mul(a: dict, b: dict, max_orders) -> dict:
-    """Cauchy product of dense series dictionaries, truncated."""
-    result: dict = {}
-    for m, left in a.items():
-        for p, right in b.items():
-            n = tuple(x + y for x, y in zip(m, p))
-            if any(x > y for x, y in zip(n, max_orders)):
-                continue
-            term = left @ right
-            if n in result:
-                result[n] = result[n] + term
-            else:
-                result[n] = term
-    return result
-
-
-def _commutator(a: dict, b: dict, max_orders) -> dict:
-    result = _series_mul(a, b, max_orders)
-    _series_add(result, _series_mul(b, a, max_orders), -1.0)
-    return result
-
-
-def sw_reference(
-    h0,
-    perturbations: dict[tuple[int, ...], np.ndarray],
-    n_a: int,
-    max_orders: tuple[int, ...],
-    *,
-    commutator_depth: int | None = None,
-):
+def sw_reference(h0, perturbations: dict, n_a: int, max_orders: tuple[int, ...]):
     """Order-by-order Schrieffer-Wolff transformation for two blocks.
 
-    Constructs the antihermitian, block off-diagonal generator series ``S``
-    by requiring that the off-diagonal block of the transformed Hamiltonian
-    vanishes at every order; each order takes one Sylvester solve in the
-    eigenbasis. The effective Hamiltonian is then the truncated nested
-    commutator sum ``sum_j [H, S]^(j) / j!``.
+    Visits the orders by increasing total order and computes each once:
+    order ``n`` of the ``j``-fold commutator ``[...[H, S], ..., S]`` needs
+    only ``S_m`` with ``m <= n``, and meets ``S_n`` only in ``[H_0, S_n]``,
+    so the antihermitian, block off-diagonal ``S_n`` that cancels the
+    off-diagonal block of ``H̃_n = sum_j [H, S]^(j)_n / j!`` is one division
+    by the energy gaps. ``j`` ends at the total order of ``n``, exactly,
+    because ``S`` has no zeroth-order term.
 
     Parameters
     ----------
@@ -84,78 +57,74 @@ def sw_reference(
         Unperturbed operator, diagonal, with the first ``n_a`` states in the
         A block and the rest in B, and no degeneracies across the blocks.
     perturbations :
-        Hermitian perturbation terms keyed by order multi-index.
+        Hermitian perturbation terms keyed by order multi-index; terms of
+        orders outside ``max_orders`` are ignored.
     n_a :
         Dimension of the A block.
     max_orders :
         Componentwise maximum orders to construct.
-    commutator_depth :
-        Nested commutator truncation depth; defaults to the total order,
-        which is exact because ``S`` has no zeroth-order term.
 
     Returns
     -------
     h_tilde, u, s : dict
         Series of the effective Hamiltonian, of ``U = exp(S)``, and of the
-        generator, keyed by order multi-index.
+        generator, keyed by order multi-index. Orders with no term are
+        absent, and no order depends on ``max_orders``.
     """
     h0 = np.asarray(h0, dtype=np.complex128)
-    if h0.ndim == 2:
-        h0 = np.diag(h0)
-    energies = np.real(h0)
-    n = len(energies)
-    k = len(max_orders)
-    zero_order = (0,) * k
-    total_order = sum(max_orders)
-    if commutator_depth is None:
-        commutator_depth = total_order
-
+    h0 = np.diag(h0) if h0.ndim == 2 else h0
+    n = len(h0)
     offdiag = np.zeros((n, n), dtype=bool)
-    offdiag[:n_a, n_a:] = True
-    offdiag[n_a:, :n_a] = True
-    gaps = energies[:, None] - energies[None, :]
+    offdiag[:n_a, n_a:] = offdiag[n_a:, :n_a] = True
+    gaps = np.real(h0[:, None] - h0[None, :])
     if np.any(offdiag & (np.abs(gaps) < 1e-12)):
         raise ValueError("Degenerate denominators across the blocks.")
     safe_gaps = np.where(offdiag, gaps, 1.0)
 
-    h_series = {zero_order: np.diag(h0.astype(np.complex128))}
-    for order, term in perturbations.items():
-        h_series[order] = np.asarray(term, dtype=np.complex128)
+    zero_order = (0,) * len(max_orders)
+    orders = sorted(cartesian(*(range(m + 1) for m in max_orders)), key=sum)[1:]
+    h_series = {zero_order: np.diag(h0)}
+    for order in orders:
+        if order in perturbations:
+            h_series[order] = np.asarray(perturbations[order], dtype=np.complex128)
 
-    s_series: dict = {}
+    def commutator(s_m, x):
+        return x @ s_m - s_m @ x
 
-    def transformed(max_orders, depth):
-        """Nested commutator sum with the current generator."""
-        result = dict(h_series)
-        nested = dict(h_series)
-        for j in range(1, depth + 1):
-            nested = _commutator(nested, s_series, max_orders)
-            _series_add(result, nested, 1.0 / factorial(j))
-        return result
+    # nested[j][n]: order n of the j-fold commutator [...[H, S], ..., S].
+    nested = [h_series] + [{} for _ in range(sum(max_orders))]
+    h_tilde = {zero_order: h_series[zero_order]}
+    s: dict = {}
+    for order in orders:
+        residual = h_series.get(order)
+        for j in range(1, sum(order) + 1):
+            term = _cauchy(order, s, nested[j - 1], commutator)
+            if term is not None:
+                nested[j][order] = term
+                term = term / factorial(j)
+                residual = term if residual is None else residual + term
+        if residual is None:
+            continue
+        if np.any(residual * offdiag):
+            # [H_0, S_n] cancels the off-diagonal residual.
+            s[order] = np.where(offdiag, -residual / safe_gaps, 0.0)
+            nested[1][order] = nested[1].get(order, 0) + gaps * s[order]
+        h_tilde[order] = np.where(offdiag, 0.0, residual)
 
-    # Build S order by order, by increasing total order.
-    by_total: dict[int, list] = {}
-    for order in _orders_up_to(max_orders):
-        by_total.setdefault(sum(order), []).append(order)
-    for total in range(1, total_order + 1):
-        for order in by_total.get(total, []):
-            partial = transformed(order, commutator_depth)
-            residual = partial.get(order)
-            if residual is None:
-                continue
-            residual = residual * offdiag
-            if not np.any(residual):
-                continue
-            # Cancel the residual with [H_0, S_order].
-            s_series[order] = np.where(offdiag, -residual / safe_gaps, 0.0)
-
-    h_tilde = transformed(max_orders, commutator_depth)
+    # U_n = sum_j P^j_n / j!, with P^j_n = sum_m S_m P^(j-1)_(n-m).
     u = {zero_order: np.eye(n, dtype=np.complex128)}
-    power = {zero_order: np.eye(n, dtype=np.complex128)}
-    for j in range(1, total_order + 1):
-        power = _series_mul(power, s_series, max_orders)
-        _series_add(u, power, 1.0 / factorial(j))
-    return h_tilde, u, s_series
+    power = dict(u)
+    for j in range(1, sum(max_orders) + 1):
+        power = {
+            order: term
+            for order in orders
+            if (term := _cauchy(order, s, power, np.matmul)) is not None
+        }
+        if not power:
+            break
+        for order, term in power.items():
+            u[order] = u.get(order, 0) + term / factorial(j)
+    return h_tilde, u, s
 
 
 def _as_dense_matrix(operator) -> np.ndarray:
@@ -166,13 +135,9 @@ def _as_dense_matrix(operator) -> np.ndarray:
 
 def exact_spectrum(h0, perturbations, values) -> np.ndarray:
     """Ascending eigenvalues of the assembled operator at parameter values."""
-    if hasattr(h0, "toarray"):
-        total = h0.toarray().astype(np.complex128)
-    else:
-        total = np.asarray(h0, dtype=np.complex128)
-        if total.ndim == 1:
-            total = np.diag(total)
-    total = total.copy()
+    total = _as_dense_matrix(h0)
+    if total.ndim == 1:
+        total = np.diag(total)
     values = np.asarray(values, dtype=float)
     for order, term in perturbations.items():
         order = (order,) if isinstance(order, int) else tuple(order)

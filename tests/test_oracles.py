@@ -10,7 +10,7 @@ from blockpert.oracles import (
     reference_count_benchmark,
     sw_reference,
 )
-from blockpert.problems import random_two_block
+from blockpert.problems import bilayer_graphene_problem, random_two_block
 
 
 def test_sw_zero_perturbation():
@@ -21,6 +21,11 @@ def test_sw_zero_perturbation():
     assert s == {}
     np.testing.assert_array_equal(u[(0,)], np.eye(2))
     assert all(not np.any(u.get((n,), 0)) for n in range(1, 4))
+
+
+def test_sw_cross_block_degeneracy_raises():
+    with pytest.raises(ValueError, match="Degenerate denominators"):
+        sw_reference(np.array([0.0, 0.0]), {(1,): np.ones((2, 2))}, 1, (2,))
 
 
 def test_sw_second_order_textbook():
@@ -35,17 +40,23 @@ def test_sw_second_order_textbook():
     np.testing.assert_allclose(s1, -s1.conj().T)
 
 
-def test_sw_commutator_depth_insensitive(rng):
-    """Deeper nested commutators do not change computed orders."""
-    energies, perturbations, labels = random_two_block(2, 3, seed=21)
-    shallow, _, _ = sw_reference(energies, perturbations, 2, (4,))
-    deep, _, _ = sw_reference(
-        energies, perturbations, 2, (4,), commutator_depth=7
-    )
-    for order in range(5):
-        np.testing.assert_allclose(
-            shallow[(order,)], deep[(order,)], atol=1e-13
-        )
+def test_sw_orders_do_not_depend_on_the_box():
+    """A smaller box computes the same orders bitwise, and none outside it."""
+    model = bilayer_graphene_problem()
+    basis = np.hstack([model.vectors_low, model.vectors_high])
+    h0 = np.real(np.diag(basis.conj().T @ model.h0 @ basis))
+    perturbations = {
+        order: basis.conj().T @ term @ basis
+        for order, term in model.perturbations.items()
+    }
+    box = (2, 2, 1)
+    small = sw_reference(h0, perturbations, 2, box)
+    large = sw_reference(h0, perturbations, 2, (4, 4, 4))
+    for series, reference in zip(small, large):
+        in_box = {o for o in reference if all(n <= m for n, m in zip(o, box))}
+        assert set(series) == in_box
+        for order in in_box:
+            assert series[order].tobytes() == reference[order].tobytes(), order
 
 
 def test_sw_unitarity(rng):

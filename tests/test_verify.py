@@ -15,7 +15,7 @@ from blockpert.cli import main
 from blockpert.diagonalization import PerturbationProblem, block_diagonalize
 from blockpert.documents import problem_document, write_document
 from blockpert.operators import to_array
-from blockpert.problems import random_two_block
+from blockpert.problems import bilayer_graphene_problem, random_two_block
 from blockpert.series import BlockSeries
 from blockpert.verify import orders_with_total_up_to, run_verification
 
@@ -59,6 +59,13 @@ def failing(problem, max_order, result):
 def test_correct_results_pass_every_check():
     problem = two_block_problem()
     checks = run_verification(problem, 4)
+    assert [c.name for c in checks] == CHECKS
+    assert all(c.passed for c in checks), [c.line() for c in checks]
+
+
+def test_three_parameters_pass_every_check():
+    """Bilayer graphene: the exp(S) oracle runs with 3 parameters."""
+    checks = run_verification(bilayer_graphene_problem().problem(), 4)
     assert [c.name for c in checks] == CHECKS
     assert all(c.passed for c in checks), [c.line() for c in checks]
 
