@@ -4,14 +4,22 @@ A problem document carries the unperturbed operator (dense or sparse
 coordinate encoding), the perturbations keyed by order multi-index, the
 subspace definition (one of per-state indices, eigenvector groups, or an
 implicit explicit-subspace description), optional elementwise masks, and
-tolerances. Complex scalars are encoded as ``[re, im]`` pairs; floats keep
-full precision through JSON's repr round-trip.
+tolerances.
+
+A matrix body stores its complex values in ``data``: base64 of their
+little-endian ``complex128`` bytes, row-major for a dense matrix and one per
+``rows``/``cols`` index for a sparse one. A matrix with a NaN or infinite
+entry is written as a list of ``[re, im]`` pairs instead (``entries`` dense,
+``vals`` sparse), so that strict JSON writing refuses it; the reader accepts
+either form, so documents of pairs still load.
 """
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import json
+import math
 import sys
 from typing import Any
 
@@ -38,8 +46,14 @@ class DocumentError(ValueError):
     """A document failed to parse or violated the schema."""
 
 
-def _complex_pairs(array: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in array.ravel()]
+def _encode_values(values, pairs_key: str) -> dict:
+    """``{"data": base64}`` of ``values`` as row-major little-endian
+    ``complex128`` bytes, or ``{pairs_key: [[re, im], ...]}`` when one is not
+    finite: base64 would carry NaN past the strict JSON writer."""
+    values = np.asarray(values, dtype="<c16")
+    if not np.isfinite(values).all():
+        return {pairs_key: [[float(z.real), float(z.imag)] for z in values.ravel()]}
+    return {"data": base64.b64encode(values.tobytes()).decode("ascii")}
 
 
 def encode_matrix(matrix) -> dict:
@@ -51,26 +65,43 @@ def encode_matrix(matrix) -> dict:
                 "shape": list(coo.shape),
                 "rows": [int(r) for r in coo.row],
                 "cols": [int(c) for c in coo.col],
-                "vals": _complex_pairs(coo.data.astype(np.complex128)),
+                **_encode_values(coo.data, "vals"),
             }
         }
     dense = np.asarray(matrix, dtype=np.complex128)
-    return {
-        "dense": {
-            "shape": list(dense.shape),
-            "entries": _complex_pairs(dense),
-        }
-    }
+    return {"dense": {"shape": list(dense.shape), **_encode_values(dense, "entries")}}
 
 
-def _pairs_to_complex(pairs, where: str) -> np.ndarray:
+def _decode_values(body: dict, pairs_key: str, shape: tuple, where: str) -> np.ndarray:
+    """The complex values of a matrix body as an array of ``shape``, from its
+    base64 ``data`` or from its ``pairs_key`` list of ``[re, im]`` pairs."""
+    count = math.prod(shape)
+    if "data" not in body:
+        where = f"{where}.{pairs_key}"
+        try:
+            pairs = np.asarray(body.get(pairs_key, []), dtype=float)
+            if pairs.ndim != 2 or pairs.shape[1] != 2:
+                raise ValueError
+        except (TypeError, ValueError):
+            raise DocumentError(f"{where} must be a list of [re, im] pairs.")
+        if len(pairs) != count:
+            raise DocumentError(f"{where}: {len(pairs)} pairs, expected {count}.")
+        return (pairs[:, 0] + 1j * pairs[:, 1]).reshape(shape)
+    if pairs_key in body:
+        raise DocumentError(f"{where}: give 'data' or '{pairs_key}', not both.")
+    data = body["data"]
+    if not isinstance(data, str):
+        raise DocumentError(f"{where}.data must be a base64 string.")
     try:
-        values = np.asarray(pairs, dtype=float)
-        if values.ndim != 2 or values.shape[1] != 2:
-            raise ValueError
-    except (TypeError, ValueError):
-        raise DocumentError(f"{where}: entries must be [re, im] pairs.")
-    return values[:, 0] + 1j * values[:, 1]
+        raw = base64.b64decode(data, validate=True)
+    except ValueError:  # binascii.Error, or text that is not ASCII
+        raise DocumentError(f"{where}.data: invalid base64.")
+    if len(raw) != 16 * count:
+        raise DocumentError(
+            f"{where}.data: {len(raw)} bytes, expected {16 * count} "
+            f"for {count} complex128 values."
+        )
+    return np.frombuffer(raw, "<c16").reshape(shape).astype(np.complex128)
 
 
 def _typed(value, kind: type, where: str):
@@ -121,15 +152,12 @@ def decode_matrix(spec: dict, where: str = "matrix"):
     if len(shape) != 2 or min(shape) < 0:
         raise DocumentError(f"{where}: shape must have two non-negative entries.")
     if kind == "dense":
-        entries = _pairs_to_complex(body.get("entries", []), where)
-        if len(entries) != shape[0] * shape[1]:
-            raise DocumentError(f"{where}: {len(entries)} entries for shape {shape}.")
-        return entries.reshape(shape)
-    vals = _pairs_to_complex(body.get("vals", []), where)
+        return _decode_values(body, "entries", shape, where)
     rows = _indices(body.get("rows", []), shape[0], f"{where}.rows")
     cols = _indices(body.get("cols", []), shape[1], f"{where}.cols")
-    if not (len(rows) == len(cols) == len(vals)):
-        raise DocumentError(f"{where}: rows/cols/vals lengths differ.")
+    if len(rows) != len(cols):
+        raise DocumentError(f"{where}: rows and cols lengths differ.")
+    vals = _decode_values(body, "vals", rows.shape, where)
     return sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
