@@ -44,6 +44,7 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import LinearOperator
 
 from blockpert.operators import (
+    LargeBlockBasis,
     One,
     OperationCounter,
     Zero,
@@ -432,7 +433,11 @@ def _build_series(
     b = rule.n_blocks
     n_params = problem.n_params
     two_block = b == 2 and not rule.masks
-    large = problem.large_blocks
+    # One basis per large block and run; its entries are factored on it.
+    large = {
+        label: LargeBlockBasis(rule.block_sizes[label])
+        for label in problem.large_blocks
+    }
 
     def make(name, eval):
         return BlockSeries(

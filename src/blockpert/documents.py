@@ -86,7 +86,8 @@ def _decode_values(body: dict, pairs_key: str, shape: tuple, where: str) -> np.n
             raise DocumentError(f"{where} must be a list of [re, im] pairs.")
         if len(pairs) != count:
             raise DocumentError(f"{where}: {len(pairs)} pairs, expected {count}.")
-        return (pairs[:, 0] + 1j * pairs[:, 1]).reshape(shape)
+        # A view keeps the sign of zero parts, which ``re + 1j * im`` loses.
+        return np.ascontiguousarray(pairs).view(np.complex128).reshape(shape)
     if pairs_key in body:
         raise DocumentError(f"{where}: give 'data' or '{pairs_key}', not both.")
     data = body["data"]

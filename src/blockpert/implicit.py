@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sla
 
-from blockpert.operators import MatrixFreeOperator
+from blockpert.operators import MatrixFreeOperator, _overlap
 from blockpert.diagonalization import (
     PerturbationProblem,
     _check_operand,
@@ -70,11 +70,6 @@ class DeflationError(ValueError):
 
 class FactorizationError(RuntimeError):
     """A shifted operator could not be factorized, or a solve did not converge."""
-
-
-def _overlap(psi: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``Psi^H x`` as ``conj(Psi^T conj(x))``, with no conjugate copy of ``Psi``."""
-    return (psi.T @ x.conj()).conj()
 
 
 def _project_out(psi: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -30,7 +30,16 @@ from typing import Callable
 
 import numpy as np
 
-from blockpert.operators import OperationCounter, Zero, adjoint, add, matmul, one, zero
+from blockpert.operators import (
+    LargeBlockBasis,
+    OperationCounter,
+    Zero,
+    add,
+    adjoint,
+    matmul,
+    one,
+    zero,
+)
 
 __all__ = [
     "BlockSeries",
@@ -96,8 +105,9 @@ class BlockSeries:
     param_names :
         Optional labels of the perturbative parameters.
     large_blocks :
-        Block labels whose basis is the large implicit space; products
-        landing on such diagonal blocks are kept matrix-free.
+        The `~blockpert.operators.LargeBlockBasis` of each large block, by
+        label: products landing on such a diagonal block are kept factored
+        on its basis, shared by every series of one run.
     """
 
     def __init__(
@@ -108,7 +118,7 @@ class BlockSeries:
         data: dict | None = None,
         name: str = "series",
         param_names: tuple[str, ...] | None = None,
-        large_blocks: frozenset[int] = frozenset(),
+        large_blocks: dict[int, LargeBlockBasis] | None = None,
     ):
         self.eval = eval
         self.shape = shape
@@ -117,7 +127,7 @@ class BlockSeries:
         self.param_names = param_names or tuple(
             f"lambda_{i}" for i in range(n_params)
         )
-        self.large_blocks = large_blocks
+        self.large_blocks = large_blocks or {}
         self._data = {k: _memo_value(v) for k, v in (data or {}).items()}
         self._in_progress: dict[tuple, int] = {}  # key -> evaluating thread
 
@@ -243,10 +253,12 @@ def contract(left, right, block, order, counter, *, hermitian=False):
     over internal blocks ``l`` (outer loop) and orders ``m <= n``, and tallies
     every product in ``counter``. Of each pair the factor at lower total
     order is queried first (the left one on ties); a structural zero skips
-    the other query and the product. ``hermitian`` declares the pair
-    ``(p, m)`` the adjoint of ``(m, p)``, as in ``X†X`` on a diagonal block:
-    only pairs with ``m <= p`` are multiplied, and the ``m < p`` part is
-    added together with its adjoint once.
+    the other query and the product. On a large diagonal block every
+    product gets the block's basis as ``lazy=``, so it stays factored.
+    ``hermitian`` declares the pair ``(p, m)`` the adjoint of ``(m, p)``, as
+    in ``X†X`` on a diagonal block: only pairs with ``m <= p`` are
+    multiplied, and the ``m < p`` part is added together with its adjoint
+    once.
 
     The pairs of an order come from a plan cached per ``(n, hermitian)``.
     Factors are read straight from each series' memo, under the key
@@ -255,8 +267,9 @@ def contract(left, right, block, order, counter, *, hermitian=False):
     product with ``one`` is the stored factor itself.
     """
     i, j = block
-    large = left.large_blocks | right.large_blocks
-    lazy = i in large and j in large
+    lazy = None
+    if i == j:
+        lazy = left.large_blocks.get(i) or right.large_blocks.get(i)
     left_memo, right_memo = left._data.get, right._data.get
     sums = [zero, zero]  # the other pairs, and the m < p half
     products = 0
@@ -322,5 +335,5 @@ def cauchy_product(
         n_params=left.n_params,
         name=name,
         param_names=left.param_names,
-        large_blocks=left.large_blocks | right.large_blocks,
+        large_blocks={**left.large_blocks, **right.large_blocks},
     )

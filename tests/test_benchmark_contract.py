@@ -17,8 +17,9 @@ import scipy.sparse.linalg as sla
 from perfbench import worker
 from perfbench.tracing import Tracer
 
-from blockpert.diagonalization import PerturbationProblem
+from blockpert.diagonalization import PerturbationProblem, block_diagonalize
 from blockpert.implicit import build_extended_problem
+from blockpert.operators import FactoredOperator
 from blockpert.problems import lattice_problem, random_two_block
 
 
@@ -55,3 +56,30 @@ def test_tracer_spans_agree_with_the_engine_counter_implicit():
     layers = tracer.layers()
     assert layers["diagonalization.solve_products"] == result.counter.matmul_count
     assert result.counter.matmul_count > 0
+
+
+def test_memo_bytes_counts_factored_entries_once():
+    """`worker.memo_bytes` of an implicit context is the bytes of the owners
+    of its ndarray entries, plus the shared large-block basis once and the
+    core of every factored entry."""
+    h0, perturbations = lattice_problem(12, seed=1)
+    v0 = np.random.default_rng(1).standard_normal(h0.shape[0])
+    energies, vectors = sla.eigsh(h0, k=4, which="SA", v0=v0)
+    result = block_diagonalize(
+        build_extended_problem(h0, perturbations, vectors, energies)
+    )
+    for order in range(1, 8):
+        result.h_tilde.get((0, 0), (order,))
+    owners, factored = {}, 0
+    for series in result.context.values():
+        for value in series._data.values():
+            if isinstance(value, FactoredOperator):
+                factored += 1
+                value = value.core
+            if isinstance(value, np.ndarray):
+                while isinstance(value.base, np.ndarray):
+                    value = value.base
+                owners[id(value)] = value.nbytes
+    basis = result.h_tilde.large_blocks[1].buffer
+    assert factored > 10 and basis.base is None and id(basis) not in owners
+    assert worker.memo_bytes(result.context) == sum(owners.values()) + basis.nbytes

@@ -101,6 +101,19 @@ def test_decoded_dense_matrices_own_writeable_memory():
     decoded[0, 0] = 2.0
 
 
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+def test_pair_decoder_keeps_signed_zeros(kind):
+    pairs = [[-0.0, 1.0], [1.0, -0.0], [-0.0, -0.0]]
+    expected = np.array([complex(-0.0, 1.0), complex(1.0, -0.0), complex(-0.0, -0.0)])
+    if kind == "dense":
+        spec = {"dense": {"shape": [1, 3], "entries": pairs}}
+    else:
+        spec = {"sparse": {"shape": [1, 3], "rows": [0, 0, 0], "cols": [0, 1, 2], "vals": pairs}}
+    decoded = decode_matrix(spec)
+    values = decoded.tocoo().data if kind == "sparse" else decoded.ravel()
+    np.testing.assert_array_equal(bits(values), bits(expected))
+
+
 # Written by hand in the pair form that every older document uses.
 PAIR_DOCUMENT = {
     "format": 1,

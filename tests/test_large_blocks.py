@@ -1,0 +1,180 @@
+"""Large-block entries stored as ``Q C Qᴴ`` on one shared basis."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+import scipy.sparse as sparse
+
+from blockpert.diagonalization import PerturbationProblem, block_diagonalize
+from blockpert.implicit import build_extended_problem
+from blockpert.operators import (
+    FactoredOperator,
+    LargeBlockBasis,
+    MatrixFreeOperator,
+    add,
+    adjoint,
+    matmul,
+    scale,
+    to_array,
+    zero,
+)
+from blockpert.problems import lattice_problem
+
+
+def thin(rng, rows, columns):
+    return rng.normal(size=(rows, columns)) + 1j * rng.normal(size=(rows, columns))
+
+
+def test_factored_arithmetic_matches_dense(rng):
+    n = 30
+    basis = LargeBlockBasis(n)
+    a, b, c, d = thin(rng, n, 3), thin(rng, 3, n), thin(rng, n, 2), thin(rng, 2, n)
+    first = matmul(a, b, lazy=basis)
+    second = matmul(c, d, lazy=basis)
+    assert type(first) is FactoredOperator and type(second) is FactoredOperator
+    assert basis.width == 10 and basis.dropped == 0
+    q = basis.buffer
+    np.testing.assert_allclose(q.conj().T @ q, np.eye(10), atol=1e-14)
+    dense_first, dense_second = a @ b, c @ d
+    cases = {
+        "product": (first, dense_first),
+        "sum": (add(first, second), dense_first + dense_second),
+        "scale": (scale(first, -0.5j), -0.5j * dense_first),
+        "adjoint": (adjoint(first), dense_first.conj().T),
+        "factored product": (matmul(first, second), dense_first @ dense_second),
+    }
+    for name, (value, expected) in cases.items():
+        assert type(value) is FactoredOperator, name
+        np.testing.assert_allclose(to_array(value), expected, atol=1e-12, err_msg=name)
+    x, y = thin(rng, n, 4), thin(rng, 4, n)
+    np.testing.assert_allclose(matmul(second, x), dense_second @ x, atol=1e-12)
+    np.testing.assert_allclose(matmul(y, second), y @ dense_second, atol=1e-12)
+    np.testing.assert_allclose(second @ x, dense_second @ x, atol=1e-12)
+    np.testing.assert_allclose(second.H @ x, dense_second.conj().T @ x, atol=1e-12)
+    assert basis.width == 10  # applying an entry does not extend the basis
+    assert matmul(first, zero) is zero and add(first, zero) is first
+
+
+def test_operands_in_the_span_are_dropped(rng):
+    n = 20
+    basis = LargeBlockBasis(n)
+    a, b = thin(rng, n, 3), thin(rng, 3, n)
+    matmul(a, b, lazy=basis)
+    # Combinations of known directions add no column.
+    columns, rows = a @ thin(rng, 3, 2), thin(rng, 2, 3) @ b
+    entry = matmul(columns, rows, lazy=basis)
+    assert basis.width == 6 and basis.dropped == 4
+    np.testing.assert_allclose(to_array(entry), columns @ rows, atol=1e-12)
+    # Read-only operands keep their coordinates, completed as the basis grows.
+    frozen = thin(rng, n, 2)
+    frozen.flags.writeable = False
+    before = basis.coordinates(frozen)
+    matmul(thin(rng, n, 1), thin(rng, 1, n), lazy=basis)
+    after = basis.coordinates(frozen)
+    assert after.shape == (basis.width, 2)
+    np.testing.assert_array_equal(after[: len(before)], before)
+    np.testing.assert_allclose(after, basis.buffer.conj().T @ frozen, atol=1e-12)
+
+
+def lattice_pair(width, n_explicit, seed):
+    """Implicit and explicit results of one lattice, with a second-order
+    term added to its perturbation, and the complement basis."""
+    h0, perturbations = lattice_problem(width, seed)
+    onsite = np.random.default_rng(seed).uniform(-0.3, 0.3, h0.shape[0])
+    perturbations[(2,)] = sparse.diags(onsite).tocsr().astype(np.complex128)
+    energies, vectors = np.linalg.eigh(h0.toarray())
+    implicit = block_diagonalize(
+        build_extended_problem(
+            h0, perturbations, vectors[:, :n_explicit], energies[:n_explicit]
+        )
+    )
+    explicit = block_diagonalize(
+        PerturbationProblem.from_eigenvectors(
+            h0.toarray(),
+            {order: term.toarray() for order, term in perturbations.items()},
+            [vectors[:, :n_explicit], vectors[:, n_explicit:]],
+        )
+    )
+    return implicit, explicit, vectors[:, n_explicit:]
+
+
+def test_implicit_matches_explicit_to_order_10():
+    """Orders 1-10 of H̃[0, 0] agree within 1e-10 of each order's largest entry."""
+    implicit, explicit, _ = lattice_pair(14, 4, seed=2)
+    for order in range(1, 11):
+        reference = to_array(explicit.h_tilde.get((0, 0), (order,)), (4, 4))
+        value = to_array(implicit.h_tilde.get((0, 0), (order,)), (4, 4))
+        scale_ = np.max(np.abs(reference))
+        assert np.max(np.abs(value - reference)) <= 1e-10 * scale_, order
+
+
+def test_implicit_complement_block_matches_explicit():
+    """H̃[1, 1] of the implicit run matches the explicit block on the
+    complement basis. At order 2 the projected perturbation, a matrix-free
+    input, meets a factored entry in a sum."""
+    implicit, explicit, complement = lattice_pair(14, 4, seed=2)
+    size = complement.shape[1]
+    for order in range(5):
+        operator = implicit.h_tilde.get((1, 1), (order,))
+        if order == 2:
+            kinds = {type(term) for term in operator.args}
+            assert kinds == {MatrixFreeOperator, FactoredOperator}
+        value = complement.conj().T @ (operator @ complement)
+        reference = to_array(explicit.h_tilde.get((1, 1), (order,)), (size, size))
+        scale_ = max(1.0, np.max(np.abs(reference)))
+        assert np.max(np.abs(value - reference)) <= 1e-10 * scale_, order
+
+
+@pytest.fixture(scope="module")
+def lattice_to_order_10():
+    h0, perturbations = lattice_problem(20, 1)
+    energies, vectors = np.linalg.eigh(h0.toarray())
+    n_explicit = 6
+    problem = build_extended_problem(
+        h0, perturbations, vectors[:, :n_explicit], energies[:n_explicit]
+    )
+    result = block_diagonalize(problem)
+    for order in range(1, 11):
+        result.h_tilde.get((0, 0), (order,))
+    return result, n_explicit
+
+
+def test_large_block_entries_are_factored(lattice_to_order_10):
+    result, n_explicit = lattice_to_order_10
+    basis = result.h_tilde.large_blocks[1]
+    entries = {
+        (name, key): value
+        for name in ("W", "A", "U'†B", "B", "U'", "U'†")
+        for key, value in result.context[name]._data.items()
+        if key[:2] == (1, 1) and value is not zero
+    }
+    assert len(entries) > 30
+    for label, value in entries.items():
+        assert type(value) is FactoredOperator and value.basis is basis, label
+    # Every thin factor of an entry brings at most n_explicit directions.
+    factors = [
+        value
+        for name, block in (("U'†", (1, 0)), ("U'", (0, 1)), ("H'_R", (1, 0)), ("B", (0, 1)))
+        for key, value in result.context[name]._data.items()
+        if key[:2] == block and value is not zero
+    ]
+    assert 0 < basis.width <= n_explicit * len(factors)
+    q = basis.buffer
+    np.testing.assert_allclose(q.conj().T @ q, np.eye(basis.width), atol=1e-13)
+
+
+def test_adjoint_copies_only_the_core(lattice_to_order_10):
+    """``adjoint`` of an entry allocates its small core, nothing of size N."""
+    result, _ = lattice_to_order_10
+    entry = result.context["B"].get((1, 1), (9,))
+    n = entry.shape[0]
+    assert entry.core.shape[0] < n
+    tracemalloc.start()
+    try:
+        partner = adjoint(entry)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= entry.core.nbytes + 4096
+    np.testing.assert_array_equal(partner.core, entry.core.conj().T)
