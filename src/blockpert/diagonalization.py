@@ -132,11 +132,11 @@ class PerturbationProblem:
     ``from_*`` constructors rather than filling fields by hand.
 
     ``eigenvalues`` holds the energies of each block, or ``None`` for the
-    matrix-free complement of an implicit problem, which makes the problem
-    `implicit`. ``tolerance`` is the gap below which two eigenvalues count as
-    degenerate; the explicit constructors default it to
-    `~blockpert.separation.degeneracy_tolerance`, and implicit problems,
-    which carry their own ``solver``, have none.
+    matrix-free complement of an implicit problem. Such a block is one of
+    the `large_blocks`, and makes the problem `implicit`. ``tolerance`` is
+    the gap below which two eigenvalues count as degenerate; the explicit
+    constructors default it to `~blockpert.separation.degeneracy_tolerance`,
+    and implicit problems, which carry their own ``solver``, have none.
     """
 
     eigenvalues: tuple[np.ndarray | None, ...]
@@ -145,13 +145,17 @@ class PerturbationProblem:
     blocks: dict[tuple, Any]
     tolerance: float | None = None
     solver: SylvesterSolver | None = None
-    large_blocks: frozenset[int] = frozenset()
     param_names: tuple[str, ...] | None = None
-    implicit_context: Any = None
+
+    @property
+    def large_blocks(self) -> frozenset[int]:
+        """Labels of the blocks without eigenvalues, whose entries the
+        engine keeps factored on one basis per block."""
+        return frozenset(i for i, e in enumerate(self.eigenvalues) if e is None)
 
     @property
     def implicit(self) -> bool:
-        return any(e is None for e in self.eigenvalues)
+        return bool(self.large_blocks)
 
     @property
     def n_blocks(self) -> int:

@@ -16,6 +16,12 @@ removes the near-kernel direction that the LU amplifies, and refinement
 removes the shift to rounding in about two steps. The LU is real whenever
 the entries of ``H_0`` are, whatever its dtype. The factorizations are made
 eagerly at build time and reused for every order.
+
+The problem states its complement once: its eigenvalues are ``None``, which
+makes block 1 its large block, whose computed entries the engine keeps
+factored on one basis (see `blockpert.operators`). Its ``solver`` is the
+`ShiftedSolverSet` itself, which callers read for the basis, the
+factorizations and the record of every solve.
 """
 
 from __future__ import annotations
@@ -124,6 +130,8 @@ class ShiftedSolverSet:
     error of ``Psi``, and the LU would amplify it by ``1 / shift``; the
     explicit part of the LU's output would do the same through ``H_0``.
     Every solve that reaches the refinement is logged in ``records``.
+    Called as ``solver(rhs, block, order)``, the set is the Sylvester
+    solver of the problem it was built for.
     """
 
     def __init__(self, h0, psi: np.ndarray, energies: np.ndarray):
@@ -156,6 +164,16 @@ class ShiftedSolverSet:
     @property
     def factorization_count(self) -> int:
         return len(self._factors)
+
+    def __call__(self, rhs, block, order):
+        """The problem's Sylvester solver: ``V_01``, one row per state."""
+        if block != (0, 1):
+            raise ValueError(
+                f"Implicit Sylvester solves only apply to block (0, 1), "
+                f"got {block}."
+            )
+        rows = [self.solve_shifted_deflated(i, row) for i, row in enumerate(rhs)]
+        return np.vstack(rows)
 
     def _precondition(self, i: int, column: np.ndarray) -> np.ndarray:
         """``P LU_i^-1 column``, the preconditioned refinement step."""
@@ -214,9 +232,10 @@ def build_extended_problem(
 ) -> PerturbationProblem:
     """Two-block problem with an explicit subspace and a matrix-free rest.
 
-    The problem's ``implicit_context`` is the `ShiftedSolverSet` that its
-    Sylvester solver uses, with the basis, the factorizations and the
-    record of every solve.
+    Block 1, the complement, has no eigenvalues, which makes it the
+    problem's large block. The problem's ``solver`` is a
+    `ShiftedSolverSet`, which holds the explicit basis ``psi``, the
+    factorizations and the ``records`` of every solve.
 
     Parameters
     ----------
@@ -272,24 +291,11 @@ def build_extended_problem(
             blocks[(1, 0, order)] = explicit_to_implicit.conj().T
         blocks[(1, 1, order)] = projected_operator(term, psi)
 
-    solvers = ShiftedSolverSet(h0, psi, energies)
-
-    def solve_sylvester(rhs, block, order):
-        if block != (0, 1):
-            raise ValueError(
-                f"Implicit Sylvester solves only apply to block (0, 1), "
-                f"got {block}."
-            )
-        rows = [solvers.solve_shifted_deflated(i, rhs[i]) for i in range(n_e)]
-        return np.vstack(rows)
-
     return PerturbationProblem(
         eigenvalues=(energies, None),
         rule=SeparationRule((n_e, n)),
         n_params=n_params,
         blocks=blocks,
-        solver=solve_sylvester,
-        large_blocks=frozenset({1}),
+        solver=ShiftedSolverSet(h0, psi, energies),
         param_names=param_names,
-        implicit_context=solvers,
     )

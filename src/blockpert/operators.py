@@ -23,8 +23,10 @@ two ndarrays to numpy before any dispatch: on small blocks the dispatch
 would cost more than the arithmetic. A product of two thin ndarrays that
 lands on a large block, ``matmul(a, b, lazy=basis)``, becomes the core
 ``(Qᴴa)(bQ)``, and products, sums, multiples and adjoints of factored
-entries are those of their cores. Products are counted where the engine
-makes them, into an `OperationCounter`.
+entries are those of their cores. A factored entry is applied to a thin
+ndarray one way per side: ``_matmat`` on columns and
+`FactoredOperator.premultiply` on rows. Products are counted where the
+engine makes them, into an `OperationCounter`.
 """
 
 from __future__ import annotations
@@ -60,19 +62,13 @@ class Zero:
 
     Absorbing element of products and neutral element of sums. It carries no
     entries, so skipping it costs nothing. A single module-level instance
-    ``zero`` is used everywhere.
+    ``zero`` is used everywhere and compared with ``is``.
     """
 
     __slots__ = ()
 
     def __repr__(self):
         return "zero"
-
-    def __eq__(self, other):
-        return isinstance(other, Zero)
-
-    def __hash__(self):
-        return hash(Zero)
 
 
 class One:
@@ -82,12 +78,6 @@ class One:
 
     def __repr__(self):
         return "one"
-
-    def __eq__(self, other):
-        return isinstance(other, One)
-
-    def __hash__(self):
-        return hash(One)
 
 
 zero = Zero()
@@ -136,14 +126,8 @@ class MatrixFreeOperator(LinearOperator):
         self._apply = apply
         self._apply_adjoint = apply_adjoint
 
-    def _matvec(self, v):
-        return self._apply(v.reshape(-1, 1)).ravel()
-
     def _matmat(self, X):
         return self._apply(np.asarray(X, dtype=np.complex128))
-
-    def _rmatmat(self, X):
-        return self._apply_adjoint(np.asarray(X, dtype=np.complex128))
 
     def _adjoint(self):
         return MatrixFreeOperator(self.shape[0], self._apply_adjoint, self._apply)
@@ -172,16 +156,15 @@ DROP_RTOL = 1e-13
 class LargeBlockBasis:
     """Orthonormal basis ``Q`` shared by the entries of one large block.
 
-    Thin operands, ``N x m`` columns or ``m x N`` rows, meet the block in
-    products. Those that form an entry, ``a b`` with ``a`` columns and ``b``
-    rows, first extend ``Q`` by their new directions, found by two-pass
-    block Gram-Schmidt. Of the ``m`` candidate directions of an operand,
-    those below `DROP_RTOL` are dropped and counted in ``dropped``; an
-    operand already in the span drops all ``m``. ``buffer`` is exactly
-    ``N x width``: each extension replaces it by a copy wider by the columns
-    added. Entries read it through this object, so they never pin an old
-    buffer. The coordinates of a read-only operand (a memoized entry) are
-    remembered, and completed when the basis has grown since.
+    An entry ``a b`` is formed from thin operands, ``a`` of ``N x m``
+    columns and ``b`` of ``m x N`` rows. Through `extend`, each operand
+    first adds its new directions to ``Q``, found by two-pass block
+    Gram-Schmidt. Of the ``m`` candidate directions of an operand, those
+    below `DROP_RTOL` are dropped and counted in ``dropped``; an operand
+    already in the span drops all ``m``. ``buffer`` is exactly
+    ``N x width``: each extension replaces it by a copy wider by the
+    columns added. Entries read it through this object, so they never pin
+    an old buffer.
     """
 
     def __init__(self, dimension: int):
@@ -194,24 +177,25 @@ class LargeBlockBasis:
     def width(self) -> int:
         return self.buffer.shape[1]
 
-    def coordinates(self, x: np.ndarray, rows: bool = False, extend: bool = False):
-        """``Qᴴ x`` of columns ``x``, or ``x Q`` of rows ``x``, on all of ``Q``.
+    def extend(self, x: np.ndarray, rows: bool = False) -> np.ndarray:
+        """Take up the new directions of ``x`` in ``Q``; the coordinates
+        ``Qᴴ x`` of columns ``x``, or ``x Q`` of rows ``x``, on all of ``Q``.
 
-        With ``extend``, ``Q`` first takes up the new directions of ``x``.
+        The coordinates of a read-only operand (a memoized entry) are
+        remembered, so that it extends ``Q`` once, and completed when ``Q``
+        has grown since.
         """
-        key = (id(x), rows)  # unique: the entry holds the operand
+        key = (id(x), rows)  # unique: the memo holds the operand
         known = self._known.get(key)
-        if known is not None and (known[1] or not extend):
-            columns, extend, _ = known
+        if known is None:
+            columns = self._extend(x, rows)
+        else:
+            columns = known[0]
             if len(columns) < self.width:
                 rest = _project(self.buffer[:, len(columns) :], x, rows)
                 columns = np.vstack([columns, rest])
-        elif extend:
-            columns = self._extend(x, rows)
-        else:
-            columns = _project(self.buffer, x, rows)
         if not x.flags.writeable:
-            self._known[key] = (columns, extend, x)
+            self._known[key] = (columns, x)
         return columns.conj().T if rows else columns
 
     def _extend(self, x, rows):
@@ -262,9 +246,11 @@ class FactoredOperator(LinearOperator):
 
     ``Q`` is the block's `LargeBlockBasis`, shared by every entry of the
     run, and ``C`` the read-only ``r x c`` core. ``args`` is the basis'
-    current buffer and the core, the arrays the entry holds. The
-    `scipy.sparse.linalg.LinearOperator` actions project on ``Q`` without
-    extending it.
+    current buffer and the core, the arrays the entry holds. Applied to
+    columns (``_matmat``, and through the adjoint every other
+    `scipy.sparse.linalg.LinearOperator` action) or to rows
+    (`premultiply`), an entry costs two thin products with ``Q`` and never
+    extends it.
     """
 
     def __init__(self, basis: LargeBlockBasis, core: np.ndarray):
@@ -286,21 +272,12 @@ class FactoredOperator(LinearOperator):
     def _matmat(self, x):
         return self._left() @ (self.core @ _overlap(self._right(), x))
 
-    def _rmatmat(self, x):
-        return self._right() @ (self.core.conj().T @ _overlap(self._left(), x))
-
     def _adjoint(self):
         return FactoredOperator(self.basis, self.core.conj().T)
 
-    def times(self, x: np.ndarray) -> np.ndarray:
-        """``self @ x`` for thin columns ``x``, with remembered coordinates."""
-        coordinates = self.basis.coordinates(x)[: self.core.shape[1]]
-        return self._left() @ (self.core @ coordinates)
-
-    def rtimes(self, x: np.ndarray) -> np.ndarray:
-        """``x @ self`` for thin rows ``x``, with remembered coordinates."""
-        rows = self.core.shape[0]
-        coordinates = self.basis.coordinates(x, rows=True)[:, :rows] @ self.core
+    def premultiply(self, x: np.ndarray) -> np.ndarray:
+        """``x @ self`` for rows ``x``: ``((x Q_r) C) Q_cᴴ``."""
+        coordinates = (x @ self._left()) @ self.core
         product = coordinates.conj() @ self._right().T
         return np.conj(product, out=product)
 
@@ -345,18 +322,13 @@ def matmul(a, b, *, lazy: LargeBlockBasis | None = None):
         return a
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"Dimension mismatch in product: {a.shape} @ {b.shape}.")
-    if type(a) is FactoredOperator:
-        if type(b) is FactoredOperator and b.basis is a.basis:
-            inner = min(a.core.shape[1], b.core.shape[0])
-            return FactoredOperator(a.basis, a.core[:, :inner] @ b.core[:inner])
-        if type(b) is np.ndarray:
-            return a.times(b)
-    elif type(b) is FactoredOperator and type(a) is np.ndarray:
-        return b.rtimes(a)
-    elif lazy and type(a) is np.ndarray and type(b) is np.ndarray:
-        left = lazy.coordinates(a, extend=True)
-        right = lazy.coordinates(b, rows=True, extend=True)
-        return FactoredOperator(lazy, left @ right)
+    if type(a) is type(b) is FactoredOperator and a.basis is b.basis:
+        inner = min(a.core.shape[1], b.core.shape[0])
+        return FactoredOperator(a.basis, a.core[:, :inner] @ b.core[:inner])
+    if type(a) is np.ndarray and type(b) is FactoredOperator:
+        return b.premultiply(a)
+    if lazy and type(a) is np.ndarray and type(b) is np.ndarray:
+        return FactoredOperator(lazy, lazy.extend(a) @ lazy.extend(b, rows=True))
     a_op = isinstance(a, LinearOperator)
     b_op = isinstance(b, LinearOperator)
     if a_op and b_op:

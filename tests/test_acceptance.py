@@ -312,10 +312,10 @@ def test_criterion_9_implicit_mode():
         9,
         worst <= 1e-8
         and not dense_leaks
-        and problem.implicit_context.factorization_count == n_explicit
+        and problem.solver.factorization_count == n_explicit
         and elapsed < 30.0,
         f"implicit-explicit deviation {worst:.3e} (tol 1e-8), "
-        f"{problem.implicit_context.factorization_count} factorizations, "
+        f"{problem.solver.factorization_count} factorizations, "
         f"dense leaks {dense_leaks or 'none'}, {elapsed:.1f} s",
     )
 

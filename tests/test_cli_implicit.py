@@ -61,7 +61,7 @@ def test_cli_implicit_diagonalize(tmp_path, implicit_document):
         assert orders == {(n,) for n in range(max_order + 1)}
         assert payload["metadata"]["matmul_count"] > 0
         # first-order entry equals the projected perturbation
-        psi = problem.implicit_context.psi
+        psi = problem.solver.psi
         expected = psi.conj().T @ perturbations[(1,)] @ psi
         first = next(e for e in payload["entries"] if e["order"] == [1])
         np.testing.assert_allclose(

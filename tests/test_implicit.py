@@ -163,7 +163,7 @@ def test_implicit_matches_explicit_lattice(rng, h0, states):
             to_array(explicit_result.h_tilde.get((0, 0), (order,)), (size, size)),
             atol=1e-10,
         )
-    assert max(r.residual for r in problem.implicit_context.records) <= 1e-12
+    assert max(r.residual for r in problem.solver.records) <= 1e-12
 
 
 def test_weakly_split_lattice_has_close_pairs():
@@ -202,7 +202,7 @@ def test_loose_eigenvectors_converge(rng):
             ),
             atol=1e-8,
         )
-    assert max(r.residual for r in problem.implicit_context.records) <= 1e-8
+    assert max(r.residual for r in problem.solver.records) <= 1e-8
 
 
 def test_split_degenerate_pair_raises(rng):
@@ -217,7 +217,7 @@ def test_split_degenerate_pair_raises(rng):
     result = block_diagonalize(problem)
     with pytest.raises(FactorizationError, match="relative residual"):
         result.h_tilde.get((0, 0), (2,))
-    failed = problem.implicit_context.records[-1]
+    failed = problem.solver.records[-1]
     assert np.isfinite(failed.residual) and failed.residual > RESIDUAL_RTOL
 
 
@@ -287,7 +287,7 @@ def test_implicit_sparse_multivariate(rng):
     }
     energies, vectors = sla.eigsh(h0, k=n_explicit, which="SA")
     problem = build_extended_problem(h0, perturbations, vectors, energies)
-    assert problem.implicit_context.factorization_count == n_explicit
+    assert problem.solver.factorization_count == n_explicit
     result = block_diagonalize(problem)
 
     dense_h0 = h0.toarray()

@@ -1,13 +1,18 @@
 """Large-block entries stored as ``Q C Qᴴ`` on one shared basis."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from blockpert.diagonalization import PerturbationProblem, block_diagonalize
-from blockpert.implicit import build_extended_problem
+from blockpert.diagonalization import (
+    PerturbationProblem,
+    block_diagonalize,
+    transform_observable,
+)
+from blockpert.implicit import build_extended_problem, projected_operator
 from blockpert.operators import (
     FactoredOperator,
     LargeBlockBasis,
@@ -20,6 +25,9 @@ from blockpert.operators import (
     zero,
 )
 from blockpert.problems import lattice_problem
+from blockpert.series import BlockSeries
+
+from conftest import random_hermitian
 
 
 def thin(rng, rows, columns):
@@ -66,12 +74,16 @@ def test_operands_in_the_span_are_dropped(rng):
     entry = matmul(columns, rows, lazy=basis)
     assert basis.width == 6 and basis.dropped == 4
     np.testing.assert_allclose(to_array(entry), columns @ rows, atol=1e-12)
-    # Read-only operands keep their coordinates, completed as the basis grows.
+    # A read-only operand extends the basis once and keeps its coordinates,
+    # completed as the basis grows.
     frozen = thin(rng, n, 2)
     frozen.flags.writeable = False
-    before = basis.coordinates(frozen)
+    before = basis.extend(frozen)
+    assert basis.width == 8
     matmul(thin(rng, n, 1), thin(rng, 1, n), lazy=basis)
-    after = basis.coordinates(frozen)
+    width, dropped = basis.width, basis.dropped
+    after = basis.extend(frozen)
+    assert (basis.width, basis.dropped) == (width, dropped) == (10, 4)
     assert after.shape == (basis.width, 2)
     np.testing.assert_array_equal(after[: len(before)], before)
     np.testing.assert_allclose(after, basis.buffer.conj().T @ frozen, atol=1e-12)
@@ -126,6 +138,48 @@ def test_implicit_complement_block_matches_explicit():
         assert np.max(np.abs(value - reference)) <= 1e-10 * scale_, order
 
 
+def observable_series(blocks):
+    """An order-0 observable with the given blocks."""
+    return BlockSeries(
+        eval=lambda i, j, *n: zero if any(n) else blocks[i, j],
+        shape=(2, 2),
+        n_params=1,
+        name="O",
+    )
+
+
+def test_transformed_observable_matches_explicit(rng):
+    """``U†OU`` of an implicit run matches the explicit one: ``(0, 0)`` at
+    orders 0-3, and ``(1, 1)`` at orders 0-2 on the complement basis. The
+    matrix-free observable block meets factored entries in lazy products,
+    and thin blocks in its action."""
+    implicit, explicit, complement = lattice_pair(10, 4, seed=1)
+    psi = implicit.problem.solver.psi
+    observable = random_hermitian(rng, psi.shape[0])
+    outside = observable @ psi - psi @ (psi.conj().T @ observable @ psi)
+    implicit_blocks = {
+        (0, 0): psi.conj().T @ observable @ psi,
+        (0, 1): outside.conj().T,
+        (1, 0): outside,
+        (1, 1): projected_operator(observable, psi),
+    }
+    explicit_blocks = {
+        (i, j): left.conj().T @ observable @ right
+        for i, left in enumerate((psi, complement))
+        for j, right in enumerate((psi, complement))
+    }
+    value = transform_observable(implicit, observable_series(implicit_blocks))
+    reference = transform_observable(explicit, observable_series(explicit_blocks))
+    for block, orders, size in (((0, 0), 4, 4), ((1, 1), 3, complement.shape[1])):
+        for order in range(orders):
+            expected = to_array(reference.get(block, (order,)), (size, size))
+            got = value.get(block, (order,))
+            if block == (1, 1):
+                got = complement.conj().T @ (got @ complement)
+            deviation = np.max(np.abs(to_array(got) - expected))
+            assert deviation <= 1e-12 * max(1.0, np.max(np.abs(expected))), order
+
+
 @pytest.fixture(scope="module")
 def lattice_to_order_10():
     h0, perturbations = lattice_problem(20, 1)
@@ -140,15 +194,20 @@ def lattice_to_order_10():
     return result, n_explicit
 
 
-def test_large_block_entries_are_factored(lattice_to_order_10):
-    result, n_explicit = lattice_to_order_10
-    basis = result.h_tilde.large_blocks[1]
-    entries = {
+def complement_entries(result):
+    """The stored non-zero (1, 1) entries of the computed series."""
+    return {
         (name, key): value
         for name in ("W", "A", "U'†B", "B", "U'", "U'†")
         for key, value in result.context[name]._data.items()
         if key[:2] == (1, 1) and value is not zero
     }
+
+
+def test_large_block_entries_are_factored(lattice_to_order_10):
+    result, n_explicit = lattice_to_order_10
+    basis = result.h_tilde.large_blocks[1]
+    entries = complement_entries(result)
     assert len(entries) > 30
     for label, value in entries.items():
         assert type(value) is FactoredOperator and value.basis is basis, label
@@ -162,6 +221,25 @@ def test_large_block_entries_are_factored(lattice_to_order_10):
     assert 0 < basis.width <= n_explicit * len(factors)
     q = basis.buffer
     np.testing.assert_allclose(q.conj().T @ q, np.eye(basis.width), atol=1e-13)
+    # The missing eigenvalues alone make block 1 large, also in a problem
+    # built by hand, and no field can say otherwise.
+    problem = result.problem
+    with pytest.raises(TypeError):
+        dataclasses.replace(problem, large_blocks=frozenset())
+    by_hand = block_diagonalize(
+        PerturbationProblem(
+            eigenvalues=(problem.eigenvalues[0], None),
+            rule=problem.rule,
+            n_params=problem.n_params,
+            blocks=problem.blocks,
+            solver=problem.solver,
+        )
+    )
+    by_hand.h_tilde.get((0, 0), (4,))
+    entries = complement_entries(by_hand)
+    assert entries
+    for label, value in entries.items():
+        assert type(value) is FactoredOperator, label
 
 
 def test_adjoint_copies_only_the_core(lattice_to_order_10):
