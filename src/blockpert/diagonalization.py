@@ -85,6 +85,18 @@ __all__ = [
 HERMITICITY_RTOL = 1e-10
 ORTHONORMALITY_ATOL = 1e-10
 
+# An explicit diagonal block without a mask is kept factored, like a large
+# block, when it holds at least this many times the states of all other
+# blocks together. H-tilde[0, 0] of random_two_block(m, N, 1), dense against
+# factored, two runs each on a 2-vCPU Xeon with one BLAS thread:
+# - N/m = 10, 100+1000 to order 6: 0.98-1.02 against 0.58 s;
+# - N/m = 8, 125+1000: 1.02-1.04 against 0.75-0.82 s to order 6, and
+#   7.1-7.3 against 4.5-5.1 s to order 10;
+# - N/m = 5, 200+1000 to order 6: 1.27-1.62 against 1.57-1.81 s, no gain;
+# - below, a loss: 300+1000 to order 6, 1.9-2.1 against 3.2-3.3 s, and
+#   100+400 to order 8, 0.32-0.39 against 0.40-0.50 s.
+FACTOR_RATIO = 8
+
 SylvesterSolver = Callable[[Any, tuple[int, int], tuple[int, ...]], Any]
 
 
@@ -150,7 +162,9 @@ class PerturbationProblem:
     @property
     def large_blocks(self) -> frozenset[int]:
         """Labels of the blocks without eigenvalues, whose entries the
-        engine keeps factored on one basis per block."""
+        engine keeps factored on one basis per block. Big explicit blocks
+        are kept factored too (`FACTOR_RATIO`) but are not listed here:
+        they have a dense form."""
         return frozenset(i for i, e in enumerate(self.eigenvalues) if e is None)
 
     @property
@@ -428,6 +442,19 @@ def block_diagonalize(
     )
 
 
+def _factored_blocks(problem: PerturbationProblem) -> frozenset[int]:
+    """The blocks whose entries the engine keeps factored: the large
+    blocks, and each explicit block without a mask that holds at least
+    `FACTOR_RATIO` times the states of all other blocks together."""
+    sizes = problem.block_sizes
+    return problem.large_blocks | {
+        label
+        for label, size in enumerate(sizes)
+        if label not in problem.rule.masks
+        and FACTOR_RATIO * (sum(sizes) - size) <= size
+    }
+
+
 def _build_series(
     problem: PerturbationProblem,
     solver: SylvesterSolver,
@@ -437,10 +464,10 @@ def _build_series(
     b = rule.n_blocks
     n_params = problem.n_params
     two_block = b == 2 and not rule.masks
-    # One basis per large block and run; its entries are factored on it.
+    # One basis per factored block and run; its entries are factored on it.
     large = {
         label: LargeBlockBasis(rule.block_sizes[label])
-        for label in problem.large_blocks
+        for label in _factored_blocks(problem)
     }
 
     def make(name, eval):

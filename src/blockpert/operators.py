@@ -7,8 +7,9 @@ Series elements are one of:
 - ``one``, a structural multiplicative identity,
 - a dense ``numpy.ndarray`` of dtype ``complex128``,
 - a `FactoredOperator` ``Q[:, :r] C Q[:, :c]ᴴ``, an entry of a large
-  diagonal block: ``Q`` is the `LargeBlockBasis` that all entries of that
-  block share in one run, and ``C`` a small core,
+  diagonal block, implicit or big and explicit: ``Q`` is the
+  `LargeBlockBasis` that all entries of that block share in one run, and
+  ``C`` a small core,
 - any other `scipy.sparse.linalg.LinearOperator`, used for matrix-free
   inputs (`MatrixFreeOperator`) and for the sums and products in which they
   meet a factored entry.
@@ -25,8 +26,10 @@ lands on a large block, ``matmul(a, b, lazy=basis)``, becomes the core
 ``(Qᴴa)(bQ)``, and products, sums, multiples and adjoints of factored
 entries are those of their cores. A factored entry is applied to a thin
 ndarray one way per side: ``_matmat`` on columns and
-`FactoredOperator.premultiply` on rows. Products are counted where the
-engine makes them, into an `OperationCounter`.
+`FactoredOperator.premultiply` on rows. A factored entry plus an ndarray,
+and `to_array` of a factored entry, form ``Q_r C Q_cᴴ`` as an ndarray.
+Products are counted where the engine makes them, into an
+`OperationCounter`.
 """
 
 from __future__ import annotations
@@ -131,16 +134,6 @@ class MatrixFreeOperator(LinearOperator):
 
     def _adjoint(self):
         return MatrixFreeOperator(self.shape[0], self._apply_adjoint, self._apply)
-
-    @staticmethod
-    def from_matrix(matrix) -> "MatrixFreeOperator":
-        """Wrap a sparse matrix or ndarray as an action-only operator."""
-        op = aslinearoperator(matrix)
-        return MatrixFreeOperator(
-            matrix.shape[0],
-            lambda X: op.matmat(X).astype(np.complex128),
-            lambda X: op.H.matmat(X).astype(np.complex128),
-        )
 
 
 # A new operand's directions whose residual, after its projection on the
@@ -275,11 +268,18 @@ class FactoredOperator(LinearOperator):
     def _adjoint(self):
         return FactoredOperator(self.basis, self.core.conj().T)
 
+    def _times_right_adjoint(self, x):
+        """``x Q_cᴴ`` as ``conj(conj(x) Q_cᵀ)``, with no conjugate copy of ``Q``."""
+        product = x.conj() @ self._right().T
+        return np.conj(product, out=product)
+
     def premultiply(self, x: np.ndarray) -> np.ndarray:
         """``x @ self`` for rows ``x``: ``((x Q_r) C) Q_cᴴ``."""
-        coordinates = (x @ self._left()) @ self.core
-        product = coordinates.conj() @ self._right().T
-        return np.conj(product, out=product)
+        return self._times_right_adjoint((x @ self._left()) @ self.core)
+
+    def toarray(self) -> np.ndarray:
+        """The dense ``(Q_r C) Q_cᴴ``, a new array."""
+        return self._times_right_adjoint(self._left() @ self.core)
 
 
 def _padded_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -342,7 +342,11 @@ def matmul(a, b, *, lazy: LargeBlockBasis | None = None):
 
 
 def add(a, b):
-    """Elementwise sum; ``zero`` is the neutral element."""
+    """Elementwise sum; ``zero`` is the neutral element.
+
+    Two factored entries of one basis add their cores; a factored entry
+    plus an ndarray is the ndarray ``Q_r C Q_cᴴ + b``.
+    """
     if type(a) is np.ndarray and type(b) is np.ndarray:
         if a.shape != b.shape:
             raise ValueError(f"Dimension mismatch in sum: {a.shape} + {b.shape}.")
@@ -359,6 +363,12 @@ def add(a, b):
         and a.basis is b.basis
     ):
         return FactoredOperator(a.basis, _padded_sum(a.core, b.core))
+    if type(a) is np.ndarray and type(b) is FactoredOperator:
+        a, b = b, a
+    if type(a) is FactoredOperator and type(b) is np.ndarray:
+        total = a.toarray()
+        total += b
+        return total
     if isinstance(a, LinearOperator) or isinstance(b, LinearOperator):
         return aslinearoperator(a) + aslinearoperator(b)
     return a + b
@@ -396,6 +406,8 @@ def to_array(a, shape: tuple[int, int] | None = None) -> np.ndarray:
         if shape is None:
             raise ValueError("Cannot materialize the identity without a shape.")
         return np.eye(*shape, dtype=np.complex128)
+    if type(a) is FactoredOperator:
+        return a.toarray()
     if isinstance(a, LinearOperator):
         return a.matmat(np.eye(a.shape[1], dtype=np.complex128))
     return as_dense(a)

@@ -105,9 +105,10 @@ class BlockSeries:
     param_names :
         Optional labels of the perturbative parameters.
     large_blocks :
-        The `~blockpert.operators.LargeBlockBasis` of each large block, by
-        label: products landing on such a diagonal block are kept factored
-        on its basis, shared by every series of one run.
+        The `~blockpert.operators.LargeBlockBasis` of each factored block,
+        by label: the large blocks of an implicit problem and the big
+        explicit blocks. Products landing on such a diagonal block are kept
+        factored on its basis, shared by every series of one run.
     """
 
     def __init__(

@@ -1,16 +1,25 @@
 """Large-block entries stored as ``Q C Qᴴ`` on one shared basis."""
 
 import dataclasses
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sparse
 
+from blockpert import diagonalization
+from blockpert.cli import main
 from blockpert.diagonalization import (
     PerturbationProblem,
     block_diagonalize,
     transform_observable,
+)
+from blockpert.documents import (
+    decode_matrix,
+    load_problem,
+    problem_document,
+    write_document,
 )
 from blockpert.implicit import build_extended_problem, projected_operator
 from blockpert.operators import (
@@ -20,11 +29,14 @@ from blockpert.operators import (
     add,
     adjoint,
     matmul,
+    one,
     scale,
     to_array,
     zero,
 )
-from blockpert.problems import lattice_problem
+from blockpert.oracles import closed_form_h_tilde
+from blockpert.problems import lattice_problem, random_multiblock, random_two_block
+from blockpert.verify import run_verification
 from blockpert.series import BlockSeries
 
 from conftest import random_hermitian
@@ -256,3 +268,144 @@ def test_adjoint_copies_only_the_core(lattice_to_order_10):
         tracemalloc.stop()
     assert peak <= entry.core.nbytes + 4096
     np.testing.assert_array_equal(partner.core, entry.core.conj().T)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_big_explicit_block_is_factored(seed):
+    """A block of 100 beside 10 states is stored like a large block."""
+    energies, perturbations, labels = random_two_block(10, 100, seed)
+    problem = PerturbationProblem.from_diagonal(energies, perturbations, labels)
+    result = block_diagonalize(problem)
+    assert set(result.h_tilde.large_blocks) == {1}
+    h1 = perturbations[(1,)]
+    for order in range(1, 5):
+        reference = closed_form_h_tilde(h1, energies[:10], energies[10:], order)
+        value = to_array(result.h_tilde.get((0, 0), (order,)))
+        assert np.max(np.abs(value - reference)) <= 1e-10 * max(
+            1.0, np.max(np.abs(reference))
+        ), order
+    checks = run_verification(problem, 6, result)
+    assert all(check.passed for check in checks), [c.line() for c in checks]
+    entries = complement_entries(result)
+    assert len(entries) > 20
+    for label, value in entries.items():
+        assert type(value) is FactoredOperator, label
+
+
+def test_sum_with_a_factored_entry_is_an_array(monkeypatch):
+    """Where a perturbation term of the big block meets a factored entry,
+    H̃[1, 1] is an ndarray; at every order it equals the dense run's."""
+    energies, perturbations, labels = random_two_block(10, 100, 3, orders=((1,), (2,)))
+    problem = PerturbationProblem.from_diagonal(energies, perturbations, labels)
+    factored = block_diagonalize(problem)
+    monkeypatch.setattr(diagonalization, "FACTOR_RATIO", np.inf)
+    dense = block_diagonalize(problem)
+    for order in range(1, 4):
+        value = factored.h_tilde.get((1, 1), (order,))
+        expected = dense.h_tilde.get((1, 1), (order,))
+        # Order 3 has no perturbation term, so its entry stays factored.
+        assert type(value) is (np.ndarray if order < 3 else FactoredOperator), order
+        np.testing.assert_allclose(to_array(value), expected, rtol=0, atol=1e-13)
+
+
+def only_arrays(result):
+    """Whether every stored entry other than ``zero`` and ``one`` is an
+    ndarray."""
+    return all(
+        value is zero or value is one or type(value) is np.ndarray
+        for series in result.context.values()
+        for value in series._data.values()
+    )
+
+
+def masked_problem():
+    """Criterion 8's problem: one block of 16 states, split by a mask."""
+    rng = np.random.default_rng(88)
+    n = 16
+    energies = np.arange(n) + 0.4 * rng.random(n)
+    h1 = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    mask = rng.random((n, n)) < 0.3
+    mask = mask | mask.T | np.eye(n, dtype=bool)
+    return PerturbationProblem.from_diagonal(
+        energies, {(1,): (h1 + h1.conj().T) / 4}, [0] * n, masks={0: mask}
+    )
+
+
+def masked_big_block():
+    """A block of 40 beside 2 states, with a mask on the big block."""
+    energies, perturbations, labels = random_two_block(2, 40, 4)
+    mask = np.eye(40, dtype=bool)
+    mask[:20, :20] = True
+    return PerturbationProblem.from_diagonal(
+        energies, perturbations, labels, masks={1: mask}
+    )
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [
+        lambda: PerturbationProblem.from_diagonal(*random_two_block(2, 3, 0)),
+        lambda: PerturbationProblem.from_diagonal(*random_two_block(100, 600, 0)),
+        masked_problem,
+        masked_big_block,
+    ],
+    ids=["2+3", "100+600", "criterion-8-mask", "masked-big-block"],
+)
+def test_small_or_masked_blocks_stay_dense(problem):
+    problem = problem()
+    result = block_diagonalize(problem)
+    assert result.h_tilde.large_blocks == {}
+    for label in range(problem.n_blocks):
+        for order in range(1, 5 if problem.dimension < 100 else 4):
+            result.h_tilde.get((label, label), (order,))
+            result.u.get((label, label), (order,))
+    assert result.counter.matmul_count > 0
+    assert only_arrays(result)
+
+
+def test_multiblock_factors_only_its_big_block(monkeypatch):
+    """Of blocks 4, 6 and 120, the last holds 12 times the rest: it is
+    factored, the run makes the dense run's products, and H̃[0, 0] agrees."""
+    block_sizes, orders = (4, 6, 120), ((1, 0), (0, 1))
+    energies, perturbations, labels = random_multiblock(block_sizes, 3, orders=orders)
+    problem = PerturbationProblem.from_diagonal(energies, perturbations, labels)
+    factored = block_diagonalize(problem)
+    assert set(factored.h_tilde.large_blocks) == {2}
+    checks = run_verification(problem, 4, factored)
+    assert all(check.passed for check in checks), [c.line() for c in checks]
+    assert factored.counter.matmul_count == 1086
+    assert type(factored.context["W"].get((2, 2), (1, 1))) is FactoredOperator
+    monkeypatch.setattr(diagonalization, "FACTOR_RATIO", np.inf)
+    dense = block_diagonalize(problem)
+    for order in [(a, b) for a in range(5) for b in range(5) if 0 < a + b <= 4]:
+        value = to_array(factored.h_tilde.get((0, 0), order))
+        reference = to_array(dense.h_tilde.get((0, 0), order))
+        scale_ = np.max(np.abs(reference))
+        assert np.max(np.abs(value - reference)) <= 1e-13 * scale_, order
+
+
+def test_cli_writes_the_factored_block_densely(tmp_path):
+    """``diagonalize --block 1 1`` on a factored block writes dense,
+    Hermitian entries equal to the library's."""
+    energies, perturbations, labels = random_two_block(10, 100, 5)
+    path = tmp_path / "problem.json"
+    write_document(
+        problem_document(np.diag(energies), perturbations, subspace_indices=labels),
+        path,
+    )
+    output = tmp_path / "result.json"
+    argv = ["diagonalize", "--input", str(path), "--block", "1", "1"]
+    argv += ["--max-order", "4", "--output", str(output)]
+    assert main(argv) == 0
+    entries = json.loads(output.read_text())["entries"]
+    result = block_diagonalize(load_problem(str(path))[0])
+    assert set(result.h_tilde.large_blocks) == {1}
+    written = {tuple(entry["order"]): entry for entry in entries}
+    for order in range(1, 5):
+        body = written[(order,)]["matrix"]
+        assert set(body) == {"dense"}
+        matrix = decode_matrix(body)
+        assert matrix.shape == (100, 100)
+        np.testing.assert_allclose(matrix, matrix.conj().T, rtol=0, atol=1e-12)
+        expected = to_array(result.h_tilde.get((1, 1), (order,)))
+        np.testing.assert_array_equal(matrix, expected)
