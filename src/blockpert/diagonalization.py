@@ -85,16 +85,22 @@ __all__ = [
 HERMITICITY_RTOL = 1e-10
 ORTHONORMALITY_ATOL = 1e-10
 
-# An explicit diagonal block without a mask is kept factored, like a large
-# block, when it holds at least this many times the states of all other
-# blocks together. H-tilde[0, 0] of random_two_block(m, N, 1), dense against
-# factored, two runs each on a 2-vCPU Xeon with one BLAS thread:
+# In a one-parameter problem, an explicit diagonal block without a mask is
+# kept factored, like a large block, when it holds at least this many times
+# the states of all other blocks together. H-tilde[0, 0] of
+# random_two_block(m, N, 1), dense against factored, two runs each on a
+# 2-vCPU Xeon with one BLAS thread:
 # - N/m = 10, 100+1000 to order 6: 0.98-1.02 against 0.58 s;
 # - N/m = 8, 125+1000: 1.02-1.04 against 0.75-0.82 s to order 6, and
 #   7.1-7.3 against 4.5-5.1 s to order 10;
 # - N/m = 5, 200+1000 to order 6: 1.27-1.62 against 1.57-1.81 s, no gain;
 # - below, a loss: 300+1000 to order 6, 1.9-2.1 against 3.2-3.3 s, and
 #   100+400 to order 8, 0.32-0.39 against 0.40-0.50 s.
+# With more parameters there are more orders per total order, and the
+# basis fills the block sooner. Two parameters, (1, 0) and (0, 1), all
+# orders up to (k, k): 125+1000 to (3, 3) took 4.1 against 4.8-5.7 s, its
+# basis full at 1000 columns; 20+1000 to (4, 4) took 15.1-16.0 against
+# 1.0 s. No single ratio fits both, so such blocks stay dense.
 FACTOR_RATIO = 8
 
 SylvesterSolver = Callable[[Any, tuple[int, int], tuple[int, ...]], Any]
@@ -444,9 +450,12 @@ def block_diagonalize(
 
 def _factored_blocks(problem: PerturbationProblem) -> frozenset[int]:
     """The blocks whose entries the engine keeps factored: the large
-    blocks, and each explicit block without a mask that holds at least
-    `FACTOR_RATIO` times the states of all other blocks together."""
+    blocks and, in a one-parameter problem, each explicit block without a
+    mask that holds at least `FACTOR_RATIO` times the states of all other
+    blocks together."""
     sizes = problem.block_sizes
+    if problem.n_params != 1:
+        return problem.large_blocks
     return problem.large_blocks | {
         label
         for label, size in enumerate(sizes)
@@ -469,16 +478,30 @@ def _build_series(
         label: LargeBlockBasis(rule.block_sizes[label])
         for label in _factored_blocks(problem)
     }
+    # A big explicit block is factored inside the run only: H-tilde, U and
+    # U-dagger hand out its entries as ndarrays, like those of any explicit
+    # block, and products with them, as in transform_observable, are dense.
+    explicit = large.keys() - problem.large_blocks
+    outer = {label: basis for label, basis in large.items() if label not in explicit}
 
-    def make(name, eval):
+    def make(name, eval, large_blocks=large):
         return BlockSeries(
             eval=eval,
             shape=(b, b),
             n_params=n_params,
             name=name,
             param_names=problem.param_names,
-            large_blocks=large,
+            large_blocks=large_blocks,
         )
+
+    def make_output(name, eval):
+        def dense(i, j, *n):
+            value = eval(i, j, *n)
+            if i == j and i in explicit and isinstance(value, LinearOperator):
+                return to_array(value)
+            return value
+
+        return make(name, dense, outer)
 
     H = make("H", lambda i, j, *n: problem.block(i, j, n))
 
@@ -577,8 +600,9 @@ def _build_series(
     B = make("B", eval_B)
     UdB = cauchy_product(Up_adj, B, name="U'†B", counter=counter)
     VHS = cauchy_product(V, Hp_S, name="VH'_S", counter=counter)
-    H_tilde = make("H_tilde", eval_H_tilde)
-    U, U_adj = make("U", identity_plus(Up)), make("U†", identity_plus(Up_adj))
+    H_tilde = make_output("H_tilde", eval_H_tilde)
+    U = make_output("U", identity_plus(Up))
+    U_adj = make_output("U†", identity_plus(Up_adj))
     series = (H, Hp_S, Hp_R, W, V, Up, Up_adj, A, UdB, B, VHS, H_tilde, U, U_adj)
     return {s.name: s for s in series}
 

@@ -11,8 +11,8 @@ Series elements are one of:
   `LargeBlockBasis` that all entries of that block share in one run, and
   ``C`` a small core,
 - any other `scipy.sparse.linalg.LinearOperator`, used for matrix-free
-  inputs (`MatrixFreeOperator`) and for the sums and products in which they
-  meet a factored entry.
+  inputs (`MatrixFreeOperator`) and for the sums and products in which
+  they, or ndarrays, meet a factored entry.
 
 Inputs are brought to this form once, where they enter: the problem
 constructors, a custom Sylvester solver's output and the entries of a
@@ -26,10 +26,9 @@ lands on a large block, ``matmul(a, b, lazy=basis)``, becomes the core
 ``(Qᴴa)(bQ)``, and products, sums, multiples and adjoints of factored
 entries are those of their cores. A factored entry is applied to a thin
 ndarray one way per side: ``_matmat`` on columns and
-`FactoredOperator.premultiply` on rows. A factored entry plus an ndarray,
-and `to_array` of a factored entry, form ``Q_r C Q_cᴴ`` as an ndarray.
-Products are counted where the engine makes them, into an
-`OperationCounter`.
+`FactoredOperator.premultiply` on rows, and `to_array` forms
+``Q_r C Q_cᴴ`` directly. Products are counted where the engine makes them,
+into an `OperationCounter`.
 """
 
 from __future__ import annotations
@@ -342,11 +341,7 @@ def matmul(a, b, *, lazy: LargeBlockBasis | None = None):
 
 
 def add(a, b):
-    """Elementwise sum; ``zero`` is the neutral element.
-
-    Two factored entries of one basis add their cores; a factored entry
-    plus an ndarray is the ndarray ``Q_r C Q_cᴴ + b``.
-    """
+    """Elementwise sum; ``zero`` is the neutral element."""
     if type(a) is np.ndarray and type(b) is np.ndarray:
         if a.shape != b.shape:
             raise ValueError(f"Dimension mismatch in sum: {a.shape} + {b.shape}.")
@@ -363,12 +358,6 @@ def add(a, b):
         and a.basis is b.basis
     ):
         return FactoredOperator(a.basis, _padded_sum(a.core, b.core))
-    if type(a) is np.ndarray and type(b) is FactoredOperator:
-        a, b = b, a
-    if type(a) is FactoredOperator and type(b) is np.ndarray:
-        total = a.toarray()
-        total += b
-        return total
     if isinstance(a, LinearOperator) or isinstance(b, LinearOperator):
         return aslinearoperator(a) + aslinearoperator(b)
     return a + b

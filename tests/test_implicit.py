@@ -19,7 +19,7 @@ from blockpert.operators import to_array
 from blockpert.problems import lattice_problem
 from blockpert.series import orders_up_to
 
-from conftest import random_hermitian
+from conftest import dense_block_diagonalize, random_hermitian
 
 
 def random_sparse_hermitian(rng, n, density=0.05, gap_slope=8.0):
@@ -149,7 +149,7 @@ def test_implicit_matches_explicit_lattice(rng, h0, states):
     result = block_diagonalize(problem)
     explicit = np.zeros(len(energies), bool)
     explicit[states] = True
-    explicit_result = block_diagonalize(
+    explicit_result = dense_block_diagonalize(
         PerturbationProblem.from_eigenvectors(
             h0.toarray(),
             {(1,): perturbation.toarray()},

@@ -37,9 +37,9 @@ from blockpert.operators import (
 from blockpert.oracles import closed_form_h_tilde
 from blockpert.problems import lattice_problem, random_multiblock, random_two_block
 from blockpert.verify import run_verification
-from blockpert.series import BlockSeries
+from blockpert.series import BlockSeries, orders_up_to
 
-from conftest import random_hermitian
+from conftest import dense_block_diagonalize, random_hermitian
 
 
 def thin(rng, rows, columns):
@@ -113,7 +113,7 @@ def lattice_pair(width, n_explicit, seed):
             h0, perturbations, vectors[:, :n_explicit], energies[:n_explicit]
         )
     )
-    explicit = block_diagonalize(
+    explicit = dense_block_diagonalize(
         PerturbationProblem.from_eigenvectors(
             h0.toarray(),
             {order: term.toarray() for order, term in perturbations.items()},
@@ -276,7 +276,7 @@ def test_big_explicit_block_is_factored(seed):
     energies, perturbations, labels = random_two_block(10, 100, seed)
     problem = PerturbationProblem.from_diagonal(energies, perturbations, labels)
     result = block_diagonalize(problem)
-    assert set(result.h_tilde.large_blocks) == {1}
+    assert set(result.context["W"].large_blocks) == {1}
     h1 = perturbations[(1,)]
     for order in range(1, 5):
         reference = closed_form_h_tilde(h1, energies[:10], energies[10:], order)
@@ -292,20 +292,39 @@ def test_big_explicit_block_is_factored(seed):
         assert type(value) is FactoredOperator, label
 
 
-def test_sum_with_a_factored_entry_is_an_array(monkeypatch):
-    """Where a perturbation term of the big block meets a factored entry,
-    H̃[1, 1] is an ndarray; at every order it equals the dense run's."""
+def test_outputs_of_a_factored_block_are_arrays():
+    """H̃, U and U† hand out the factored block's entries as ndarrays, also
+    where a perturbation term meets a factored entry, and a transformed
+    observable's products on that block are dense. Every entry equals the
+    dense run's."""
     energies, perturbations, labels = random_two_block(10, 100, 3, orders=((1,), (2,)))
     problem = PerturbationProblem.from_diagonal(energies, perturbations, labels)
     factored = block_diagonalize(problem)
-    monkeypatch.setattr(diagonalization, "FACTOR_RATIO", np.inf)
-    dense = block_diagonalize(problem)
-    for order in range(1, 4):
-        value = factored.h_tilde.get((1, 1), (order,))
-        expected = dense.h_tilde.get((1, 1), (order,))
-        # Order 3 has no perturbation term, so its entry stays factored.
-        assert type(value) is (np.ndarray if order < 3 else FactoredOperator), order
-        np.testing.assert_allclose(to_array(value), expected, rtol=0, atol=1e-13)
+    dense = dense_block_diagonalize(problem)
+    assert set(factored.context["W"].large_blocks) == {1}
+    assert factored.h_tilde.large_blocks == factored.u.large_blocks == {}
+    full = random_hermitian(np.random.default_rng(3), 110)
+    parts = (slice(0, 10), slice(10, 110))
+    observable = observable_series(
+        {(i, j): full[a, b] for i, a in enumerate(parts) for j, b in enumerate(parts)}
+    )
+    observed = transform_observable(factored, observable)
+    reference = transform_observable(dense, observable)
+    for name, (value, expected) in {
+        "H̃": (factored.h_tilde, dense.h_tilde),
+        "U": (factored.u, dense.u),
+        "U†": (factored.u_adjoint, dense.u_adjoint),
+        "U†OU": (observed, reference),
+    }.items():
+        for order in range(1, 4):
+            entry = value.get((1, 1), (order,))
+            reference_entry = expected.get((1, 1), (order,))
+            assert type(entry) is type(reference_entry), (name, order)
+            if entry is not zero:
+                np.testing.assert_allclose(entry, reference_entry, rtol=0, atol=1e-12)
+    assert type(factored.h_tilde.get((1, 1), (3,))) is np.ndarray
+    assert type(factored.u.get((1, 1), (2,))) is np.ndarray
+    assert type(factored.context["W"].get((1, 1), (3,))) is FactoredOperator
 
 
 def only_arrays(result):
@@ -348,38 +367,40 @@ def masked_big_block():
         lambda: PerturbationProblem.from_diagonal(*random_two_block(100, 600, 0)),
         masked_problem,
         masked_big_block,
+        lambda: PerturbationProblem.from_diagonal(
+            *random_two_block(10, 100, 0, orders=((1, 0), (0, 1)))
+        ),
     ],
-    ids=["2+3", "100+600", "criterion-8-mask", "masked-big-block"],
+    ids=["2+3", "100+600", "criterion-8-mask", "masked-big-block", "two-parameter"],
 )
-def test_small_or_masked_blocks_stay_dense(problem):
+def test_small_masked_or_multiparameter_blocks_stay_dense(problem):
     problem = problem()
     result = block_diagonalize(problem)
-    assert result.h_tilde.large_blocks == {}
+    assert result.context["W"].large_blocks == {}
+    top = 4 if problem.dimension < 100 else 3
     for label in range(problem.n_blocks):
-        for order in range(1, 5 if problem.dimension < 100 else 4):
-            result.h_tilde.get((label, label), (order,))
-            result.u.get((label, label), (order,))
+        for order in orders_up_to((top,) * problem.n_params):
+            result.h_tilde.get((label, label), order)
+            result.u.get((label, label), order)
     assert result.counter.matmul_count > 0
     assert only_arrays(result)
 
 
-def test_multiblock_factors_only_its_big_block(monkeypatch):
+def test_multiblock_factors_only_its_big_block():
     """Of blocks 4, 6 and 120, the last holds 12 times the rest: it is
     factored, the run makes the dense run's products, and H̃[0, 0] agrees."""
-    block_sizes, orders = (4, 6, 120), ((1, 0), (0, 1))
-    energies, perturbations, labels = random_multiblock(block_sizes, 3, orders=orders)
+    energies, perturbations, labels = random_multiblock((4, 6, 120), 3)
     problem = PerturbationProblem.from_diagonal(energies, perturbations, labels)
     factored = block_diagonalize(problem)
-    assert set(factored.h_tilde.large_blocks) == {2}
-    checks = run_verification(problem, 4, factored)
+    assert set(factored.context["W"].large_blocks) == {2}
+    checks = run_verification(problem, 6, factored)
     assert all(check.passed for check in checks), [c.line() for c in checks]
-    assert factored.counter.matmul_count == 1086
-    assert type(factored.context["W"].get((2, 2), (1, 1))) is FactoredOperator
-    monkeypatch.setattr(diagonalization, "FACTOR_RATIO", np.inf)
-    dense = block_diagonalize(problem)
-    for order in [(a, b) for a in range(5) for b in range(5) if 0 < a + b <= 4]:
-        value = to_array(factored.h_tilde.get((0, 0), order))
-        reference = to_array(dense.h_tilde.get((0, 0), order))
+    assert factored.counter.matmul_count == 453
+    assert type(factored.context["W"].get((2, 2), (2,))) is FactoredOperator
+    dense = dense_block_diagonalize(problem)
+    for order in range(1, 7):
+        value = factored.h_tilde.get((0, 0), (order,))
+        reference = dense.h_tilde.get((0, 0), (order,))
         scale_ = np.max(np.abs(reference))
         assert np.max(np.abs(value - reference)) <= 1e-13 * scale_, order
 
@@ -399,7 +420,7 @@ def test_cli_writes_the_factored_block_densely(tmp_path):
     assert main(argv) == 0
     entries = json.loads(output.read_text())["entries"]
     result = block_diagonalize(load_problem(str(path))[0])
-    assert set(result.h_tilde.large_blocks) == {1}
+    assert set(result.context["W"].large_blocks) == {1}
     written = {tuple(entry["order"]): entry for entry in entries}
     for order in range(1, 5):
         body = written[(order,)]["matrix"]
@@ -407,5 +428,4 @@ def test_cli_writes_the_factored_block_densely(tmp_path):
         matrix = decode_matrix(body)
         assert matrix.shape == (100, 100)
         np.testing.assert_allclose(matrix, matrix.conj().T, rtol=0, atol=1e-12)
-        expected = to_array(result.h_tilde.get((1, 1), (order,)))
-        np.testing.assert_array_equal(matrix, expected)
+        np.testing.assert_array_equal(matrix, result.h_tilde.get((1, 1), (order,)))
