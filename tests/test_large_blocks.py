@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from blockpert import diagonalization
 from blockpert.cli import main
 from blockpert.diagonalization import (
     PerturbationProblem,
