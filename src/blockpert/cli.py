@@ -8,8 +8,8 @@ Subcommands:
   the truncated effective block as CSV.
 - ``verify``: run the invariant suite (unitarity, cancellation, similarity,
   oracle equivalence) on a document and report pass/fail per invariant.
-- ``bench``: operation-count tables for this engine and the reference, or
-  phase timings of the implicit method on a generated lattice.
+- ``bench counts``: matrix products per order for this engine and for the
+  textbook expressions of the reference.
 
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 validation
 or degeneracy error, 4 solver failure.
@@ -23,7 +23,6 @@ import time
 from itertools import product as cartesian
 
 import numpy as np
-import scipy.sparse.linalg as sla
 
 from blockpert.diagonalization import (
     PerturbationProblem,
@@ -36,10 +35,10 @@ from blockpert.documents import (
     result_document,
     write_document,
 )
-from blockpert.implicit import DeflationError, FactorizationError, build_extended_problem
+from blockpert.implicit import DeflationError, FactorizationError
 from blockpert.operators import Zero, to_array
 from blockpert.oracles import reference_count_benchmark
-from blockpert.problems import lattice_problem, random_two_block
+from blockpert.problems import random_two_block
 from blockpert.verify import orders_with_total_up_to, run_verification
 
 __all__ = ["main"]
@@ -104,11 +103,6 @@ def _check_block(block: tuple[int, int], problem: PerturbationProblem):
 
 def cmd_diagonalize(args) -> int:
     problem, _ = load_problem(args.input, tol_override=args.tol_degeneracy)
-    if args.implicit and not problem.implicit:
-        raise DocumentError(
-            "--implicit requires an implicit subspace definition in the "
-            "document."
-        )
     blocks = [tuple(b) for b in args.block or [(0, 0)]]
     for block in blocks:
         _check_block(block, problem)
@@ -161,6 +155,8 @@ def _parse_grid(specs, param_names) -> list[np.ndarray]:
             count = int(parts[2]) if len(parts) > 2 else 1
         except ValueError:
             raise DocumentError(f"Grid {spec!r} has a non-numeric bound or count.")
+        if not np.all(np.isfinite(bounds)):
+            raise DocumentError(f"Grid {spec!r} has a non-finite bound.")
         low, high = bounds[0], bounds[-1]
         log = len(parts) == 4
         if count < 1:
@@ -257,66 +253,18 @@ def _reference_counts(offdiagonal: bool, seed: int) -> list[int]:
 
 
 def cmd_bench(args) -> int:
-    if args.scenario == "counts":
-        rows = [
-            ("dense", "engine", _engine_counts(False, args.seed)),
-            ("dense", "reference", _reference_counts(False, args.seed)),
-            ("offdiagonal", "engine", _engine_counts(True, args.seed)),
-            ("offdiagonal", "reference", _reference_counts(True, args.seed)),
-        ]
-        print("perturbation  implementation  order2  order3  order4")
-        for structure, implementation, counts in rows:
-            print(
-                f"{structure:<12}  {implementation:<14}  "
-                + "  ".join(f"{c:<6}" for c in counts)
-            )
-        return EXIT_OK
-    # implicit-timing scenario
-    width = args.size
-    if width < 4:  # 10 explicit states need more than 11 lattice sites
-        raise DocumentError(f"--size must be at least 4, got {width}.")
-    h0, perturbations = lattice_problem(width, seed=args.seed)
-    n_low = 10
-    started = time.perf_counter()
-    eigenvalues, vectors = sla.eigsh(h0, k=n_low, which="SA")
-    diagonalization_time = time.perf_counter() - started
-    started = time.perf_counter()
-    problem = build_extended_problem(h0, perturbations, vectors, eigenvalues)
-    result = block_diagonalize(problem)
-    factorization_time = time.perf_counter() - started
-    started = time.perf_counter()
-    for order in range(1, 4):
-        result.h_tilde.get((0, 0), (order,))
-    corrections_time = time.perf_counter() - started
-    started = time.perf_counter()
-    sla.eigsh(h0, k=n_low, which="SA")
-    second_diagonalization = time.perf_counter() - started
-    records = problem.solver.records
-    print(f"lattice {width}x{width}, {n_low} explicit states")
-    print(f"sparse diagonalization  {diagonalization_time:10.4f} s")
-    print(f"factorizations          {factorization_time:10.4f} s")
-    print(f"corrections (orders<=3) {corrections_time:10.4f} s")
-    print(
-        f"shifted solves          {len(records):10d}, at most "
-        f"{max((r.steps for r in records), default=0)} refinement steps, "
-        f"largest relative residual "
-        f"{max((r.residual for r in records), default=0.0):.1e}"
-    )
-    print("reference: one extra sparse diagonalization")
-    as_passed = f"  of H_0 as passed ({h0.dtype})"
-    print(f"{as_passed:<34}{second_diagonalization:10.4f} s")
-    # The lattice is real but stored as complex128, which doubles the cost
-    # of eigsh; its float64 copy is the fair reference for a real operator.
-    started = time.perf_counter()
-    sla.eigsh(h0.real.astype(np.float64), k=n_low, which="SA")
-    real_diagonalization = time.perf_counter() - started
-    print(f"{'  of its float64 copy':<34}{real_diagonalization:10.4f} s")
-    total = factorization_time + corrections_time
-    verdict = "below" if total < second_diagonalization else "NOT below"
-    print(
-        f"correction cost {total:.4f} s is {verdict} one sparse "
-        f"diagonalization of the operator as passed (machine-dependent)"
-    )
+    rows = [
+        ("dense", "engine", _engine_counts(False, args.seed)),
+        ("dense", "reference", _reference_counts(False, args.seed)),
+        ("offdiagonal", "engine", _engine_counts(True, args.seed)),
+        ("offdiagonal", "reference", _reference_counts(True, args.seed)),
+    ]
+    print("perturbation  implementation  order2  order3  order4")
+    for structure, implementation, counts in rows:
+        print(
+            f"{structure:<12}  {implementation:<14}  "
+            + "  ".join(f"{c:<6}" for c in counts)
+        )
     return EXIT_OK
 
 
@@ -338,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     diag.add_argument("--order", action="append", metavar="N1,N2,...")
     diag.add_argument("--max-order", type=int)
     diag.add_argument("--tol-degeneracy", type=float, default=None)
-    diag.add_argument("--implicit", action="store_true")
     diag.set_defaults(run=cmd_diagonalize)
 
     spectrum = commands.add_parser(
@@ -357,10 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--max-order", type=int, default=4)
     verify.set_defaults(run=cmd_verify)
 
-    bench = commands.add_parser("bench", help="operation counts and timings")
-    bench.add_argument("scenario", choices=("counts", "implicit-timing"))
+    bench = commands.add_parser("bench", help="matrix products per order")
+    bench.add_argument("scenario", choices=("counts",))
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--size", type=int, default=52)
     bench.set_defaults(run=cmd_bench)
     return parser
 

@@ -305,6 +305,8 @@ def _normalize_orders(perturbations: dict):
             raise ValueError("Perturbation orders have inconsistent lengths.")
         if not any(order):
             raise ValueError("Order 0 is reserved for H_0.")
+        if order in normalized:
+            raise ValueError(f"Perturbation order {order} is given more than once.")
         normalized[order] = term
     if n_params is None:
         raise ValueError("At least one perturbation term is required.")
@@ -377,7 +379,7 @@ def make_eigenbasis_solver(
         denominators = eigenvalues[j][None, :] - eigenvalues[i][:, None]
         remaining = rule.remaining_mask(block)
         if remaining is None:
-            remaining = np.ones(denominators.shape, dtype=bool)
+            return rhs / denominators
         safe = np.where(remaining, denominators, 1.0)
         return np.where(remaining, rhs / safe, 0.0)
 

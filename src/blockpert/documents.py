@@ -242,7 +242,7 @@ def load_problem(path, tol_override: float | None = None) -> tuple[PerturbationP
         h0 = decode_matrix(doc["h0"], "h0")
     except KeyError:
         raise DocumentError(f"{path}: missing 'h0'.")
-    perturbations = {}
+    perturbations, positions = {}, {}
     items = _typed(doc.get("perturbations", []), list, f"{path}: perturbations")
     for k, item in enumerate(items):
         where = f"perturbations[{k}]"
@@ -251,6 +251,12 @@ def load_problem(path, tol_override: float | None = None) -> tuple[PerturbationP
         order = _integers(item["order"], f"{path}: {where}.order")
         if any(n < 0 for n in order) or not any(order):
             raise DocumentError(f"{path}: {where} has invalid order {order}.")
+        if order in positions:
+            raise DocumentError(
+                f"{path}: perturbations[{positions[order]}] and {where} both "
+                f"have order {list(order)}."
+            )
+        positions[order] = k
         perturbations[order] = decode_matrix(item["matrix"], where)
     if not perturbations:
         raise DocumentError(f"{path}: at least one perturbation is required.")

@@ -4,7 +4,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.sparse as sparse
 import scipy.sparse.linalg as sla
 
 from blockpert.cli import main
@@ -45,7 +44,6 @@ def test_cli_implicit_diagonalize(tmp_path, implicit_document):
                 "diagonalize",
                 "--input",
                 path,
-                "--implicit",
                 "--block",
                 "0",
                 "0",
@@ -72,19 +70,6 @@ def test_cli_implicit_diagonalize(tmp_path, implicit_document):
             decode_matrix(last["matrix"]),
             reference.get((0, 0), (max_order,)),
         )
-
-
-def test_cli_implicit_flag_requires_implicit_document(tmp_path):
-    doc = problem_document(
-        np.diag([0.0, 1.0]),
-        {(1,): np.array([[0.0, 0.1], [0.1, 0.0]])},
-        subspace_indices=[0, 1],
-    )
-    path = tmp_path / "explicit.json"
-    write_document(doc, path)
-    assert main(
-        ["diagonalize", "--input", str(path), "--implicit", "--order", "1"]
-    ) == 2
 
 
 def test_cli_implicit_spectrum_error_decreases(tmp_path, implicit_document):
@@ -121,11 +106,18 @@ def test_cli_rejects_the_implicit_block(implicit_document, command, capsys):
     assert "is implicit" in capsys.readouterr().err
 
 
-def test_cli_bench_implicit_timing(capsys):
-    assert main(["bench", "implicit-timing", "--size", "12"]) == 0
-    out = capsys.readouterr().out
-    assert "factorizations" in out
-    assert "sparse diagonalization" in out
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "implicit-timing"],
+        ["diagonalize", "--input", "problem.json", "--implicit", "--order", "1"],
+    ],
+)
+def test_cli_has_no_implicit_timing_or_implicit_flag(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "usage: blockpert" in capsys.readouterr().err
 
 
 def test_console_entry_point():

@@ -766,6 +766,13 @@ def test_rejects_reserved_zero_order():
         )
 
 
+def test_rejects_an_order_given_twice():
+    with pytest.raises(ValueError, match=re.escape("order (1,) is given more than once")):
+        PerturbationProblem.from_diagonal(
+            np.array([0.0, 1.0]), {1: np.eye(2), (1,): 2 * np.eye(2)}, [0, 1]
+        )
+
+
 def test_degenerate_solver_error():
     rule = PerturbationProblem.from_diagonal(
         np.array([0.0, 1.0]), {(1,): np.eye(2) * 0}, [0, 1]

@@ -1,5 +1,6 @@
 import base64
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -187,6 +188,11 @@ def test_load_problem_round_trip(tmp_path):
         (
             lambda d: d.update(options={"tol_degeneracy": [1e-9]}),
             "tol_degeneracy must be a number",
+        ),
+        pytest.param(
+            lambda d: d["perturbations"].append(d["perturbations"][0]),
+            re.escape("perturbations[0] and perturbations[1] both have order [1]"),
+            id="repeated-order",
         ),
     ],
 )
@@ -387,14 +393,11 @@ def test_cli_rejects_negative_orders(tmp_path, argv, capsys):
     [
         (["verify", "--max-order", "0"], "at least 1"),
         (["verify", "--max-order", "-1"], "at least 1"),
-        (["bench", "implicit-timing", "--size", "2"], "at least 4"),
-        (["bench", "implicit-timing", "--size", "3"], "at least 4"),
     ],
 )
 def test_cli_rejects_inputs_that_run_nothing_or_crash(tmp_path, argv, message, capsys):
-    if argv[0] == "verify":
-        path = document_path(tmp_path, two_block_document())
-        argv = [argv[0], "--input", path, *argv[1:]]
+    path = document_path(tmp_path, two_block_document())
+    argv = [argv[0], "--input", path, *argv[1:]]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert message in captured.err
@@ -413,6 +416,9 @@ def test_cli_rejects_inputs_that_run_nothing_or_crash(tmp_path, argv, message, c
         ("lam=0:1:3:log", "positive bounds"),
         ("lam=-1:1:3:log", "positive bounds"),
         ("lam=0:1", "name=lo:hi:n"),
+        ("lam=nan:0.1:3", "'lam=nan:0.1:3' has a non-finite bound"),
+        ("lam=0:inf:3", "'lam=0:inf:3' has a non-finite bound"),
+        ("lam=-inf", "'lam=-inf' has a non-finite bound"),
     ],
 )
 def test_cli_spectrum_rejects_bad_grids(tmp_path, grid, message, capsys):
