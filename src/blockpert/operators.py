@@ -24,11 +24,15 @@ two ndarrays to numpy before any dispatch: on small blocks the dispatch
 would cost more than the arithmetic. A product of two thin ndarrays that
 lands on a large block, ``matmul(a, b, lazy=basis)``, becomes the core
 ``(Qᴴa)(bQ)``, and products, sums, multiples and adjoints of factored
-entries are those of their cores. A factored entry is applied to a thin
-ndarray one way per side: ``_matmat`` on columns and
-`FactoredOperator.premultiply` on rows, and `to_array` forms
-``Q_r C Q_cᴴ`` directly. Products are counted where the engine makes them,
-into an `OperationCounter`.
+entries are those of their cores. The basis takes up an operand's new
+directions by two projections and one QR, and holds the coordinates of
+each memoized operand: an operand that is bit for bit a held one, its
+adjoint or the negative of either takes them without a projection. A
+factored entry is applied to a thin ndarray one way per side: ``_matmat``
+on columns and `FactoredOperator.premultiply` on rows, each reading the
+coordinates of a held operand instead of its product with ``Q``, and
+`to_array` forms ``Q_r C Q_cᴴ`` directly. Products are counted where the
+engine makes them, into an `OperationCounter`.
 """
 
 from __future__ import annotations
@@ -144,19 +148,33 @@ class MatrixFreeOperator(LinearOperator):
 # m columns weighs at most sqrt(m) times this fraction of its norm.
 DROP_RTOL = 1e-13
 
+# The second projection leaves each new direction a part in Q of about eps
+# times the residual's norm over the direction's weight. A direction weaker
+# than this fraction of the strongest one is projected out of Q once more, as
+# a unit vector, and the new directions are orthonormalized again. With 5 of
+# 100 new directions at 1.01 times this fraction, mixed into all columns of
+# an operand, Q stayed orthonormal within 7e-15 (7e-14 at 1e-3). Without the
+# further pass, one mixed direction at 1e-12 of the operand's norm left Q
+# orthonormal only within 2e-6. On dense_two_block the weakest kept direction
+# is 0.12 of the strongest, so each extension there takes one QR.
+WEAK_RTOL = 1e-2
+
 
 class LargeBlockBasis:
     """Orthonormal basis ``Q`` shared by the entries of one large block.
 
     An entry ``a b`` is formed from thin operands, ``a`` of ``N x m``
     columns and ``b`` of ``m x N`` rows. Through `extend`, each operand
-    first adds its new directions to ``Q``, found by two-pass block
-    Gram-Schmidt. Of the ``m`` candidate directions of an operand, those
-    below `DROP_RTOL` are dropped and counted in ``dropped``; an operand
-    already in the span drops all ``m``. ``buffer`` is exactly
-    ``N x width``: each extension replaces it by a copy wider by the
-    columns added. Entries read it through this object, so they never pin
-    an old buffer.
+    first adds its new directions to ``Q``, found by block classical
+    Gram-Schmidt run twice and one QR. Of the ``m`` candidate directions of
+    an operand that is projected, those below `DROP_RTOL` are dropped and
+    counted in ``dropped``; an operand already in the span drops all ``m``.
+    A read-only operand that the basis holds, directly or as an exact alias
+    (bit for bit ``±y`` or ``±yᴴ`` of a held ``y``), is never projected, so
+    it drops nothing: ``dropped`` counts the columns of projected operands
+    only. ``buffer`` is exactly ``N x width``: each extension replaces it by
+    a copy wider by the columns added. Entries read it through this object,
+    so they never pin an old buffer.
     """
 
     def __init__(self, dimension: int):
@@ -175,51 +193,107 @@ class LargeBlockBasis:
 
         The coordinates of a read-only operand (a memoized entry) are
         remembered, so that it extends ``Q`` once, and completed when ``Q``
-        has grown since.
+        has grown since. An exact alias of a remembered operand takes its
+        coordinates, negated if need be, and is remembered in turn.
         """
-        key = (id(x), rows)  # unique: the memo holds the operand
-        known = self._known.get(key)
-        if known is None:
+        columns = self.held(x, rows)
+        if columns is None:
             columns = self._extend(x, rows)
-        else:
-            columns = known[0]
-            if len(columns) < self.width:
-                rest = _project(self.buffer[:, len(columns) :], x, rows)
-                columns = np.vstack([columns, rest])
         if not x.flags.writeable:
-            self._known[key] = (columns, x)
+            self._known[id(x), rows] = (columns, x)  # unique: the memo holds x
         return columns.conj().T if rows else columns
+
+    def held(self, x: np.ndarray, rows: bool = False) -> np.ndarray | None:
+        """``Qᴴ X`` on all of ``Q`` for the columns ``X`` of ``x`` (with
+        ``rows``, of ``xᴴ``) if the basis holds ``x``, directly or through
+        an exact alias; ``None`` otherwise. A held operand's coordinates
+        are completed on the columns added since, and remembered so; no
+        other operand is recorded, and ``Q`` is never extended."""
+        key, sign = (id(x), rows), 1
+        if key not in self._known:
+            key, sign = self._alias(x, rows)
+            if not sign:
+                return None
+        columns, y = self._known[key]
+        if len(columns) < self.width:
+            rest = _project(self.buffer[:, len(columns) :], y, key[1])
+            columns = np.vstack([columns, rest])
+            self._known[key] = (columns, y)
+        return columns if sign > 0 else -columns
+
+    def _alias(self, x, rows):
+        """The key of a remembered ``y`` whose columns are bit for bit
+        ``±`` those of the read-only ``x``, and the sign; ``(None, 0)`` if
+        there is none. ``x`` is compared with ``±y``, or with ``±yᴴ`` where
+        one is taken as rows and the other as columns."""
+        if not x.flags.writeable and x.size:
+            for key, (_, y) in self._known.items():
+                sign = _alias_sign(x, y, key[1] != rows)
+                if sign:
+                    return key, sign
+        return None, 0
 
     def _extend(self, x, rows):
         """Extend ``Q`` by the new directions of ``x``; its coordinates.
 
-        The first pass projects ``x`` out of ``Q``; a QR and an SVD of the
-        residual's small triangle give its directions and their weights.
-        The second pass projects the kept directions out of ``Q`` once more
-        and orthonormalizes them, which removes the rounding that the first
-        pass left in them relative to their weight.
+        ``x`` is projected out of ``Q`` and its residual out of ``Q`` once
+        more, which removes the rounding of the first pass (Giraud, Langou
+        and Rozložník 2005). A QR of the residual and the SVD ``U s Vh`` of
+        its triangle give the new directions ``directions U`` and their
+        coordinates ``s Vh``. Weak directions (`WEAK_RTOL`) take a further
+        pass and their coordinates by projection.
         """
         columns = x.conj().T if rows else x
+        norm = np.linalg.norm(columns)
+        if not np.isfinite(norm):
+            raise ValueError(
+                f"A {x.shape[0]}x{x.shape[1]} operand of a large block has "
+                f"Frobenius norm {norm}: its entries are not finite or overflow."
+            )
         q = self.buffer
         coefficients = _project(q, x, rows)
         residual = columns - q @ coefficients
-        norm = np.linalg.norm(columns)
+        correction = _overlap(q, residual)
+        residual -= q @ correction
+        coefficients += correction
         kept = 0
         if np.linalg.norm(residual) > DROP_RTOL * norm:
-            directions, triangle = scipy.linalg.qr(residual, mode="economic")
-            rotation, values, _ = np.linalg.svd(triangle)
+            directions, triangle = scipy.linalg.qr(
+                residual, mode="economic", overwrite_a=True, check_finite=False
+            )
+            rotation, values, weights = np.linalg.svd(triangle)
             kept = int(np.count_nonzero(values > DROP_RTOL * norm))
         self.dropped += columns.shape[1] - kept
         if not kept:
             return coefficients
         new = directions @ rotation[:, :kept]
-        new -= q @ _overlap(q, new)
-        new = scipy.linalg.qr(new, mode="economic")[0]
+        if values[kept - 1] < WEAK_RTOL * values[0]:
+            new -= q @ _overlap(q, new)
+            new = scipy.linalg.qr(
+                new, mode="economic", overwrite_a=True, check_finite=False
+            )[0]
+            added = _project(new, x, rows)
+        else:
+            added = values[:kept, None] * weights[:kept]
         width = q.shape[1]
         self.buffer = np.empty((self.dimension, width + kept), q.dtype, order="F")
         self.buffer[:, :width] = q
         self.buffer[:, width:] = new
-        return np.vstack([coefficients, _project(new, x, rows)])
+        return np.vstack([coefficients, added])
+
+
+def _alias_sign(x: np.ndarray, y: np.ndarray, transposed: bool) -> int:
+    """1 or -1 where ``x`` is bit for bit ``±y``, or ``±yᴴ`` if
+    ``transposed``; 0 otherwise."""
+    if x.shape != (y.shape[::-1] if transposed else y.shape):
+        return 0
+    first = y[0, 0].conjugate() if transposed else y[0, 0]
+    for sign in (1, -1):
+        if x[0, 0] == sign * first:
+            target = y.conj().T if transposed else y
+            if np.array_equal(x, target if sign > 0 else -target):
+                return sign
+    return 0
 
 
 def _overlap(q: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -242,7 +316,8 @@ class FactoredOperator(LinearOperator):
     columns (``_matmat``, and through the adjoint every other
     `scipy.sparse.linalg.LinearOperator` action) or to rows
     (`premultiply`), an entry costs two thin products with ``Q`` and never
-    extends it.
+    extends it; one of them, if the basis holds the operand
+    (`LargeBlockBasis.held`), is read from its coordinates instead.
     """
 
     def __init__(self, basis: LargeBlockBasis, core: np.ndarray):
@@ -262,7 +337,12 @@ class FactoredOperator(LinearOperator):
         return self.basis.buffer[:, : self.core.shape[1]]
 
     def _matmat(self, x):
-        return self._left() @ (self.core @ _overlap(self._right(), x))
+        coordinates = self.basis.held(x)
+        if coordinates is None:
+            coordinates = _overlap(self._right(), x)
+        else:
+            coordinates = coordinates[: self.core.shape[1]]
+        return self._left() @ (self.core @ coordinates)
 
     def _adjoint(self):
         return FactoredOperator(self.basis, self.core.conj().T)
@@ -274,7 +354,12 @@ class FactoredOperator(LinearOperator):
 
     def premultiply(self, x: np.ndarray) -> np.ndarray:
         """``x @ self`` for rows ``x``: ``((x Q_r) C) Q_cᴴ``."""
-        return self._times_right_adjoint((x @ self._left()) @ self.core)
+        coordinates = self.basis.held(x, rows=True)
+        if coordinates is None:
+            coordinates = x @ self._left()
+        else:
+            coordinates = coordinates[: self.core.shape[0]].conj().T
+        return self._times_right_adjoint(coordinates @ self.core)
 
     def toarray(self) -> np.ndarray:
         """The dense ``(Q_r C) Q_cᴴ``, a new array."""

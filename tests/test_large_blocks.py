@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
+from blockpert import operators
 from blockpert.cli import main
 from blockpert.diagonalization import (
     PerturbationProblem,
@@ -98,6 +99,137 @@ def test_operands_in_the_span_are_dropped(rng):
     assert after.shape == (basis.width, 2)
     np.testing.assert_array_equal(after[: len(before)], before)
     np.testing.assert_allclose(after, basis.buffer.conj().T @ frozen, atol=1e-12)
+
+
+def read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+@pytest.mark.parametrize("weight, added", [(1e-12, 5), (1e-15, 4)])
+def test_extension_keeps_weak_directions_orthonormal(rng, weight, added):
+    """An operand of 6 columns mixes 4 strong new directions, a fifth of
+    ``weight`` times its norm and a part in the span: the weak direction is
+    kept at 1e-12 and dropped at 1e-15, and ``Q`` stays orthonormal."""
+    n = 200
+    basis = LargeBlockBasis(n)
+    basis.extend(thin(rng, n, 30))
+    q = basis.buffer.copy()
+    fresh = thin(rng, n, 5)
+    fresh -= q @ (q.conj().T @ fresh)
+    fresh = np.linalg.qr(fresh)[0]
+    mixing = np.linalg.qr(thin(rng, 6, 6))[0]
+    x = q @ thin(rng, 30, 6) + fresh[:, :4] @ mixing[:4]
+    x += weight * np.linalg.norm(x) * np.outer(fresh[:, 4], mixing[4])
+    coordinates = basis.extend(x)
+    assert (basis.width, basis.dropped) == (30 + added, 6 - added)
+    q = basis.buffer
+    assert np.max(np.abs(q.conj().T @ q - np.eye(basis.width))) <= 1e-13
+    assert np.linalg.norm(q @ coordinates - x) <= 1e-12 * np.linalg.norm(x)
+    rows = thin(rng, 3, n)
+    coordinates = basis.extend(rows, rows=True)
+    q = basis.buffer
+    assert np.max(np.abs(q.conj().T @ q - np.eye(basis.width))) <= 1e-13
+    assert np.linalg.norm(coordinates @ q.conj().T - rows) <= 1e-12 * np.linalg.norm(rows)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_operand_is_rejected(rng, bad):
+    basis = LargeBlockBasis(20)
+    basis.extend(thin(rng, 20, 2))
+    x = thin(rng, 20, 2)
+    x[7, 1] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        basis.extend(x)
+    with pytest.raises(ValueError, match="not finite"):
+        basis.extend(x.T.copy(), rows=True)
+    assert (basis.width, basis.dropped) == (2, 0)
+
+
+def test_overflowing_problem_fails_loudly():
+    """Perturbations at 1e100 overflow by order 5; the factored block
+    raises instead of storing NaN coordinates."""
+    energies, perturbations, labels = random_two_block(4, 40, 0)
+    perturbations = {order: 1e100 * term for order, term in perturbations.items()}
+    result = block_diagonalize(
+        PerturbationProblem.from_diagonal(energies, perturbations, labels)
+    )
+    assert set(result.context["W"].large_blocks) == {1}
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+        for order in range(1, 8):
+            result.h_tilde.get((0, 0), (order,))
+
+
+@pytest.fixture
+def spy_projections(monkeypatch):
+    calls = []
+    project = operators._project
+
+    def spy(q, x, rows):
+        calls.append(x)
+        return project(q, x, rows)
+
+    monkeypatch.setattr(operators, "_project", spy)
+    return calls
+
+
+def test_exact_aliases_take_no_projection(rng, spy_projections):
+    """``±y`` and ``±yᴴ`` of a held operand take its coordinates; a
+    writeable copy or a one-ulp change is projected."""
+    n = 40
+    basis = LargeBlockBasis(n)
+    columns, rows = read_only(thin(rng, n, 3)), read_only(thin(rng, 3, n))
+    matmul(columns, rows, lazy=basis)
+    basis.extend(columns)  # completes its coordinates on the columns of rows
+    width, dropped = basis.width, basis.dropped
+    reference = basis.buffer.conj().T
+    spy_projections.clear()
+    aliases = {
+        "-columns": (-columns, False, reference @ -columns),
+        "columnsᴴ": (columns.conj().T, True, (reference @ columns).conj().T),
+        "-columnsᴴ": (-columns.conj().T, True, -(reference @ columns).conj().T),
+        "-rows": (-rows, True, -rows @ reference.conj().T),
+        "rowsᴴ": (rows.conj().T, False, reference @ rows.conj().T),
+    }
+    for name, (alias, as_rows, expected) in aliases.items():
+        alias = read_only(alias)
+        np.testing.assert_allclose(
+            basis.extend(alias, rows=as_rows), expected, atol=1e-12, err_msg=name
+        )
+    assert spy_projections == []
+    assert (basis.width, basis.dropped) == (width, dropped)
+    writeable = -columns
+    basis.extend(writeable)
+    assert len(spy_projections) == 1 and spy_projections[0] is writeable
+    nudged = rows.copy()
+    nudged[1, 2] = np.nextafter(nudged[1, 2].real, np.inf) + 1j * nudged[1, 2].imag
+    basis.extend(read_only(nudged), rows=True)
+    assert len(spy_projections) == 2 and spy_projections[1] is nudged
+    assert (basis.width, basis.dropped) == (width, dropped + 6)
+
+
+def test_held_operands_are_applied_from_their_coordinates(rng):
+    """``premultiply`` and ``matmul(F, x)`` on operands the basis holds,
+    directly or as aliases, equal the plain products, extend nothing and
+    record no other operand."""
+    n = 40
+    basis = LargeBlockBasis(n)
+    columns, rows = read_only(thin(rng, n, 3)), read_only(thin(rng, 3, n))
+    entry = matmul(columns, rows, lazy=basis)
+    # The basis grows after the entry, so held coordinates are completed.
+    matmul(thin(rng, n, 2), thin(rng, 2, n), lazy=basis)
+    dense = to_array(entry)
+    width, known = basis.width, len(basis._known)
+    for operand in (rows, read_only(-rows), read_only(columns.conj().T)):
+        np.testing.assert_allclose(matmul(operand, entry), operand @ dense, atol=1e-12)
+        assert basis.held(operand, rows=True) is not None
+    for operand in (columns, read_only(-columns), read_only(rows.conj().T)):
+        np.testing.assert_allclose(matmul(entry, operand), dense @ operand, atol=1e-12)
+        assert basis.held(operand) is not None
+    stranger = read_only(thin(rng, n, 3))
+    np.testing.assert_allclose(matmul(entry, stranger), dense @ stranger, atol=1e-12)
+    assert basis.held(stranger) is None
+    assert (basis.width, len(basis._known)) == (width, known)
 
 
 def lattice_pair(width, n_explicit, seed):
