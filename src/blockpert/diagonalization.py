@@ -29,7 +29,13 @@ In the eigenbasis the Sylvester solution is elementwise,
 
 No conjugate transpose is stored for ``U'^H``: since ``W`` is Hermitian and
 ``V`` anti-Hermitian, ``U'^H = W - V``, so on two whole blocks its diagonal
-entries are the stored ``W`` entries.
+entries are the stored ``W`` entries. Entries that the recurrences derive
+from another stored entry are `~blockpert.operators.Reference`s to it, not
+copies: ``W_ji = W_ij^H`` and ``V_ji = -V_ij^H`` below the diagonal,
+``U'^H = -V`` where ``W`` is zero, ``B = -U'^H B`` where nothing is
+selected, and ``B = -H_tilde`` where ``U'^H B`` and ``H'_S`` are zero. Entries
+below `REFERENCE_MIN_SIZE` elements are copied. The output series
+``H_tilde``, ``U`` and ``U^H`` hand out arrays.
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ from blockpert.operators import (
     LargeBlockBasis,
     One,
     OperationCounter,
+    Reference,
     Zero,
     add,
     adjoint,
@@ -67,6 +74,7 @@ from blockpert.separation import (
 )
 from blockpert.series import (
     BlockSeries,
+    NonFiniteError,
     _memo_value,
     cauchy_product,
     contract,
@@ -102,6 +110,14 @@ ORTHONORMALITY_ATOL = 1e-10
 # basis full at 1000 columns; 20+1000 to (4, 4) took 15.1-16.0 against
 # 1.0 s. No single ratio fits both, so such blocks stay dense.
 FACTOR_RATIO = 8
+
+# An entry of fewer elements is copied instead of referred to: it holds at
+# most 1 KiB, and resolving a reference costs about 1 us more in each
+# product that reads it. References made the bilayer-graphene solve (2x2
+# blocks, 30,969 products) 15-25% slower, and H-tilde[0, 0] of
+# random_two_block(n, n) to order 12 13-18% slower up to n = 12, 7.5% at
+# n = 32 and no slower from n = 64, on one BLAS thread.
+REFERENCE_MIN_SIZE = 64
 
 SylvesterSolver = Callable[[Any, tuple[int, int], tuple[int, ...]], Any]
 
@@ -450,6 +466,18 @@ def block_diagonalize(
     )
 
 
+def _reference(a, sign: int = 1, dagger: bool = False):
+    """``sign · a``, or ``sign · aᴴ`` with ``dagger``, of a stored entry
+    ``a``, as a `~blockpert.operators.Reference` to its array where that
+    holds at least `REFERENCE_MIN_SIZE` elements or ``a`` is a reference
+    (chains collapse to the final source); computed otherwise."""
+    if type(a) is Reference:
+        return Reference(sign * a.sign, dagger != a.adjoint, a.source)
+    if type(a) is np.ndarray and a.size >= REFERENCE_MIN_SIZE:
+        return Reference(sign, dagger, a)
+    return scale(adjoint(a) if dagger else a, sign)
+
+
 def _factored_blocks(problem: PerturbationProblem) -> frozenset[int]:
     """The blocks whose entries the engine keeps factored: the large
     blocks and, in a one-parameter problem, each explicit block without a
@@ -485,6 +513,13 @@ def _build_series(
     # block, and products with them, as in transform_observable, are dense.
     explicit = large.keys() - problem.large_blocks
     outer = {label: basis for label, basis in large.items() if label not in explicit}
+    # The diagonal blocks on which B, where it is -H-tilde, refers to it:
+    # H-tilde holds their entries as arrays of REFERENCE_MIN_SIZE or more.
+    shared = {
+        label
+        for label, size in enumerate(rule.block_sizes)
+        if label not in large and size * size >= REFERENCE_MIN_SIZE
+    }
 
     def make(name, eval, large_blocks=large):
         return BlockSeries(
@@ -499,8 +534,14 @@ def _build_series(
     def make_output(name, eval):
         def dense(i, j, *n):
             value = eval(i, j, *n)
-            if i == j and i in explicit and isinstance(value, LinearOperator):
-                return to_array(value)
+            if type(value) is Reference or (
+                i == j and i in explicit and isinstance(value, LinearOperator)
+            ):
+                value = to_array(value)
+            # Sparse products and LU solves run in scipy's compiled code,
+            # which numpy's error state does not see.
+            if type(value) is np.ndarray and not np.isfinite(value).all():
+                raise NonFiniteError("it holds inf or NaN")
             return value
 
         return make(name, dense, outer)
@@ -529,14 +570,14 @@ def _build_series(
             # diagonal, so these entries vanish identically.
             return zero
         if i > j:
-            return adjoint(W.get((j, i), n))
+            return _reference(W.get((j, i), n), dagger=True)
         return scale(contract(Up_adj, Up, (i, j), n, counter, hermitian=i == j), -0.5)
 
     def eval_V(i, j, *n):
         if not any(n):
             return zero
         if i > j:
-            return scale(adjoint(V.get((j, i), n)), -1)
+            return _reference(V.get((j, i), n), -1, dagger=True)
         if not rule.has_remaining_part((i, j)):
             return zero
         # Two whole blocks have M_01 = M_10†: no adjoint-partner products.
@@ -555,7 +596,10 @@ def _build_series(
         # U'† = W - V, since W is Hermitian and V anti-Hermitian.
         if not any(n):
             return zero
-        return add(W.get((i, j), n), scale(V.get((i, j), n), -1))
+        w = W.get((i, j), n)
+        if w is zero:
+            return _reference(V.get((i, j), n), -1)
+        return add(w, scale(V.get((i, j), n), -1))
 
     def bracket(i, j, n, hermitian=True):
         """``G_ij``, or ``M_ij - [V, H'_S]_ij`` when not ``hermitian``."""
@@ -572,10 +616,12 @@ def _build_series(
     def eval_B(i, j, *n):
         if not any(n):
             return zero
-        total = UdB.get((i, j), n)
-        if rule.has_selected_part((i, j)):
-            total = add(total, select(bracket(i, j, n), rule, (i, j)))
-        return scale(total, -1)
+        product = UdB.get((i, j), n)
+        if not rule.has_selected_part((i, j)):
+            return _reference(product, -1)
+        if i in shared and product is zero and Hp_S.get((i, j), n) is zero:
+            return _reference(H_tilde.get((i, j), n), -1)  # B = -G_S = -H̃
+        return scale(add(product, select(bracket(i, j, n), rule, (i, j))), -1)
 
     def eval_H_tilde(i, j, *n):
         if not any(n):

@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sla
 
-from blockpert.operators import MatrixFreeOperator, _overlap
+from blockpert.operators import MatrixFreeOperator, Reference, _overlap
 from blockpert.diagonalization import (
     PerturbationProblem,
     _check_operand,
@@ -287,8 +287,10 @@ def build_extended_problem(
         if np.any(explicit_block):
             blocks[(0, 0, order)] = explicit_block
         if np.any(explicit_to_implicit):
+            # Read-only, it is stored as it is, and its adjoint refers to it.
+            explicit_to_implicit.flags.writeable = False
             blocks[(0, 1, order)] = explicit_to_implicit
-            blocks[(1, 0, order)] = explicit_to_implicit.conj().T
+            blocks[(1, 0, order)] = Reference(1, True, explicit_to_implicit)
         blocks[(1, 1, order)] = projected_operator(term, psi)
 
     return PerturbationProblem(

@@ -6,6 +6,8 @@ Series elements are one of:
   sums at no cost,
 - ``one``, a structural multiplicative identity,
 - a dense ``numpy.ndarray`` of dtype ``complex128``,
+- a `Reference` ``±y`` or ``±yᴴ`` to a stored ndarray ``y``, an entry
+  that the recurrences derive from another one and that owns no buffer,
 - a `FactoredOperator` ``Q[:, :r] C Q[:, :c]ᴴ``, an entry of a large
   diagonal block, implicit or big and explicit: ``Q`` is the
   `LargeBlockBasis` that all entries of that block share in one run, and
@@ -16,23 +18,20 @@ Series elements are one of:
 
 Inputs are brought to this form once, where they enter: the problem
 constructors, a custom Sylvester solver's output and the entries of a
-transformed observable go through `as_dense`.
-All arithmetic goes through the module-level functions `matmul`, `add`,
-`scale` and `adjoint`, which dispatch on these types and convert nothing;
-`to_array` materializes any element for output. `matmul` and `add` hand
-two ndarrays to numpy before any dispatch: on small blocks the dispatch
-would cost more than the arithmetic. A product of two thin ndarrays that
+transformed observable go through `as_dense`. All arithmetic goes through
+the module-level functions `matmul`, `add`, `scale` and `adjoint`, which
+dispatch on these types, and `to_array` materializes any element for
+output. Two ndarrays go to numpy before any dispatch: on small blocks the
+dispatch would cost more than the arithmetic. A product with a reference
+is one numpy product on its source. A product of two thin operands that
 lands on a large block, ``matmul(a, b, lazy=basis)``, becomes the core
-``(Qᴴa)(bQ)``, and products, sums, multiples and adjoints of factored
-entries are those of their cores. The basis takes up an operand's new
-directions by two projections and one QR, and holds the coordinates of
-each memoized operand: an operand that is bit for bit a held one, its
-adjoint or the negative of either takes them without a projection. A
-factored entry is applied to a thin ndarray one way per side: ``_matmat``
-on columns and `FactoredOperator.premultiply` on rows, each reading the
-coordinates of a held operand instead of its product with ``Q``, and
-`to_array` forms ``Q_r C Q_cᴴ`` directly. Products are counted where the
-engine makes them, into an `OperationCounter`.
+``(Qᴴa)(bQ)``; products, sums, multiples and adjoints of factored entries
+are those of their cores. The basis holds the coordinates of each memoized
+operand, and a reference takes those of its source. A factored entry is
+applied to a thin operand by ``_matmat`` on columns and
+`FactoredOperator.premultiply` on rows, each reading a held operand's
+coordinates instead of its product with ``Q``. Products are counted where
+the engine makes them, into an `OperationCounter`.
 """
 
 from __future__ import annotations
@@ -52,6 +51,7 @@ __all__ = [
     "OperationCounter",
     "CountedMatrix",
     "MatrixFreeOperator",
+    "Reference",
     "LargeBlockBasis",
     "FactoredOperator",
     "matmul",
@@ -139,6 +139,31 @@ class MatrixFreeOperator(LinearOperator):
         return MatrixFreeOperator(self.shape[0], self._apply_adjoint, self._apply)
 
 
+class Reference:
+    """An entry ``sign · source``, or ``sign · sourceᴴ`` with ``adjoint``,
+    that owns no buffer: ``source`` is a stored ndarray entry, which must
+    stay stored, and ``sign`` is 1 or -1. The recurrences make it where
+    they know the relation; the arithmetic functions and the basis resolve
+    it without a copy of the source, and `to_array` materializes it.
+    """
+
+    __slots__ = ("sign", "adjoint", "source")
+
+    def __init__(self, sign: int, adjoint: bool, source: np.ndarray):
+        self.sign = sign
+        self.adjoint = adjoint
+        self.source = source
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.source.shape[::-1] if self.adjoint else self.source.shape
+
+    def toarray(self) -> np.ndarray:
+        """The entry as a new array."""
+        value = self.source.conj().T if self.adjoint else self.source.copy()
+        return np.negative(value, out=value) if self.sign < 0 else value
+
+
 # A new operand's directions whose residual, after its projection on the
 # basis, is below this fraction of the operand's Frobenius norm are dropped.
 # On the width-100 lattice (seeds 1-3, 10 states, H-tilde to order 10) the
@@ -169,12 +194,12 @@ class LargeBlockBasis:
     Gram-Schmidt run twice and one QR. Of the ``m`` candidate directions of
     an operand that is projected, those below `DROP_RTOL` are dropped and
     counted in ``dropped``; an operand already in the span drops all ``m``.
-    A read-only operand that the basis holds, directly or as an exact alias
-    (bit for bit ``±y`` or ``±yᴴ`` of a held ``y``), is never projected, so
-    it drops nothing: ``dropped`` counts the columns of projected operands
-    only. ``buffer`` is exactly ``N x width``: each extension replaces it by
-    a copy wider by the columns added. Entries read it through this object,
-    so they never pin an old buffer.
+    A `Reference` takes its source's coordinates, negated if its sign is
+    -1 and those of the other side if it is an adjoint; no arrays are
+    compared. ``buffer`` is exactly
+    ``N x width``: each extension replaces it by a copy wider by the
+    columns added. Entries read it through this object, so they never pin
+    an old buffer.
     """
 
     def __init__(self, dimension: int):
@@ -187,51 +212,39 @@ class LargeBlockBasis:
     def width(self) -> int:
         return self.buffer.shape[1]
 
-    def extend(self, x: np.ndarray, rows: bool = False) -> np.ndarray:
+    def extend(self, x, rows: bool = False) -> np.ndarray:
         """Take up the new directions of ``x`` in ``Q``; the coordinates
         ``Qᴴ x`` of columns ``x``, or ``x Q`` of rows ``x``, on all of ``Q``.
 
-        The coordinates of a read-only operand (a memoized entry) are
-        remembered, so that it extends ``Q`` once, and completed when ``Q``
-        has grown since. An exact alias of a remembered operand takes its
-        coordinates, negated if need be, and is remembered in turn.
+        The coordinates of a read-only operand (a memoized entry, or the
+        source of a reference) are remembered, so that it extends ``Q``
+        once, and completed when ``Q`` has grown since.
         """
         columns = self.held(x, rows)
         if columns is None:
-            columns = self._extend(x, rows)
-        if not x.flags.writeable:
-            self._known[id(x), rows] = (columns, x)  # unique: the memo holds x
+            sign, source, side = _source(x, rows)
+            columns = self._extend(source, side)
+            if not source.flags.writeable:  # unique: the memo holds it
+                self._known[id(source), side] = (columns, source)
+            columns = -columns if sign < 0 else columns
         return columns.conj().T if rows else columns
 
-    def held(self, x: np.ndarray, rows: bool = False) -> np.ndarray | None:
+    def held(self, x, rows: bool = False) -> np.ndarray | None:
         """``Qᴴ X`` on all of ``Q`` for the columns ``X`` of ``x`` (with
-        ``rows``, of ``xᴴ``) if the basis holds ``x``, directly or through
-        an exact alias; ``None`` otherwise. A held operand's coordinates
-        are completed on the columns added since, and remembered so; no
-        other operand is recorded, and ``Q`` is never extended."""
-        key, sign = (id(x), rows), 1
+        ``rows``, of ``xᴴ``) if the basis holds ``x`` or, for a reference,
+        its source; ``None`` otherwise. A held operand's coordinates are
+        completed on the columns added since, and remembered so; no other
+        operand is recorded, and ``Q`` is never extended."""
+        sign, source, side = _source(x, rows)
+        key = (id(source), side)
         if key not in self._known:
-            key, sign = self._alias(x, rows)
-            if not sign:
-                return None
+            return None
         columns, y = self._known[key]
         if len(columns) < self.width:
-            rest = _project(self.buffer[:, len(columns) :], y, key[1])
+            rest = _project(self.buffer[:, len(columns) :], y, side)
             columns = np.vstack([columns, rest])
             self._known[key] = (columns, y)
-        return columns if sign > 0 else -columns
-
-    def _alias(self, x, rows):
-        """The key of a remembered ``y`` whose columns are bit for bit
-        ``±`` those of the read-only ``x``, and the sign; ``(None, 0)`` if
-        there is none. ``x`` is compared with ``±y``, or with ``±yᴴ`` where
-        one is taken as rows and the other as columns."""
-        if not x.flags.writeable and x.size:
-            for key, (_, y) in self._known.items():
-                sign = _alias_sign(x, y, key[1] != rows)
-                if sign:
-                    return key, sign
-        return None, 0
+        return -columns if sign < 0 else columns
 
     def _extend(self, x, rows):
         """Extend ``Q`` by the new directions of ``x``; its coordinates.
@@ -282,29 +295,46 @@ class LargeBlockBasis:
         return np.vstack([coefficients, added])
 
 
-def _alias_sign(x: np.ndarray, y: np.ndarray, transposed: bool) -> int:
-    """1 or -1 where ``x`` is bit for bit ``±y``, or ``±yᴴ`` if
-    ``transposed``; 0 otherwise."""
-    if x.shape != (y.shape[::-1] if transposed else y.shape):
-        return 0
-    first = y[0, 0].conjugate() if transposed else y[0, 0]
-    for sign in (1, -1):
-        if x[0, 0] == sign * first:
-            target = y.conj().T if transposed else y
-            if np.array_equal(x, target if sign > 0 else -target):
-                return sign
-    return 0
-
-
 def _overlap(q: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``qᴴ x`` as ``conj(qᵀ conj(x))``, with no conjugate copy of ``q``."""
     return (q.T @ x.conj()).conj()
 
 
-def _project(q: np.ndarray, x: np.ndarray, rows: bool) -> np.ndarray:
+def _source(x, rows: bool) -> tuple[int, np.ndarray, bool]:
+    """``(sign, y, side)`` with ``x`` taken on ``rows`` equal to ``sign``
+    times ``y`` taken on ``side``: ``x`` itself, or a reference's source,
+    on the other side if the reference is an adjoint."""
+    if type(x) is Reference:
+        return x.sign, x.source, rows != x.adjoint
+    return 1, x, rows
+
+
+def _project(q: np.ndarray, x, rows: bool) -> np.ndarray:
     """``qᴴ X`` for the columns ``X`` of ``x``: ``x`` itself, or with
-    ``rows`` its conjugate transpose."""
-    return (x @ q).conj().T if rows else _overlap(q, x)
+    ``rows`` its conjugate transpose. A reference is projected through its
+    source."""
+    sign, x, rows = _source(x, rows)
+    projection = (x @ q).conj().T if rows else _overlap(q, x)
+    return np.negative(projection, out=projection) if sign < 0 else projection
+
+
+def _dot(a, b) -> np.ndarray:
+    """``a @ b`` of ndarrays and references: one numpy product on their
+    sources, which it takes transposed as views. An adjoint costs a
+    conjugate copy of its source, and a sign a negated copy of the smaller
+    factor, since negation is exact. scipy's BLAS would take both as flags,
+    but it runs a thread pool of its own, and switching between the two
+    stalls both."""
+    sign = 1
+    if type(a) is Reference:
+        sign, a = a.sign, a.source.conj().T if a.adjoint else a.source
+    if type(b) is Reference:
+        sign, b = sign * b.sign, b.source.conj().T if b.adjoint else b.source
+    if sign < 0 and a.size <= b.size:
+        a = -a
+    elif sign < 0:
+        b = -b
+    return a @ b
 
 
 class FactoredOperator(LinearOperator):
@@ -316,7 +346,7 @@ class FactoredOperator(LinearOperator):
     columns (``_matmat``, and through the adjoint every other
     `scipy.sparse.linalg.LinearOperator` action) or to rows
     (`premultiply`), an entry costs two thin products with ``Q`` and never
-    extends it; one of them, if the basis holds the operand
+    extends it; one of them, if the basis holds the operand or its source
     (`LargeBlockBasis.held`), is read from its coordinates instead.
     """
 
@@ -339,7 +369,7 @@ class FactoredOperator(LinearOperator):
     def _matmat(self, x):
         coordinates = self.basis.held(x)
         if coordinates is None:
-            coordinates = _overlap(self._right(), x)
+            coordinates = _project(self._right(), x, False)
         else:
             coordinates = coordinates[: self.core.shape[1]]
         return self._left() @ (self.core @ coordinates)
@@ -352,11 +382,11 @@ class FactoredOperator(LinearOperator):
         product = x.conj() @ self._right().T
         return np.conj(product, out=product)
 
-    def premultiply(self, x: np.ndarray) -> np.ndarray:
+    def premultiply(self, x) -> np.ndarray:
         """``x @ self`` for rows ``x``: ``((x Q_r) C) Q_cᴴ``."""
         coordinates = self.basis.held(x, rows=True)
         if coordinates is None:
-            coordinates = x @ self._left()
+            coordinates = _dot(x, self._left())
         else:
             coordinates = coordinates[: self.core.shape[0]].conj().T
         return self._times_right_adjoint(coordinates @ self.core)
@@ -364,6 +394,14 @@ class FactoredOperator(LinearOperator):
     def toarray(self) -> np.ndarray:
         """The dense ``(Q_r C) Q_cᴴ``, a new array."""
         return self._times_right_adjoint(self._left() @ self.core)
+
+
+_THIN = (np.ndarray, Reference)
+
+
+def _materialized(a):
+    """``a``, with a reference made an array."""
+    return a.toarray() if type(a) is Reference else a
 
 
 def _padded_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -377,6 +415,8 @@ def _padded_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def as_dense(array) -> np.ndarray:
     """Promote input to a 2-D complex double-precision ndarray."""
+    if type(array) is Reference:
+        return array.toarray()
     if issparse(array):
         array = array.toarray()
     result = np.asarray(array, dtype=np.complex128)
@@ -390,14 +430,17 @@ def matmul(a, b, *, lazy: LargeBlockBasis | None = None):
 
     Products involving ``zero`` return ``zero`` and products with ``one``
     return the other factor without scalar work. ``lazy`` is the basis of
-    the large block the product lands on: a product of two ndarrays is then
-    kept as a `FactoredOperator` on that basis. Two factored entries
-    multiply their cores, and a factored entry times a thin ndarray is a
+    the large block the product lands on: a product of two thin operands
+    (ndarrays or references) is then kept as a `FactoredOperator` on that
+    basis, and otherwise formed by one numpy product. Two factored entries
+    multiply their cores, and a factored entry times a thin operand is a
     thin ndarray. Where any other `LinearOperator` meets an operand, the
     product is its action, or a lazy composition of two operators.
     """
     if type(a) is np.ndarray and type(b) is np.ndarray and not lazy:
         return a @ b
+    if type(a) in _THIN and type(b) in _THIN and not lazy:
+        return _dot(a, b)
     if isinstance(a, Zero) or isinstance(b, Zero):
         return zero
     if isinstance(a, One):
@@ -409,10 +452,14 @@ def matmul(a, b, *, lazy: LargeBlockBasis | None = None):
     if type(a) is type(b) is FactoredOperator and a.basis is b.basis:
         inner = min(a.core.shape[1], b.core.shape[0])
         return FactoredOperator(a.basis, a.core[:, :inner] @ b.core[:inner])
-    if type(a) is np.ndarray and type(b) is FactoredOperator:
-        return b.premultiply(a)
-    if lazy and type(a) is np.ndarray and type(b) is np.ndarray:
+    thin_a, thin_b = type(a) in _THIN, type(b) in _THIN
+    if thin_a and thin_b:
         return FactoredOperator(lazy, lazy.extend(a) @ lazy.extend(b, rows=True))
+    if thin_a and type(b) is FactoredOperator:
+        return b.premultiply(a)
+    if thin_b and type(a) is FactoredOperator:
+        return a._matmat(b)
+    a, b = _materialized(a), _materialized(b)
     a_op = isinstance(a, LinearOperator)
     b_op = isinstance(b, LinearOperator)
     if a_op and b_op:
@@ -437,6 +484,7 @@ def add(a, b):
         return a
     if a.shape != b.shape:
         raise ValueError(f"Dimension mismatch in sum: {a.shape} + {b.shape}.")
+    a, b = _materialized(a), _materialized(b)
     if (
         type(a) is FactoredOperator
         and type(b) is FactoredOperator
@@ -458,13 +506,17 @@ def scale(a, c: complex):
         raise ValueError("Cannot scale the structural identity; wrap it densely.")
     if type(a) is FactoredOperator:
         return FactoredOperator(a.basis, a.core * c)
-    return a * c
+    if type(a) is Reference and c == -1:
+        return Reference(-a.sign, a.adjoint, a.source)
+    return _materialized(a) * c
 
 
 def adjoint(a):
     """Conjugate transpose; shape swapped, no products performed."""
     if isinstance(a, (Zero, One)):
         return a
+    if type(a) is Reference:
+        return Reference(a.sign, not a.adjoint, a.source)
     if isinstance(a, LinearOperator):
         return a.H
     return a.conj().T
@@ -480,7 +532,7 @@ def to_array(a, shape: tuple[int, int] | None = None) -> np.ndarray:
         if shape is None:
             raise ValueError("Cannot materialize the identity without a shape.")
         return np.eye(*shape, dtype=np.complex128)
-    if type(a) is FactoredOperator:
+    if type(a) in (FactoredOperator, Reference):
         return a.toarray()
     if isinstance(a, LinearOperator):
         return a.matmat(np.eye(a.shape[1], dtype=np.complex128))

@@ -43,6 +43,7 @@ from blockpert.operators import (
 
 __all__ = [
     "BlockSeries",
+    "NonFiniteError",
     "RecurrenceCycleError",
     "cauchy_product",
     "contract",
@@ -68,13 +69,43 @@ class RecurrenceCycleError(RuntimeError):
         return f"{self.entry} queried while being evaluated: {chain}"
 
 
+class NonFiniteError(ValueError):
+    """An entry overflowed or turned NaN while it was evaluated.
+
+    ``chain`` lists the evaluations in flight, outermost first, like that
+    of `RecurrenceCycleError`; the last entry is the one whose arithmetic
+    failed, and ``cause`` says how.
+    """
+
+    def __init__(self, cause: str, chain: tuple[str, ...] = ()):
+        super().__init__(cause)
+        self.cause = cause
+        self.chain = list(chain)
+
+    def __str__(self):
+        inner = f" in {self.chain[-1]}" if len(self.chain) > 1 else ""
+        return f"{self.chain[0]} is not finite: {self.cause}{inner}"
+
+
+class _Evaluating(threading.local):
+    """Whether this thread is inside an evaluation, which then runs under
+    the error state that the outermost one entered."""
+
+    active = False
+
+
+_evaluating = _Evaluating()
+
+
 def _memo_value(value):
     """The form in which an entry is stored: ``zero`` for ``None``, and a
-    read-only view of an ndarray, so no memoized entry can be changed in
-    place (the viewed array stays writeable). Any other operand as is."""
+    read-only view of a writeable ndarray, so no memoized entry can be
+    changed in place (the viewed array stays writeable). A read-only array,
+    a `~blockpert.operators.Reference` and any other operand are stored as
+    they are, so an entry that is another's array is that array."""
     if value is None:
         return zero
-    if isinstance(value, np.ndarray):
+    if isinstance(value, np.ndarray) and value.flags.writeable:
         value = value.view()
         value.flags.writeable = False
     return value
@@ -141,9 +172,12 @@ class BlockSeries:
     def get(self, block: tuple[int, int], order: tuple[int, ...]):
         """Memoized entry at one block and order.
 
-        An ndarray entry, seeded or evaluated, is a read-only view. An entry
-        that another thread is evaluating raises `RuntimeError` at once;
-        waiting for it could deadlock.
+        An ndarray entry, seeded or evaluated, is read-only. An entry that
+        the recurrences derive from another one may be a
+        `~blockpert.operators.Reference` to it; `to_array` materializes it.
+        An entry that another thread is evaluating raises `RuntimeError` at
+        once; waiting for it could deadlock. Arithmetic that overflows or
+        turns NaN raises `NonFiniteError`.
         """
         key = (*block, *order)
         value = self._data.get(key)
@@ -154,7 +188,9 @@ class BlockSeries:
 
         The miss path of `get` and of `contract`'s direct lookups. ``eval``
         is read at call time, so a wrapper installed after construction
-        sees every evaluation.
+        sees every evaluation. The outermost evaluation of a thread makes
+        numpy raise on overflow and on invalid results, for it and for all
+        that it starts.
         """
         self._check_key(key)
         if self.eval is None:
@@ -166,14 +202,24 @@ class BlockSeries:
             raise RuntimeError(
                 f"{self.name}{key} is being evaluated by another thread."
             )
+        outer = not _evaluating.active
         try:
-            value = _memo_value(self.eval(*key))
+            if outer:
+                _evaluating.active = True
+                with np.errstate(over="raise", invalid="raise"):
+                    value = _memo_value(self.eval(*key))
+            else:
+                value = _memo_value(self.eval(*key))
             self._data[key] = value
-        except RecurrenceCycleError as error:
+        except (RecurrenceCycleError, NonFiniteError) as error:
             error.chain.insert(0, f"{self.name}{key}")
             raise
+        except FloatingPointError as error:
+            raise NonFiniteError(str(error), (f"{self.name}{key}",)) from error
         finally:
             del self._in_progress[key]
+            if outer:
+                _evaluating.active = False
         return value
 
     def __getitem__(self, key):

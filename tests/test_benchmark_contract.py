@@ -7,19 +7,32 @@ rather than in a benchmark run.
 """
 
 import sys
+import tracemalloc
+from itertools import combinations
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 import numpy as np
+import pytest
 import scipy.sparse.linalg as sla
 
 from perfbench import worker
 from perfbench.tracing import Tracer
 
-from blockpert.diagonalization import PerturbationProblem, block_diagonalize
+from blockpert.diagonalization import (
+    REFERENCE_MIN_SIZE,
+    PerturbationProblem,
+    block_diagonalize,
+)
 from blockpert.implicit import build_extended_problem
-from blockpert.operators import FactoredOperator
+from blockpert.operators import (
+    FactoredOperator,
+    MatrixFreeOperator,
+    Reference,
+    one,
+    zero,
+)
 from blockpert.problems import lattice_problem, random_two_block
 
 
@@ -83,3 +96,87 @@ def test_memo_bytes_counts_factored_entries_once():
     basis = result.h_tilde.large_blocks[1].buffer
     assert factored > 10 and basis.base is None and id(basis) not in owners
     assert worker.memo_bytes(result.context) == sum(owners.values()) + basis.nbytes
+
+
+def solved(problem):
+    """The result of ``problem`` after H-tilde[0, 0] to order 6."""
+    result = block_diagonalize(problem)
+    for order in range(1, 7):
+        result.h_tilde.get((0, 0), (order,))
+    return result
+
+
+def dense_problem():
+    return PerturbationProblem.from_diagonal(*random_two_block(10, 100, 1))
+
+
+def lattice():
+    h0, perturbations = lattice_problem(12, seed=1)
+    v0 = np.random.default_rng(1).standard_normal(h0.shape[0])
+    energies, vectors = sla.eigsh(h0, k=8, which="SA", v0=v0)
+    return build_extended_problem(h0, perturbations, vectors, energies)
+
+
+def stored_owners(context):
+    """The distinct arrays that own the memory of the stored entries,
+    found without `worker.memo_bytes`: ndarray entries, the cores of
+    factored entries and each basis buffer; and the references. A
+    reference owns nothing, and its source is a stored ndarray entry."""
+    owners, arrays, references = {}, set(), []
+    for series in context.values():
+        for value in series._data.values():
+            if type(value) is Reference:
+                references.append(value)
+                continue
+            if type(value) is FactoredOperator:
+                found = [value.core, value.basis.buffer]
+            elif type(value) is np.ndarray:
+                arrays.add(id(value))
+                found = [value]
+            else:
+                assert value in (zero, one) or type(value) is MatrixFreeOperator
+                found = []
+            for array in found:
+                while isinstance(array.base, np.ndarray):
+                    array = array.base
+                owners[id(array)] = array
+    assert all(id(entry.source) in arrays for entry in references)
+    return list(owners.values()), references
+
+
+@pytest.mark.parametrize("problem", [dense_problem, lattice], ids=["dense", "lattice"])
+def test_memo_stores_no_array_twice(problem):
+    """No two stored owners of at least `REFERENCE_MIN_SIZE` entries are
+    bit for bit ``±y`` or ``±yᴴ`` of each other: the entries that the
+    recurrences derive are references. `worker.memo_bytes` counts every
+    owner once and no reference."""
+    result = solved(problem())
+    owners, references = stored_owners(result.context)
+    assert references
+    large = [x for x in owners if x.size >= REFERENCE_MIN_SIZE]
+    for x, y in combinations(large, 2):
+        for target in (y, y.conj().T):
+            if x.shape == target.shape:
+                assert not np.array_equal(x, target) and not np.array_equal(x, -target)
+    assert worker.memo_bytes(result.context) == sum(x.nbytes for x in owners)
+
+
+def test_reference_entries_allocate_no_buffer():
+    """``V[1, 0]``, ``U'†[0, 1]`` and ``U'†[1, 0]`` refer to the stored
+    ``V[0, 1]``: evaluating them allocates nothing of its size."""
+    result = solved(dense_problem())
+    source = result.context["V"].get((0, 1), (7,))
+    tracemalloc.start()
+    try:
+        entries = [
+            result.context["V"].get((1, 0), (7,)),
+            result.context["U'†"].get((0, 1), (7,)),
+            result.context["U'†"].get((1, 0), (7,)),
+        ]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < source.nbytes / 4
+    signs = [(entry.sign, entry.adjoint) for entry in entries]
+    assert signs == [(-1, True), (-1, False), (1, True)]
+    assert all(entry.source is source for entry in entries)

@@ -336,3 +336,23 @@ def test_implicit_rejects_masks(rng, small_toy):
     assert problem.rule.masks == {}
     assert problem.implicit
     assert problem.tolerance is None
+
+
+def test_non_finite_right_hand_side_is_rejected(small_toy):
+    """A NaN in a Sylvester right-hand side reaches the shifted solve,
+    whose residual is then NaN: the solve raises `FactorizationError`, and
+    ``V`` stores no entry for it."""
+    h0, perturbations, psi, energies = small_toy
+    problem = build_extended_problem(h0, perturbations, psi, energies)
+    solver = problem.solver
+
+    def poisoned(rhs, block, order):
+        rhs = rhs.copy()
+        rhs[1, 3] = np.nan
+        return solver(rhs, block, order)
+
+    result = block_diagonalize(problem, poisoned)
+    with pytest.raises(FactorizationError, match="relative residual nan"):
+        result.h_tilde.get((0, 0), (2,))
+    assert (0, 1, 1) not in result.context["V"].stored_keys()
+    assert solver.records[-1].shift == 1

@@ -26,6 +26,7 @@ from blockpert.operators import (
     FactoredOperator,
     LargeBlockBasis,
     MatrixFreeOperator,
+    Reference,
     add,
     adjoint,
     matmul,
@@ -37,7 +38,7 @@ from blockpert.operators import (
 from blockpert.oracles import closed_form_h_tilde
 from blockpert.problems import lattice_problem, random_multiblock, random_two_block
 from blockpert.verify import run_verification
-from blockpert.series import BlockSeries, orders_up_to
+from blockpert.series import BlockSeries, NonFiniteError, orders_up_to
 
 from conftest import dense_block_diagonalize, random_hermitian
 
@@ -160,6 +161,44 @@ def test_overflowing_problem_fails_loudly():
             result.h_tilde.get((0, 0), (order,))
 
 
+@pytest.mark.parametrize(
+    "diagonalize",
+    [block_diagonalize, dense_block_diagonalize],
+    ids=["factored", "dense"],
+)
+def test_overflow_raises_at_its_order(diagonalize, tmp_path):
+    """Perturbations at 1e100 overflow at order 4, with the big block
+    factored or dense alike: the error names the queried entry, stores
+    nothing of order 4, and the CLI exits 3 on it."""
+    energies, perturbations, labels = random_two_block(4, 40, 0)
+    perturbations = {order: 1e100 * term for order, term in perturbations.items()}
+    problem = PerturbationProblem.from_diagonal(energies, perturbations, labels)
+    result = diagonalize(problem)
+    for order in range(4):
+        assert np.isfinite(result.h_tilde.get((0, 0), (order,))).all()
+    with pytest.raises(NonFiniteError, match=r"^H_tilde\(0, 0, 4\) is not finite: "):
+        result.h_tilde.get((0, 0), (4,))
+    assert (0, 0, 4) not in result.h_tilde.stored_keys()
+    assert issubclass(NonFiniteError, ValueError)
+    path = tmp_path / "problem.json"
+    document = problem_document(
+        np.diag(energies), perturbations, subspace_indices=labels
+    )
+    write_document(document, path)
+    assert main(["diagonalize", "--input", str(path), "--max-order", "4"]) == 3
+
+
+def test_nan_from_a_solver_is_caught_at_the_output():
+    """A quiet NaN propagates without a floating-point error, so numpy's
+    error state misses a custom solver's NaN; H̃ rejects the entry that
+    holds it."""
+    problem = PerturbationProblem.from_diagonal(*random_two_block(2, 3, 0))
+    result = block_diagonalize(problem, lambda rhs, block, order: rhs * np.nan)
+    message = r"^H_tilde\(0, 0, 2\) is not finite: it holds"
+    with pytest.raises(NonFiniteError, match=message):
+        result.h_tilde.get((0, 0), (2,))
+
+
 @pytest.fixture
 def spy_projections(monkeypatch):
     calls = []
@@ -173,45 +212,48 @@ def spy_projections(monkeypatch):
     return calls
 
 
-def test_exact_aliases_take_no_projection(rng, spy_projections):
-    """``±y`` and ``±yᴴ`` of a held operand take its coordinates; a
-    writeable copy or a one-ulp change is projected."""
+def test_references_take_no_projection(rng, spy_projections):
+    """``±y`` and ``±yᴴ`` references to a held operand take its
+    coordinates, negated or from the other side; a bitwise copy of one is
+    projected, and a reference to an unheld operand projects its source."""
     n = 40
     basis = LargeBlockBasis(n)
     columns, rows = read_only(thin(rng, n, 3)), read_only(thin(rng, 3, n))
     matmul(columns, rows, lazy=basis)
     basis.extend(columns)  # completes its coordinates on the columns of rows
     width, dropped = basis.width, basis.dropped
-    reference = basis.buffer.conj().T
+    q_h = basis.buffer.conj().T
     spy_projections.clear()
-    aliases = {
-        "-columns": (-columns, False, reference @ -columns),
-        "columnsᴴ": (columns.conj().T, True, (reference @ columns).conj().T),
-        "-columnsᴴ": (-columns.conj().T, True, -(reference @ columns).conj().T),
-        "-rows": (-rows, True, -rows @ reference.conj().T),
-        "rowsᴴ": (rows.conj().T, False, reference @ rows.conj().T),
+    cases = {
+        "-columns": (Reference(-1, False, columns), False, q_h @ -columns),
+        "columnsᴴ": (Reference(1, True, columns), True, (q_h @ columns).conj().T),
+        "-columnsᴴ": (Reference(-1, True, columns), True, -(q_h @ columns).conj().T),
+        "-rows": (Reference(-1, False, rows), True, -rows @ q_h.conj().T),
+        "rowsᴴ": (Reference(1, True, rows), False, q_h @ rows.conj().T),
     }
-    for name, (alias, as_rows, expected) in aliases.items():
-        alias = read_only(alias)
+    for name, (operand, as_rows, expected) in cases.items():
         np.testing.assert_allclose(
-            basis.extend(alias, rows=as_rows), expected, atol=1e-12, err_msg=name
+            basis.extend(operand, rows=as_rows), expected, atol=1e-12, err_msg=name
         )
     assert spy_projections == []
     assert (basis.width, basis.dropped) == (width, dropped)
-    writeable = -columns
-    basis.extend(writeable)
-    assert len(spy_projections) == 1 and spy_projections[0] is writeable
-    nudged = rows.copy()
-    nudged[1, 2] = np.nextafter(nudged[1, 2].real, np.inf) + 1j * nudged[1, 2].imag
-    basis.extend(read_only(nudged), rows=True)
-    assert len(spy_projections) == 2 and spy_projections[1] is nudged
-    assert (basis.width, basis.dropped) == (width, dropped + 6)
+    copy = read_only(-columns)
+    basis.extend(copy)
+    assert len(spy_projections) == 1 and spy_projections[0] is copy
+    assert (basis.width, basis.dropped) == (width, dropped + 3)
+    fresh = read_only(thin(rng, n, 2))
+    coordinates = basis.extend(Reference(-1, True, fresh), rows=True)
+    assert len(spy_projections) == 2 and spy_projections[1] is fresh
+    assert basis.width == width + 2
+    expected = -(basis.buffer.conj().T @ fresh).conj().T
+    np.testing.assert_allclose(coordinates, expected, atol=1e-12)
+    np.testing.assert_array_equal(basis.held(fresh), -coordinates.conj().T)
 
 
 def test_held_operands_are_applied_from_their_coordinates(rng):
     """``premultiply`` and ``matmul(F, x)`` on operands the basis holds,
-    directly or as aliases, equal the plain products, extend nothing and
-    record no other operand."""
+    directly or through references, equal the plain products, extend
+    nothing and record no other operand."""
     n = 40
     basis = LargeBlockBasis(n)
     columns, rows = read_only(thin(rng, n, 3)), read_only(thin(rng, 3, n))
@@ -220,15 +262,23 @@ def test_held_operands_are_applied_from_their_coordinates(rng):
     matmul(thin(rng, n, 2), thin(rng, 2, n), lazy=basis)
     dense = to_array(entry)
     width, known = basis.width, len(basis._known)
-    for operand in (rows, read_only(-rows), read_only(columns.conj().T)):
-        np.testing.assert_allclose(matmul(operand, entry), operand @ dense, atol=1e-12)
+    for operand in (rows, Reference(-1, False, rows), Reference(1, True, columns)):
+        expected = to_array(operand) @ dense
+        np.testing.assert_allclose(matmul(operand, entry), expected, atol=1e-12)
         assert basis.held(operand, rows=True) is not None
-    for operand in (columns, read_only(-columns), read_only(rows.conj().T)):
-        np.testing.assert_allclose(matmul(entry, operand), dense @ operand, atol=1e-12)
+    for operand in (columns, Reference(-1, False, columns), Reference(1, True, rows)):
+        expected = dense @ to_array(operand)
+        np.testing.assert_allclose(matmul(entry, operand), expected, atol=1e-12)
         assert basis.held(operand) is not None
-    stranger = read_only(thin(rng, n, 3))
-    np.testing.assert_allclose(matmul(entry, stranger), dense @ stranger, atol=1e-12)
-    assert basis.held(stranger) is None
+    stranger = read_only(thin(rng, 3, n))
+    as_columns, as_rows = Reference(-1, True, stranger), Reference(1, False, stranger)
+    np.testing.assert_allclose(
+        matmul(entry, as_columns), dense @ to_array(as_columns), atol=1e-12
+    )
+    np.testing.assert_allclose(
+        matmul(as_rows, entry), to_array(as_rows) @ dense, atol=1e-12
+    )
+    assert basis.held(as_columns) is None and basis.held(as_rows, rows=True) is None
     assert (basis.width, len(basis._known)) == (width, known)
 
 
@@ -460,9 +510,12 @@ def test_outputs_of_a_factored_block_are_arrays():
 
 def only_arrays(result):
     """Whether every stored entry other than ``zero`` and ``one`` is an
-    ndarray."""
+    ndarray or a reference to one."""
     return all(
-        value is zero or value is one or type(value) is np.ndarray
+        value is zero
+        or value is one
+        or type(value) is np.ndarray
+        or (type(value) is Reference and type(value.source) is np.ndarray)
         for series in result.context.values()
         for value in series._data.values()
     )

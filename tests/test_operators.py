@@ -7,6 +7,7 @@ from blockpert.diagonalization import PerturbationProblem
 from blockpert.implicit import build_extended_problem
 from blockpert.operators import (
     MatrixFreeOperator,
+    Reference,
     add,
     adjoint,
     matmul,
@@ -86,9 +87,11 @@ def test_ring_axioms(seed):
 
 
 def _operand_form(blocks):
-    """Whether every block is a complex128 ndarray or a matrix-free operator."""
+    """Whether every block is a complex128 ndarray, a reference to one or a
+    matrix-free operator."""
     return all(
         isinstance(block, MatrixFreeOperator)
+        or (type(block) is Reference and block.source.dtype == np.complex128)
         or (type(block) is np.ndarray and block.dtype == np.complex128)
         for block in blocks.values()
     )

@@ -2,7 +2,10 @@
 
 One strategy draws problems with 2-4 blocks, optional symmetric masks with a
 selected diagonal, 1-2 parameters and a gap floor between every remaining
-pair of states; degenerate states only ever share a selected pair.
+pair of states; degenerate states only ever share a selected pair. Half of
+its problems have one parameter and, beside 1-2 small blocks, one block
+without a mask that holds 8-12 times their states, so the engine keeps it
+factored and the entries between them are large enough to be references.
 """
 
 from itertools import combinations
@@ -32,8 +35,15 @@ MAX_ORDER = 3
 @st.composite
 def problems(draw):
     """Keyword arguments of `PerturbationProblem.from_diagonal`."""
-    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
-    n_params = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+        big = draw(st.integers(8, 12)) * sum(sizes)
+        sizes.insert(draw(st.integers(0, len(sizes))), big)
+        n_params = 1
+    else:
+        sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
+        big = None
+        n_params = draw(st.integers(1, 2))
     floor = draw(st.floats(0.5, 2.0))
     seed = draw(st.integers(0, 2**16))
     rng = np.random.default_rng(seed)
@@ -45,7 +55,7 @@ def problems(draw):
         rungs = np.sort(rng.integers(0, size, size))
         energies.extend(label * window + floor * rungs)
         labels.extend([label] * size)
-        if size > 1 and draw(st.booleans()):
+        if 1 < size != big and draw(st.booleans()):
             mask = rng.random((size, size)) < 0.5
             mask = mask | mask.T | (rungs[:, None] == rungs[None, :])
             masks[label] = mask
