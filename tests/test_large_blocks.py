@@ -212,7 +212,7 @@ def spy_projections(monkeypatch):
     return calls
 
 
-def test_references_take_no_projection(rng, spy_projections):
+def test_exact_aliases_take_no_projection(rng, spy_projections):
     """``±y`` and ``±yᴴ`` references to a held operand take its
     coordinates, negated or from the other side; a bitwise copy of one is
     projected, and a reference to an unheld operand projects its source."""
