@@ -26,6 +26,7 @@ import numpy as np
 
 from blockpert.diagonalization import (
     PerturbationProblem,
+    _hermitian_eigenvalues,
     block_diagonalize,
     evaluate_truncated,
 )
@@ -196,7 +197,7 @@ def cmd_spectrum(args) -> int:
         effective = evaluate_truncated(
             result.h_tilde, block, max_orders, points[part], shape=(size, size)
         )
-        eigenvalues[part] = np.linalg.eigvalsh(effective)
+        eigenvalues[part] = _hermitian_eigenvalues(effective)
     header = ",".join(param_names + [f"eig_{k}" for k in range(size)])
     rows = np.hstack([points, eigenvalues])
     output = args.output or sys.stdout

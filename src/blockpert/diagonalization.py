@@ -93,22 +93,18 @@ __all__ = [
 HERMITICITY_RTOL = 1e-10
 ORTHONORMALITY_ATOL = 1e-10
 
-# In a one-parameter problem, an explicit diagonal block without a mask is
-# kept factored, like a large block, when it holds at least this many times
-# the states of all other blocks together. H-tilde[0, 0] of
-# random_two_block(m, N, 1), dense against factored, two runs each on a
-# 2-vCPU Xeon with one BLAS thread:
+# An explicit diagonal block without a mask is kept factored, like a large
+# block, when it holds at least this many times the states of all other
+# blocks together. H-tilde[0, 0] of random_two_block(m, N, 1), dense
+# against factored, two runs each on a 2-vCPU Xeon with one BLAS thread:
 # - N/m = 10, 100+1000 to order 6: 0.98-1.02 against 0.58 s;
 # - N/m = 8, 125+1000: 1.02-1.04 against 0.75-0.82 s to order 6, and
 #   7.1-7.3 against 4.5-5.1 s to order 10;
 # - N/m = 5, 200+1000 to order 6: 1.27-1.62 against 1.57-1.81 s, no gain;
 # - below, a loss: 300+1000 to order 6, 1.9-2.1 against 3.2-3.3 s, and
 #   100+400 to order 8, 0.32-0.39 against 0.40-0.50 s.
-# With more parameters there are more orders per total order, and the
-# basis fills the block sooner. Two parameters, (1, 0) and (0, 1), all
-# orders up to (k, k): 125+1000 to (3, 3) took 4.1 against 4.8-5.7 s, its
-# basis full at 1000 columns; 20+1000 to (4, 4) took 15.1-16.0 against
-# 1.0 s. No single ratio fits both, so such blocks stay dense.
+# Two parameters, whole order box, three runs each: 20+1000 to (3, 3),
+# 1.37-1.39 against 0.12 s; 125+1000 to (3, 3), 2.56-2.66 against 2.57-2.65 s.
 FACTOR_RATIO = 8
 
 # An entry of fewer elements is copied instead of referred to: it holds at
@@ -480,12 +476,9 @@ def _reference(a, sign: int = 1, dagger: bool = False):
 
 def _factored_blocks(problem: PerturbationProblem) -> frozenset[int]:
     """The blocks whose entries the engine keeps factored: the large
-    blocks and, in a one-parameter problem, each explicit block without a
-    mask that holds at least `FACTOR_RATIO` times the states of all other
-    blocks together."""
+    blocks and each explicit block without a mask that holds at least
+    `FACTOR_RATIO` times the states of all other blocks together."""
     sizes = problem.block_sizes
-    if problem.n_params != 1:
-        return problem.large_blocks
     return problem.large_blocks | {
         label
         for label, size in enumerate(sizes)
@@ -744,8 +737,14 @@ def eigenvalues_of_truncation(
     effective = evaluate_truncated(
         result.h_tilde, (block, block), max_orders, values, shape=(size, size)
     )
-    asymmetry = _max_abs(effective - effective.conj().swapaxes(-1, -2))
-    defect = asymmetry / max(1.0, _max_abs(effective))
+    return _hermitian_eigenvalues(effective)
+
+
+def _hermitian_eigenvalues(blocks: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of truncated blocks ``(..., size, size)``;
+    `ValueError`, naming the defect, where they are not Hermitian."""
+    asymmetry = _max_abs(blocks - blocks.conj().swapaxes(-1, -2))
+    defect = asymmetry / max(1.0, _max_abs(blocks))
     if not defect <= 1e-8:
-        raise RuntimeError(f"Truncated block is not Hermitian (defect {defect}).")
-    return np.linalg.eigvalsh(effective)
+        raise ValueError(f"The truncated block is not Hermitian (defect {defect:.3g}).")
+    return np.linalg.eigvalsh(blocks)

@@ -8,8 +8,13 @@ import pytest
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sla
 
-from blockpert import cli
+from blockpert import cli, diagonalization
 from blockpert.cli import main
+from blockpert.diagonalization import (
+    PerturbationProblem,
+    block_diagonalize,
+    eigenvalues_of_truncation,
+)
 from blockpert.documents import (
     DocumentError,
     decode_matrix,
@@ -18,7 +23,13 @@ from blockpert.documents import (
     problem_document,
     write_document,
 )
-from blockpert.problems import lattice_problem, random_two_block, transmon_problem
+from blockpert.operators import to_array
+from blockpert.problems import (
+    bilayer_graphene_problem,
+    lattice_problem,
+    random_two_block,
+    transmon_problem,
+)
 
 from conftest import random_hermitian
 
@@ -173,6 +184,68 @@ def test_load_problem_round_trip(tmp_path):
     problem, doc = load_problem(path)
     assert problem.n_blocks == 2
     assert problem.param_names == ("lam",)
+
+
+def graphene_document(**kwargs):
+    model = bilayer_graphene_problem()
+    return problem_document(
+        model.h0,
+        model.perturbations,
+        param_names=("k_x", "k_y", "m"),
+        subspace_eigenvectors=[model.vectors_low, model.vectors_high],
+        **kwargs,
+    )
+
+
+def masked_graphene():
+    """Graphene with its high-energy pair split by a mask, and the
+    arguments of the document and of the direct call."""
+    model = bilayer_graphene_problem()
+    masks, tolerance = {1: np.eye(2, dtype=bool)}, 1e-6
+    doc = graphene_document(fully_diagonalize=masks, tol_degeneracy=tolerance)
+    problem = PerturbationProblem.from_eigenvectors(
+        model.h0,
+        model.perturbations,
+        [model.vectors_low, model.vectors_high],
+        masks=masks,
+        tolerance=tolerance,
+    )
+    return doc, problem
+
+
+def masked_two_block():
+    """Blocks of 2 and 3 states, the second split by a mask."""
+    energies, perturbations, labels = random_two_block(2, 3, seed=1)
+    mask = np.eye(3, dtype=bool)
+    mask[0, 1] = mask[1, 0] = True
+    masks, tolerance = {1: mask}, 1e-7
+    doc = problem_document(
+        np.diag(energies),
+        perturbations,
+        subspace_indices=labels,
+        fully_diagonalize=masks,
+        tol_degeneracy=tolerance,
+    )
+    problem = PerturbationProblem.from_diagonal(
+        energies, perturbations, labels, masks=masks, tolerance=tolerance
+    )
+    return doc, problem
+
+
+@pytest.mark.parametrize("case", [masked_graphene, masked_two_block])
+def test_masked_documents_load_the_direct_problem(tmp_path, case):
+    """A document with a mask and a degeneracy tolerance loads the problem
+    that the direct constructor builds: same blocks, masks and tolerance."""
+    doc, direct = case()
+    loaded, _ = load_problem(document_path(tmp_path, doc))
+    assert loaded.tolerance == direct.tolerance
+    assert loaded.rule.masks.keys() == direct.rule.masks.keys() == {1}
+    np.testing.assert_array_equal(loaded.rule.masks[1], direct.rule.masks[1])
+    assert loaded.blocks.keys() == direct.blocks.keys()
+    for key, block in direct.blocks.items():
+        np.testing.assert_array_equal(to_array(loaded.blocks[key]), to_array(block))
+    for eigenvalues, other in zip(loaded.eigenvalues, direct.eigenvalues):
+        np.testing.assert_array_equal(eigenvalues, other)
 
 
 @pytest.mark.parametrize(
@@ -482,6 +555,49 @@ def test_cli_spectrum_csv(tmp_path, capsys):
     # at lambda = 0 the eigenvalues are those of the unperturbed block
     problem, _ = load_problem(path)
     np.testing.assert_allclose(first[1:], problem.eigenvalues[0], atol=1e-15)
+
+
+def test_cli_spectrum_broadcasts_one_order_to_every_parameter(tmp_path, capsys):
+    """On the three-parameter graphene document ``--max-order 2`` is
+    ``2,2,2``, and an order of two components is a parse error."""
+    path = document_path(tmp_path, graphene_document())
+    argv = ["spectrum", "--input", path, "--grid", "k_x=0:0.1:3", "--grid", "m=0.05"]
+    texts = {}
+    for orders in ("2", "2,2,2"):
+        out = str(tmp_path / f"{orders}.csv")
+        assert main([*argv, "--max-order", orders, "--output", out]) == 0
+        texts[orders] = open(out).read()
+    assert texts["2"] == texts["2,2,2"]
+    assert texts["2"].splitlines()[0] == "k_x,k_y,m,eig_0,eig_1"
+    assert len(texts["2"].splitlines()) == 1 + 3
+    capsys.readouterr()
+    assert main([*argv, "--max-order", "2,2"]) == 2
+    captured = capsys.readouterr()
+    assert "must match the number of parameters" in captured.err
+    assert captured.out == ""
+
+
+def test_non_hermitian_truncated_block_is_rejected(tmp_path, monkeypatch, capsys):
+    """A truncated block that is not Hermitian raises `ValueError` from
+    the library and exits 3 from ``spectrum``, naming the defect."""
+    original = diagonalization.evaluate_truncated
+
+    def skewed(*args, **kwargs):
+        blocks = original(*args, **kwargs)
+        blocks[..., 0, 1] += 1e-3
+        return blocks
+
+    monkeypatch.setattr(diagonalization, "evaluate_truncated", skewed)
+    monkeypatch.setattr(cli, "evaluate_truncated", skewed)
+    path = document_path(tmp_path, two_block_document())
+    result = block_diagonalize(load_problem(path)[0])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eigenvalues_of_truncation(result, 0, (2,), [0.1])
+    argv = ["spectrum", "--input", path, "--max-order", "2", "--grid", "lam=0:0.1:3"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert "not Hermitian (defect" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_spectrum_rejects_overflowing_points(tmp_path, capsys):

@@ -551,13 +551,10 @@ def masked_big_block():
         lambda: PerturbationProblem.from_diagonal(*random_two_block(100, 600, 0)),
         masked_problem,
         masked_big_block,
-        lambda: PerturbationProblem.from_diagonal(
-            *random_two_block(10, 100, 0, orders=((1, 0), (0, 1)))
-        ),
     ],
-    ids=["2+3", "100+600", "criterion-8-mask", "masked-big-block", "two-parameter"],
+    ids=["2+3", "100+600", "criterion-8-mask", "masked-big-block"],
 )
-def test_small_masked_or_multiparameter_blocks_stay_dense(problem):
+def test_small_or_masked_blocks_stay_dense(problem):
     problem = problem()
     result = block_diagonalize(problem)
     assert result.context["W"].large_blocks == {}
@@ -587,6 +584,28 @@ def test_multiblock_factors_only_its_big_block():
         reference = dense.h_tilde.get((0, 0), (order,))
         scale_ = np.max(np.abs(reference))
         assert np.max(np.abs(value - reference)) <= 1e-13 * scale_, order
+
+
+def test_two_parameter_big_block_is_factored():
+    """A block of 100 beside 10 states is factored with two parameters too:
+    the run makes the dense run's products, and H̃[0, 0] agrees over the
+    order box up to (3, 3)."""
+    energies, perturbations, labels = random_two_block(
+        10, 100, 0, orders=((1, 0), (0, 1))
+    )
+    problem = PerturbationProblem.from_diagonal(energies, perturbations, labels)
+    factored = block_diagonalize(problem)
+    assert set(factored.context["W"].large_blocks) == {1}
+    dense = dense_block_diagonalize(problem)
+    for order in orders_up_to((3, 3)):
+        value = factored.h_tilde.get((0, 0), order)
+        reference = dense.h_tilde.get((0, 0), order)
+        scale_ = np.max(np.abs(reference))
+        assert np.max(np.abs(value - reference)) <= 1e-13 * scale_, order
+    assert factored.counter.matmul_count == dense.counter.matmul_count
+    assert type(factored.context["W"].get((1, 1), (1, 1))) is FactoredOperator
+    checks = run_verification(problem, 4, factored)
+    assert all(check.passed for check in checks), [c.line() for c in checks]
 
 
 def test_cli_writes_the_factored_block_densely(tmp_path):

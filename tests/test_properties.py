@@ -3,9 +3,10 @@
 One strategy draws problems with 2-4 blocks, optional symmetric masks with a
 selected diagonal, 1-2 parameters and a gap floor between every remaining
 pair of states; degenerate states only ever share a selected pair. Half of
-its problems have one parameter and, beside 1-2 small blocks, one block
-without a mask that holds 8-12 times their states, so the engine keeps it
-factored and the entries between them are large enough to be references.
+its problems have, beside 1-2 small blocks, one block without a mask that
+holds 8-12 times their states, so the engine keeps it factored, whatever
+the number of parameters, and the entries between them are large enough to
+be references.
 """
 
 from itertools import combinations
@@ -39,11 +40,10 @@ def problems(draw):
         sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
         big = draw(st.integers(8, 12)) * sum(sizes)
         sizes.insert(draw(st.integers(0, len(sizes))), big)
-        n_params = 1
     else:
         sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=4))
         big = None
-        n_params = draw(st.integers(1, 2))
+    n_params = draw(st.integers(1, 2))
     floor = draw(st.floats(0.5, 2.0))
     seed = draw(st.integers(0, 2**16))
     rng = np.random.default_rng(seed)
