@@ -103,7 +103,7 @@ def _check_block(block: tuple[int, int], problem: PerturbationProblem):
 
 
 def cmd_diagonalize(args) -> int:
-    problem, _ = load_problem(args.input, tol_override=args.tol_degeneracy)
+    problem = load_problem(args.input, tol_override=args.tol_degeneracy)[0]
     blocks = [tuple(b) for b in args.block or [(0, 0)]]
     for block in blocks:
         _check_block(block, problem)
@@ -172,7 +172,7 @@ def _parse_grid(specs, param_names) -> list[np.ndarray]:
 
 
 def cmd_spectrum(args) -> int:
-    problem, _ = load_problem(args.input)
+    problem = load_problem(args.input)[0]
     if args.block and len(args.block) > 1:
         raise DocumentError("spectrum takes one --block.")
     block = tuple(args.block[0]) if args.block else (0, 0)
@@ -208,7 +208,7 @@ def cmd_spectrum(args) -> int:
 def cmd_verify(args) -> int:
     if args.max_order < 1:
         raise DocumentError(f"--max-order must be at least 1, got {args.max_order}.")
-    problem, _ = load_problem(args.input)
+    problem = load_problem(args.input)[0]
     if problem.dimension > 512:
         raise DocumentError(
             "verify requires dimension <= 512 so the dense oracles stay "

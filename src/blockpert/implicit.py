@@ -275,10 +275,7 @@ def build_extended_problem(
 
     perturbations, n_params = _normalize_orders(perturbations)
     zero_order = (0,) * n_params
-    blocks: dict[tuple, object] = {
-        (0, 0, zero_order): np.diag(energies).astype(np.complex128),
-        (1, 1, zero_order): projected_operator(h0, psi),
-    }
+    blocks: dict[tuple, object] = {(1, 1, zero_order): projected_operator(h0, psi)}
     for order, term in perturbations.items():
         _check_operand(term, f"Perturbation at order {order}")
         coupling = (term @ psi).conj().T  # Psi^H H_n, dense and wide

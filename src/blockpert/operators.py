@@ -39,7 +39,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 from scipy.sparse import issparse
 from scipy.sparse.linalg import LinearOperator, aslinearoperator
 
@@ -254,7 +253,8 @@ class LargeBlockBasis:
         and Rozložník 2005). A QR of the residual and the SVD ``U s Vh`` of
         its triangle give the new directions ``directions U`` and their
         coordinates ``s Vh``. Weak directions (`WEAK_RTOL`) take a further
-        pass and their coordinates by projection.
+        pass and their coordinates by projection. The QR is numpy's, so it
+        runs in the BLAS and thread pool of the products (see `_dot`).
         """
         columns = x.conj().T if rows else x
         norm = np.linalg.norm(columns)
@@ -271,9 +271,7 @@ class LargeBlockBasis:
         coefficients += correction
         kept = 0
         if np.linalg.norm(residual) > DROP_RTOL * norm:
-            directions, triangle = scipy.linalg.qr(
-                residual, mode="economic", overwrite_a=True, check_finite=False
-            )
+            directions, triangle = np.linalg.qr(residual)
             rotation, values, weights = np.linalg.svd(triangle)
             kept = int(np.count_nonzero(values > DROP_RTOL * norm))
         self.dropped += columns.shape[1] - kept
@@ -282,9 +280,7 @@ class LargeBlockBasis:
         new = directions @ rotation[:, :kept]
         if values[kept - 1] < WEAK_RTOL * values[0]:
             new -= q @ _overlap(q, new)
-            new = scipy.linalg.qr(
-                new, mode="economic", overwrite_a=True, check_finite=False
-            )[0]
+            new = np.linalg.qr(new)[0]
             added = _project(new, x, rows)
         else:
             added = values[:kept, None] * weights[:kept]

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from itertools import product as cartesian
 
 import numpy as np
@@ -663,6 +664,17 @@ def test_rejects_non_diagonal_h0_with_indices():
     h0 = np.array([[0.0, 0.5], [0.5, 1.0]])
     with pytest.raises(ValueError, match="diagonal"):
         PerturbationProblem.from_diagonal(h0, {(1,): np.eye(2)}, [0, 1])
+    # A dense H_0 of several check tiles, coupled only in the last one.
+    energies, matrix, labels = tiled_input()
+    h0 = np.diag(energies)
+    h0[3, -1] = h0[-1, 3] = 1e-6
+    with pytest.raises(ValueError, match="diagonal"):
+        PerturbationProblem.from_diagonal(h0, {(1,): matrix}, labels)
+    h0[3, -1] = h0[-1, 3] = 0.0
+    problem = PerturbationProblem.from_diagonal(h0, {(1,): matrix}, labels)
+    np.testing.assert_array_equal(np.concatenate(problem.eigenvalues), energies)
+    with pytest.raises(ValueError, match="square"):
+        PerturbationProblem.from_diagonal(h0[:, :-1], {(1,): matrix}, labels)
 
 
 def test_from_diagonal_cuts_blocks_by_index(rng):
@@ -746,6 +758,94 @@ def test_rejects_non_diagonal_sparse_h0():
 def test_rejects_non_finite_inputs(build, operand):
     with pytest.raises(ValueError, match=re.escape(f"{operand} has non-finite")):
         build()
+
+
+def tiled_input(seed=3):
+    """Energies, a Hermitian perturbation of a few check tiles, the last
+    one partial, and the labels of a two-block problem."""
+    n = 2 * diagonalization.CHECK_TILE + 3
+    rng = np.random.default_rng(seed)
+    matrix = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    matrix = (matrix + matrix.conj().T) / 2
+    labels = [0] * 8 + [1] * (n - 8)
+    energies = np.concatenate([np.arange(8.0), 10.0 + np.arange(n - 8.0)])
+    return energies, matrix, labels
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_tiled_checks_reject_a_non_finite_last_tile(value):
+    """Slab and tile results are reduced in numpy: a NaN in the last tile
+    would vanish under Python's ``max(1.0, nan)``."""
+    energies, matrix, labels = tiled_input()
+    matrix[-1, -1] = value
+    with pytest.raises(ValueError, match=re.escape("order (1,) has non-finite")):
+        PerturbationProblem.from_diagonal(energies, {(1,): matrix}, labels)
+    with pytest.raises(ValueError, match="H_0 has non-finite"):
+        PerturbationProblem.from_diagonal(np.diag(np.diag(matrix)), {(1,): np.eye(3)}, [0] * 3)
+
+
+def test_tiled_hermiticity_check_keeps_the_tolerance():
+    """A skew in one element of the last, partial, tile column is accepted
+    just under the tolerance and rejected above it."""
+    energies, matrix, labels = tiled_input()
+    tolerance = diagonalization.HERMITICITY_RTOL * np.abs(matrix).max()
+    matrix[3, -2] += 0.9j * tolerance
+    PerturbationProblem.from_diagonal(energies, {(1,): matrix}, labels)
+    matrix[3, -2] += 0.2j * tolerance
+    with pytest.raises(ValueError, match="not Hermitian"):
+        PerturbationProblem.from_diagonal(energies, {(1,): matrix}, labels)
+
+
+def test_from_diagonal_holds_a_dense_input_once():
+    """The checks read a dense input in tiles and H_0 is not stored, so
+    assembly allocates little more than the permuted copy (2.84 times the
+    input when both were made at full size)."""
+    energies, perturbations, labels = random_two_block(50, 500, seed=1)
+    tracemalloc.start()
+    try:
+        PerturbationProblem.from_diagonal(energies, perturbations, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * perturbations[(1,)].nbytes + 2**20  # 1 MiB: a few tiles
+
+
+def test_h0_blocks_come_from_the_eigenvalues():
+    """No order-0 entry of a block with eigenvalues is stored; `block`
+    makes it, and a stored entry, such as the implicit complement's, wins."""
+    explicit = PerturbationProblem.from_diagonal(*random_two_block(3, 5, seed=2))
+    rotated = PerturbationProblem.from_eigenvectors(
+        np.diag([0.0, 1.0, 2.0]), {(1,): np.ones((3, 3))}, [np.eye(3)[:, :1], np.eye(3)[:, 1:]]
+    )
+    h0, perturbations = lattice_problem(4, seed=1)
+    energies, psi = sla.eigsh(h0, k=2, which="SA")
+    implicit = build_extended_problem(h0, perturbations, psi, energies)
+    for problem in (explicit, rotated, implicit):
+        for label, values in enumerate(problem.eigenvalues):
+            key = (label, label, problem.zero_order())
+            if values is None:
+                assert problem.block(*key) is problem.blocks[key]
+                continue
+            assert key not in problem.blocks
+            h0_block = problem.block(*key)
+            assert h0_block.dtype == np.complex128
+            np.testing.assert_array_equal(h0_block, np.diag(values))
+
+
+def test_exact_input_pairs_are_references():
+    """A lower input entry that is exactly the upper one's adjoint refers to
+    it; a pair equal only within the tolerance, or a small one, is stored."""
+    energies, perturbations, labels = random_two_block(8, 16, seed=4)
+    problem = PerturbationProblem.from_diagonal(energies, perturbations, labels)
+    upper, lower = problem.blocks[(0, 1, (1,))], problem.blocks[(1, 0, (1,))]
+    assert type(lower) is Reference and lower.source is upper
+    assert (lower.sign, lower.adjoint) == (1, True)
+    assert not upper.flags.writeable
+    perturbations[(1,)][10, 2] += 1e-14
+    problem = PerturbationProblem.from_diagonal(energies, perturbations, labels)
+    assert type(problem.blocks[(1, 0, (1,))]) is np.ndarray
+    problem = PerturbationProblem.from_diagonal(*random_two_block(2, 3, seed=4))
+    assert type(problem.blocks[(1, 0, (1,))]) is np.ndarray
 
 
 def test_rejects_non_orthonormal_eigenvectors():

@@ -2,6 +2,7 @@ import base64
 import json
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -555,6 +556,32 @@ def test_cli_spectrum_csv(tmp_path, capsys):
     # at lambda = 0 the eigenvalues are those of the unperturbed block
     problem, _ = load_problem(path)
     np.testing.assert_allclose(first[1:], problem.eigenvalues[0], atol=1e-15)
+
+
+def test_cli_spectrum_frees_the_document_before_the_solve(tmp_path, monkeypatch):
+    """`spectrum` keeps only the problem: the parsed document, which holds
+    the text of every matrix, is freed before the solve starts."""
+
+    class Document(dict):
+        pass
+
+    documents = []
+
+    def load(*args, **kwargs):
+        problem, doc = load_problem(*args, **kwargs)
+        doc = Document(doc)
+        documents.append(weakref.ref(doc))
+        return problem, doc
+
+    def diagonalize(problem):
+        assert documents and documents[0]() is None
+        return block_diagonalize(problem)
+
+    monkeypatch.setattr(cli, "load_problem", load)
+    monkeypatch.setattr(cli, "block_diagonalize", diagonalize)
+    path = document_path(tmp_path, two_block_document())
+    argv = ["spectrum", "--input", path, "--max-order", "2", "--grid", "lam=0"]
+    assert main(argv + ["--output", str(tmp_path / "out.csv")]) == 0
 
 
 def test_cli_spectrum_broadcasts_one_order_to_every_parameter(tmp_path, capsys):
