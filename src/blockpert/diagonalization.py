@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as cartesian
 from typing import Any, Callable
 
 import numpy as np
@@ -261,33 +260,22 @@ class PerturbationProblem:
         """Problem from a diagonal ``H_0`` and per-state block labels.
 
         ``H_0`` is given by its diagonal or as a diagonal matrix, dense or
-        sparse. Operators are put in block order by indexing, and sparse ones
-        are densified block by block only.
+        sparse. A complex term is copied only to put it in block order, and a
+        sparse one is densified block by block only.
         """
         h0 = h0_diagonal
         h0 = h0.tocsr() if sparse.issparse(h0) else np.asarray(h0)
         _require_finite(h0, "H_0")
         if h0.ndim == 2:
-            if h0.shape[0] != h0.shape[1]:
-                raise ValueError(f"H_0 must be square, got shape {h0.shape}.")
-            diagonal = h0.diagonal()
-            if sparse.issparse(h0):
-                offdiag = h0 - sparse.diags(diagonal)
-            else:
-                # In the flat array the entries off the diagonal are the n - 1
-                # runs of n between diagonal entries: a view, if h0 is contiguous.
-                n = len(h0)
-                offdiag = np.ravel(h0)[1:].reshape(n - 1, n + 1)[:, :n]
-            if _max_abs(offdiag) > 1e-12 * max(1.0, _max_abs(h0)):
-                raise ValueError(
-                    "H_0 must be numerically diagonal in the decoupling basis; "
-                    "pre-diagonalize or pass subspace eigenvectors."
-                )
-            h0 = diagonal
-        energies = np.real_if_close(h0)
-        if np.max(np.abs(np.imag(energies)), initial=0.0) > 1e-12:
+            h0 = _diagonal(
+                h0,
+                1e-12,
+                "H_0 must be numerically diagonal in the decoupling basis; "
+                "pre-diagonalize or pass subspace eigenvectors.",
+            )
+        if np.max(np.abs(np.imag(h0)), initial=0.0) > 1e-12:
             raise ValueError("H_0 has non-real diagonal entries.")
-        energies = np.real(energies).astype(float)
+        energies = np.real(h0).astype(float)
         indices = np.asarray(subspace_indices, dtype=int)
         if len(indices) != len(energies):
             raise ValueError("subspace_indices length does not match H_0.")
@@ -295,12 +283,13 @@ class PerturbationProblem:
         if labels != list(range(len(labels))):
             raise ValueError("Block labels must be 0..b-1 without gaps.")
         permutation = np.argsort(indices, kind="stable")
-        return _assemble_explicit(
+        in_order = np.all(indices[:-1] <= indices[1:])
+        return _explicit_problem(
             energies[permutation],
             perturbations,
             tuple(int(np.sum(indices == label)) for label in labels),
-            lambda term: term[np.ix_(permutation, permutation)],
-            masks or {},
+            lambda term: term if in_order else term[np.ix_(permutation, permutation)],
+            masks,
             tolerance,
             param_names,
         )
@@ -331,24 +320,41 @@ class PerturbationProblem:
             )
         _require_orthonormal(basis, "Subspace eigenvectors")
         h0 = h0.tocsr() if sparse.issparse(h0) else as_dense(h0)
+        if h0.shape != basis.shape:
+            raise ValueError(f"H_0 has shape {h0.shape}, the basis {basis.shape}.")
         _check_operand(h0, "H_0")
-        rotated_h0 = basis.conj().T @ h0 @ basis
-        scale_ = max(1.0, float(np.max(np.abs(rotated_h0))))
-        offdiag = rotated_h0 - np.diag(np.diag(rotated_h0))
-        if np.max(np.abs(offdiag), initial=0.0) > 1e-8 * scale_:
-            raise ValueError(
-                "H_0 is not diagonal in the provided basis; the eigenbasis "
-                "Sylvester solver requires a diagonalizing basis."
-            )
-        return _assemble_explicit(
-            np.real(np.diag(rotated_h0)).astype(float),
+        adjoint_basis = basis.conj().T
+        energies = _diagonal(
+            adjoint_basis @ h0 @ basis,
+            1e-8,
+            "H_0 is not diagonal in the provided basis; the eigenbasis "
+            "Sylvester solver requires a diagonalizing basis.",
+        ).real.astype(float)
+        return _explicit_problem(
+            energies,
             perturbations,
             tuple(g.shape[1] for g in groups),
-            lambda term: basis.conj().T @ term @ basis,
-            masks or {},
+            lambda term: adjoint_basis @ term @ basis,
+            masks,
             tolerance,
             param_names,
         )
+
+
+def _diagonal(h0, rtol: float, message: str) -> np.ndarray:
+    """The diagonal of a square dense or sparse ``h0``, or `ValueError` with
+    ``message`` where an entry off it exceeds ``rtol · max(1, max |h0|)``."""
+    if h0.ndim != 2 or h0.shape[0] != h0.shape[1]:
+        raise ValueError(f"H_0 must be square, got shape {h0.shape}.")
+    diagonal = h0.diagonal()
+    if sparse.issparse(h0):
+        offdiag = h0 - sparse.diags(diagonal)
+    else:
+        # The entries off the diagonal: n - 1 runs of n in the flat array.
+        offdiag = np.ravel(h0)[1:].reshape(len(h0) - 1, len(h0) + 1)[:, : len(h0)]
+    if _max_abs(offdiag) > rtol * max(1.0, _max_abs(h0)):
+        raise ValueError(message)
+    return diagonal
 
 
 def _normalize_orders(perturbations: dict):
@@ -371,49 +377,49 @@ def _normalize_orders(perturbations: dict):
     return normalized, n_params
 
 
-def _assemble_explicit(
+def _assemble(perturbations: dict, n: int, pieces) -> tuple[dict[tuple, Any], int]:
+    """The blocks of the perturbation terms, and the parameter count. Each
+    term, as CSR or a complex ndarray, must be ``n x n``, finite and Hermitian;
+    ``pieces(term)`` cuts it into ``((i, j), block)`` with ``i <= j``, and
+    all-zero arrays are dropped. As the recurrences take ``H`` as exactly
+    Hermitian, a lower block is the read-only upper one's `_reference` adjoint."""
+    perturbations, n_params = _normalize_orders(perturbations)
+    blocks: dict[tuple, Any] = {}
+    for order, term in perturbations.items():
+        if np.shape(term) != (n, n):
+            raise ValueError(f"Perturbation at order {order} is not {n} x {n}.")
+        term = term.tocsr() if sparse.issparse(term) else as_dense(term)
+        _check_operand(term, f"Perturbation at order {order}")
+        for (i, j), piece in pieces(term):
+            if type(piece) is np.ndarray and not np.any(piece):
+                continue
+            blocks[(i, j, order)] = piece
+            if i != j:
+                piece.flags.writeable = False
+                blocks[(j, i, order)] = _reference(piece, dagger=True)
+    return blocks, n_params
+
+
+def _explicit_problem(
     energies, perturbations, block_sizes, rotate, masks, tolerance, param_names
 ):
-    """Problem from the energies of ``H_0`` in the decoupling basis.
-
-    ``rotate`` takes an operator to that basis, in which the states of each
-    block are contiguous.
-    """
-    perturbations, n_params = _normalize_orders(perturbations)
-    rule = SeparationRule(tuple(block_sizes), masks)
+    """Problem from the energies of ``H_0`` in the decoupling basis, to which
+    ``rotate`` takes a term; a block is a slice of the rotated term."""
+    rule = SeparationRule(tuple(block_sizes), masks or {})
     splits = np.cumsum((0,) + rule.block_sizes)
-    ranges = [slice(a, b) for a, b in zip(splits, splits[1:])]
-    eigenvalues = tuple(energies[rows] for rows in ranges)
+    ranges = list(enumerate(slice(a, b) for a, b in zip(splits, splits[1:])))
+    eigenvalues = tuple(energies[rows] for _, rows in ranges)
     if tolerance is None:
         tolerance = degeneracy_tolerance(eigenvalues)
     tolerance = require_tolerance(tolerance)
-    blocks: dict[tuple, Any] = {}
-    n = len(energies)
-    for order, term in perturbations.items():
-        if sparse.issparse(term):
-            term = term.tocsr().astype(np.complex128)
-        else:
-            term = as_dense(term)
-        if term.shape != (n, n):
-            raise ValueError(f"Perturbation at order {order} has wrong shape.")
-        _check_operand(term, f"Perturbation at order {order}")
-        rotated = rotate(term)
-        densify = sparse.issparse(rotated)
-        for (i, rows), (j, cols) in cartesian(enumerate(ranges), repeat=2):
-            piece = rotated[rows, cols]
-            if densify:
-                piece = piece.toarray()
-            if not np.any(piece):
-                continue
-            upper = blocks.get((j, i, order)) if i > j else None
-            if upper is not None and upper.size >= REFERENCE_MIN_SIZE and (
-                np.array_equal(piece, upper.conj().T)
-            ):
-                # Read-only, the upper entry is memoized as it is, so it
-                # stays the source of the lower one, which refers to it.
-                upper.flags.writeable = False
-                piece = Reference(1, True, upper)
-            blocks[(i, j, order)] = piece
+
+    def pieces(term):
+        term = rotate(term)
+        for i, rows in ranges:
+            for j, cols in ranges[i:]:
+                yield (i, j), as_dense(term[rows, cols])
+
+    blocks, n_params = _assemble(perturbations, len(energies), pieces)
     return PerturbationProblem(
         eigenvalues=eigenvalues,
         rule=rule,

@@ -33,11 +33,11 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sla
 
-from blockpert.operators import MatrixFreeOperator, Reference, _overlap
+from blockpert.operators import MatrixFreeOperator, _overlap
 from blockpert.diagonalization import (
     PerturbationProblem,
+    _assemble,
     _check_operand,
-    _normalize_orders,
     _require_finite,
     _require_orthonormal,
 )
@@ -267,29 +267,23 @@ def build_extended_problem(
         raise ValueError("One eigenvalue per explicit vector is required.")
     _require_finite(energies, "eigenvalues")
     _require_orthonormal(psi, "explicit_vectors")
+    if np.shape(h0) != (n, n):
+        raise ValueError(f"H_0 has shape {np.shape(h0)}, not {(n, n)}.")
     _check_operand(h0, "H_0")
     eigen_residual = h0 @ psi - psi * energies[None, :]
     scale = max(1.0, float(np.max(np.abs(energies))))
     if np.max(np.abs(eigen_residual)) > EIGEN_RESIDUAL_RTOL * scale:
         raise ValueError("explicit_vectors are not eigenvectors of H_0.")
 
-    perturbations, n_params = _normalize_orders(perturbations)
-    zero_order = (0,) * n_params
-    blocks: dict[tuple, object] = {(1, 1, zero_order): projected_operator(h0, psi)}
-    for order, term in perturbations.items():
-        _check_operand(term, f"Perturbation at order {order}")
+    def pieces(term):
         coupling = (term @ psi).conj().T  # Psi^H H_n, dense and wide
         explicit_block = coupling @ psi
-        explicit_to_implicit = coupling - explicit_block @ psi.conj().T
-        if np.any(explicit_block):
-            blocks[(0, 0, order)] = explicit_block
-        if np.any(explicit_to_implicit):
-            # Read-only, it is stored as it is, and its adjoint refers to it.
-            explicit_to_implicit.flags.writeable = False
-            blocks[(0, 1, order)] = explicit_to_implicit
-            blocks[(1, 0, order)] = Reference(1, True, explicit_to_implicit)
-        blocks[(1, 1, order)] = projected_operator(term, psi)
+        yield (0, 0), explicit_block
+        yield (0, 1), coupling - explicit_block @ psi.conj().T
+        yield (1, 1), projected_operator(term, psi)
 
+    blocks, n_params = _assemble(perturbations, n, pieces)
+    blocks[(1, 1, (0,) * n_params)] = projected_operator(h0, psi)
     return PerturbationProblem(
         eigenvalues=(energies, None),
         rule=SeparationRule((n_e, n)),

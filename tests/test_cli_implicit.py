@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as sla
 
+import blockpert
 from blockpert.cli import main
 from blockpert.diagonalization import block_diagonalize
 from blockpert.documents import (
@@ -121,10 +123,14 @@ def test_cli_has_no_implicit_timing_or_implicit_flag(argv, capsys):
 
 
 def test_console_entry_point():
+    # The child imports the package these tests import, installed or not.
+    source = os.path.dirname(os.path.dirname(blockpert.__file__))
+    paths = [source, os.environ.get("PYTHONPATH", "")]
     completed = subprocess.run(
         [sys.executable, "-m", "blockpert.cli", "--help"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))},
     )
     assert completed.returncode == 0
     assert "diagonalize" in completed.stdout

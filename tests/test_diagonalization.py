@@ -832,20 +832,92 @@ def test_h0_blocks_come_from_the_eigenvalues():
             np.testing.assert_array_equal(h0_block, np.diag(values))
 
 
-def test_exact_input_pairs_are_references():
-    """A lower input entry that is exactly the upper one's adjoint refers to
-    it; a pair equal only within the tolerance, or a small one, is stored."""
+def basis_groups(labels):
+    """Unit vectors of the states of block 0 and of block 1."""
+    k = labels.count(0)
+    return np.eye(len(labels))[:, :k], np.eye(len(labels))[:, k:]
+
+
+def from_eigenvectors(energies, perturbations, labels):
+    h0, groups = np.diag(energies), basis_groups(labels)
+    return PerturbationProblem.from_eigenvectors(h0, perturbations, groups)
+
+
+def implicit_problem(energies, perturbations, labels):
+    psi = basis_groups(labels)[0]
+    energies_0 = energies[: psi.shape[1]]
+    return build_extended_problem(np.diag(energies), perturbations, psi, energies_0)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [PerturbationProblem.from_diagonal, from_eigenvectors, implicit_problem],
+    ids=["diagonal", "eigenvectors", "implicit"],
+)
+def test_lower_input_blocks_are_adjoints(build):
+    """Every constructor stores a lower input block as the upper one's
+    adjoint: a reference from `REFERENCE_MIN_SIZE` elements, an array
+    below, and also where the term's own lower block is off by rounding."""
     energies, perturbations, labels = random_two_block(8, 16, seed=4)
-    problem = PerturbationProblem.from_diagonal(energies, perturbations, labels)
+    problem = build(energies, perturbations, labels)
     upper, lower = problem.blocks[(0, 1, (1,))], problem.blocks[(1, 0, (1,))]
+    assert upper.size >= diagonalization.REFERENCE_MIN_SIZE
     assert type(lower) is Reference and lower.source is upper
     assert (lower.sign, lower.adjoint) == (1, True)
     assert not upper.flags.writeable
     perturbations[(1,)][10, 2] += 1e-14
+    problem = build(energies, perturbations, labels)
+    upper, lower = problem.blocks[(0, 1, (1,))], problem.blocks[(1, 0, (1,))]
+    assert type(lower) is Reference and lower.source is upper
+    np.testing.assert_array_equal(to_array(lower), upper.conj().T)
+    problem = build(*random_two_block(2, 3, seed=4))
+    upper, lower = problem.blocks[(0, 1, (1,))], problem.blocks[(1, 0, (1,))]
+    assert upper.size < diagonalization.REFERENCE_MIN_SIZE
+    assert type(lower) is np.ndarray
+    np.testing.assert_array_equal(lower, upper.conj().T)
+
+
+def traced_peak(build) -> int:
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_in_order_blocks_are_views_of_the_term():
+    """With labels in block order, the blocks of a complex term are views of
+    it and assembly allocates only check tiles; out of order, the term is
+    copied once."""
+    energies, perturbations, labels = random_two_block(100, 1000, seed=1)
+    term = perturbations[(1,)]
+    peak = traced_peak(
+        lambda: PerturbationProblem.from_diagonal(energies, perturbations, labels)
+    )
+    assert peak < 0.1 * term.nbytes
     problem = PerturbationProblem.from_diagonal(energies, perturbations, labels)
-    assert type(problem.blocks[(1, 0, (1,))]) is np.ndarray
-    problem = PerturbationProblem.from_diagonal(*random_two_block(2, 3, seed=4))
-    assert type(problem.blocks[(1, 0, (1,))]) is np.ndarray
+    for key in [(0, 0, (1,)), (0, 1, (1,)), (1, 1, (1,))]:
+        assert np.shares_memory(problem.blocks[key], term)
+    model = transmon_problem(levels=20)
+    peak = traced_peak(model.problem)
+    assert model.coupling.nbytes <= peak < 1.5 * model.coupling.nbytes
+    for block in model.problem().blocks.values():
+        if type(block) is np.ndarray:
+            assert not np.shares_memory(block, model.coupling)
+
+
+def test_from_eigenvectors_rotates_each_term_once():
+    """The rotated H_0 is checked through a view of its off-diagonal entries,
+    and each term is rotated once (7.0 times the input with full-size
+    temporaries in the check)."""
+    energies, perturbations, labels = random_two_block(50, 500, seed=1)
+    h0 = np.diag(energies)
+    groups = [np.eye(550)[:, :50], np.eye(550)[:, 50:]]
+    peak = traced_peak(
+        lambda: PerturbationProblem.from_eigenvectors(h0, perturbations, groups)
+    )
+    assert peak < 6.5 * perturbations[(1,)].nbytes
 
 
 def test_rejects_non_orthonormal_eigenvectors():
@@ -876,6 +948,65 @@ def test_rejects_an_order_given_twice():
         PerturbationProblem.from_diagonal(
             np.array([0.0, 1.0]), {1: np.eye(2), (1,): 2 * np.eye(2)}, [0, 1]
         )
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: PerturbationProblem.from_eigenvectors(
+                np.diag([0.0, 1.0, 2.0]), {(1,): np.eye(2)}, [np.eye(2)]
+            ),
+            "H_0 has shape (3, 3)",
+        ),
+        (
+            lambda: PerturbationProblem.from_diagonal(
+                np.array([0.0, 1.0]), {(1,): np.eye(3)}, [0, 1]
+            ),
+            "order (1,) is not 2 x 2",
+        ),
+        (
+            lambda: PerturbationProblem.from_diagonal(
+                np.array([0.0, 1.0 + 1e-6j]), {(1,): np.eye(2)}, [0, 1]
+            ),
+            "non-real diagonal",
+        ),
+        (
+            lambda: PerturbationProblem.from_diagonal(
+                np.array([0.0, 1.0]), {(1,): np.eye(2)}, [0, 1, 1]
+            ),
+            "length does not match",
+        ),
+        (
+            lambda: PerturbationProblem.from_diagonal(
+                np.array([0.0, 1.0]), {(1,): np.eye(2)}, [0, 2]
+            ),
+            "without gaps",
+        ),
+        (
+            lambda: PerturbationProblem.from_diagonal(
+                np.array([0.0, 1.0]), {(1,): np.eye(2), (0, 1): np.eye(2)}, [0, 1]
+            ),
+            "inconsistent lengths",
+        ),
+        (
+            lambda: PerturbationProblem.from_diagonal(np.array([0.0, 1.0]), {}, [0, 1]),
+            "At least one perturbation",
+        ),
+    ],
+    ids=[
+        "h0-size",
+        "term-shape",
+        "complex-h0",
+        "index-length",
+        "label-gap",
+        "order-lengths",
+        "no-terms",
+    ],
+)
+def test_rejects_malformed_inputs(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build()
 
 
 def test_degenerate_solver_error():

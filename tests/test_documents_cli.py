@@ -24,6 +24,7 @@ from blockpert.documents import (
     problem_document,
     write_document,
 )
+from blockpert.implicit import FactorizationError, ShiftedSolverSet
 from blockpert.operators import to_array
 from blockpert.problems import (
     bilayer_graphene_problem,
@@ -421,7 +422,7 @@ def test_cli_emits_explicit_zero_markers(tmp_path):
     assert payload["entries"][0] == {"block": [0, 0], "order": [1], "zero": True}
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{")
     assert main(["diagonalize", "--input", str(broken), "--order", "1"]) == 2
@@ -433,6 +434,22 @@ def test_cli_exit_codes(tmp_path):
     )
     path = document_path(tmp_path, degenerate, "degenerate.json")
     assert main(["diagonalize", "--input", path, "--order", "1"]) == 3
+
+    # A failed implicit solve is a solver error.
+    h0, perturbations = lattice_problem(4, seed=1)
+    energies, vectors = sla.eigsh(h0, k=2, which="SA")
+    implicit = {"explicit_vectors": vectors, "eigenvalues": energies}
+    doc = problem_document(h0, perturbations, param_names=["dmu"], implicit=implicit)
+    path = document_path(tmp_path, doc, "implicit.json")
+
+    def fail(self, i, rhs_row):
+        raise FactorizationError("did not converge")
+
+    monkeypatch.setattr(ShiftedSolverSet, "solve_shifted_deflated", fail)
+    capsys.readouterr()
+    argv = ["spectrum", "--input", path, "--max-order", "2", "--grid", "dmu=0:0.1:3"]
+    assert main(argv) == 4
+    assert "solver error: did not converge" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tolerance", ["-1", "nan"])

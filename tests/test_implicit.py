@@ -237,6 +237,36 @@ def test_build_rejects_non_finite_inputs(small_toy, operand):
         build_extended_problem(h0, perturbations, psi, energies)
 
 
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda h0, terms, psi, e: (h0[:, :5], terms, psi, e), "H_0 has shape (6, 5)"),
+        (lambda h0, terms, psi, e: (h0[:5, :5], terms, psi, e), "H_0 has shape (5, 5)"),
+        (
+            lambda h0, terms, psi, e: (h0, {(1,): terms[(1,)][:5, :5]}, psi, e),
+            "order (1,) is not 6 x 6",
+        ),
+        (lambda h0, terms, psi, e: (h0, terms, psi[:, 0], e), "matrix of columns"),
+        (
+            lambda h0, terms, psi, e: (h0, terms, psi[:, :0], e[:0]),
+            "explicit subspace is empty",
+        ),
+        (lambda h0, terms, psi, e: (h0, terms, psi, e[:1]), "One eigenvalue per"),
+    ],
+    ids=[
+        "h0-not-square",
+        "h0-size",
+        "term-shape",
+        "vectors-1d",
+        "no-vectors",
+        "eigenvalues",
+    ],
+)
+def test_build_rejects_malformed_inputs(small_toy, mutate, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_extended_problem(*mutate(*small_toy))
+
+
 def test_build_rejects_full_basis(small_toy):
     h0, perturbations, _, _ = small_toy
     with pytest.raises(ValueError, match="implicit subspace is empty"):
