@@ -159,6 +159,19 @@ def _hermitian_defect(matrix) -> float:
     return float(np.max(defects))  # np.max, unlike max(), keeps a NaN
 
 
+def _value_dtype(*operands) -> type:
+    """A problem's dtype: ``float64`` if no dense or sparse input has a non-zero
+    imaginary part, else ``complex128``. Read in slabs up to the first that has."""
+    for x in operands:
+        entries = np.atleast_1d(x.tocoo().data if sparse.issparse(x) else x)
+        step = max(1, CHECK_TILE**2 * len(entries) // max(1, entries.size))
+        if np.iscomplexobj(entries) and any(
+            entries[a : a + step].imag.any() for a in range(0, len(entries), step)
+        ):
+            return np.complex128
+    return np.float64
+
+
 def _require_finite(matrix, what: str):
     if not math.isfinite(_max_abs(matrix)):
         raise ValueError(f"{what} has non-finite entries.")
@@ -222,6 +235,12 @@ class PerturbationProblem:
         return bool(self.large_blocks)
 
     @property
+    def dtype(self) -> type:
+        """``complex128`` if a stored block is complex, else ``float64``."""
+        complex_block = any(map(np.iscomplexobj, self.blocks.values()))
+        return np.complex128 if complex_block else np.float64
+
+    @property
     def n_blocks(self) -> int:
         return self.rule.n_blocks
 
@@ -244,7 +263,7 @@ class PerturbationProblem:
         if value is zero and i == j and not any(order):
             energies = self.eigenvalues[i]
             if energies is not None:
-                return np.diag(energies).astype(np.complex128)
+                return np.diag(energies).astype(self.dtype, copy=False)
         return value
 
     @staticmethod
@@ -260,8 +279,8 @@ class PerturbationProblem:
         """Problem from a diagonal ``H_0`` and per-state block labels.
 
         ``H_0`` is given by its diagonal or as a diagonal matrix, dense or
-        sparse. A complex term is copied only to put it in block order, and a
-        sparse one is densified block by block only.
+        sparse. A dense term is copied only to put it in block order or in
+        the problem's dtype, and a sparse one is densified block by block.
         """
         h0 = h0_diagonal
         h0 = h0.tocsr() if sparse.issparse(h0) else np.asarray(h0)
@@ -289,6 +308,7 @@ class PerturbationProblem:
             perturbations,
             tuple(int(np.sum(indices == label)) for label in labels),
             lambda term: term if in_order else term[np.ix_(permutation, permutation)],
+            _value_dtype(*perturbations.values()),
             masks,
             tolerance,
             param_names,
@@ -323,6 +343,8 @@ class PerturbationProblem:
         if h0.shape != basis.shape:
             raise ValueError(f"H_0 has shape {h0.shape}, the basis {basis.shape}.")
         _check_operand(h0, "H_0")
+        dtype = _value_dtype(*perturbations.values(), h0, basis)
+        basis = as_dense(basis, dtype)
         adjoint_basis = basis.conj().T
         energies = _diagonal(
             adjoint_basis @ h0 @ basis,
@@ -335,6 +357,7 @@ class PerturbationProblem:
             perturbations,
             tuple(g.shape[1] for g in groups),
             lambda term: adjoint_basis @ term @ basis,
+            dtype,
             masks,
             tolerance,
             param_names,
@@ -377,18 +400,20 @@ def _normalize_orders(perturbations: dict):
     return normalized, n_params
 
 
-def _assemble(perturbations: dict, n: int, pieces) -> tuple[dict[tuple, Any], int]:
+def _assemble(perturbations: dict, n: int, pieces, dtype) -> tuple[dict, int]:
     """The blocks of the perturbation terms, and the parameter count. Each
-    term, as CSR or a complex ndarray, must be ``n x n``, finite and Hermitian;
-    ``pieces(term)`` cuts it into ``((i, j), block)`` with ``i <= j``, and
-    all-zero arrays are dropped. As the recurrences take ``H`` as exactly
-    Hermitian, a lower block is the read-only upper one's `_reference` adjoint."""
+    term, as CSR or an ndarray, real where ``dtype`` is, must be ``n x n``,
+    finite and Hermitian; ``pieces(term)`` cuts it into ``((i, j), block)``
+    with ``i <= j``, and all-zero arrays are dropped. As the recurrences take
+    ``H`` as exactly Hermitian, a lower block is the read-only upper one's
+    `_reference` adjoint."""
     perturbations, n_params = _normalize_orders(perturbations)
     blocks: dict[tuple, Any] = {}
     for order, term in perturbations.items():
         if np.shape(term) != (n, n):
             raise ValueError(f"Perturbation at order {order} is not {n} x {n}.")
-        term = term.tocsr() if sparse.issparse(term) else as_dense(term)
+        term = term.tocsr() if sparse.issparse(term) else as_dense(term, dtype)
+        term = term.real if dtype == np.float64 and np.iscomplexobj(term) else term
         _check_operand(term, f"Perturbation at order {order}")
         for (i, j), piece in pieces(term):
             if type(piece) is np.ndarray and not np.any(piece):
@@ -401,10 +426,10 @@ def _assemble(perturbations: dict, n: int, pieces) -> tuple[dict[tuple, Any], in
 
 
 def _explicit_problem(
-    energies, perturbations, block_sizes, rotate, masks, tolerance, param_names
+    energies, perturbations, block_sizes, rotate, dtype, masks, tolerance, param_names
 ):
-    """Problem from the energies of ``H_0`` in the decoupling basis, to which
-    ``rotate`` takes a term; a block is a slice of the rotated term."""
+    """Problem of ``dtype`` from the energies of ``H_0`` in the decoupling basis,
+    to which ``rotate`` takes a term; a block is a slice of the rotated term."""
     rule = SeparationRule(tuple(block_sizes), masks or {})
     splits = np.cumsum((0,) + rule.block_sizes)
     ranges = list(enumerate(slice(a, b) for a, b in zip(splits, splits[1:])))
@@ -417,9 +442,9 @@ def _explicit_problem(
         term = rotate(term)
         for i, rows in ranges:
             for j, cols in ranges[i:]:
-                yield (i, j), as_dense(term[rows, cols])
+                yield (i, j), as_dense(term[rows, cols], dtype)
 
-    blocks, n_params = _assemble(perturbations, len(energies), pieces)
+    blocks, n_params = _assemble(perturbations, len(energies), pieces, dtype)
     return PerturbationProblem(
         eigenvalues=eigenvalues,
         rule=rule,
@@ -484,9 +509,10 @@ def block_diagonalize(
     series triggers the recurrences. The default solver divides by energy
     denominators in the eigenbasis; implicit problems carry their own
     solver. A custom ``solver(rhs, block, order)`` receives the remaining
-    part of the right-hand side as a read-only ``complex128`` ndarray and
-    returns the solution block as a dense or sparse matrix, which is
-    converted to a ``complex128`` ndarray. Every product is tallied in
+    part of the right-hand side as a read-only ndarray of the problem's
+    `~PerturbationProblem.dtype`, and returns the solution block as a dense
+    or sparse matrix, which is converted to that dtype. A complex solution
+    of a real problem raises `ValueError`. Every product is tallied in
     ``counter``, a new one unless given, which the result exposes as
     ``result.counter``.
 
@@ -552,6 +578,7 @@ def _build_series(
     rule = problem.rule
     b = rule.n_blocks
     n_params = problem.n_params
+    dtype = problem.dtype
     two_block = b == 2 and not rule.masks
     # One basis per factored block and run; its entries are factored on it.
     large = {
@@ -635,7 +662,8 @@ def _build_series(
         rhs = remain(rhs, rule, (i, j))
         if isinstance(rhs, Zero):
             return zero
-        return as_dense(solver(_memo_value(rhs), (i, j), tuple(n)))
+        solution = solver(_memo_value(rhs), (i, j), tuple(n))
+        return as_dense(solution, dtype, f"The solution of block {(i, j)} at order {n}")
 
     def eval_Up(i, j, *n):
         if not any(n):
@@ -713,7 +741,7 @@ def transform_observable(
     Shares the memoized ``U`` entries of the diagonalization, so repeated
     transformations reuse the unitary's products, and tallies its products
     in ``result.counter``. Dense or sparse entries of ``observable`` are
-    converted to ``complex128`` ndarrays when first used.
+    converted to ndarrays of their own dtype when first used.
     """
     if observable.shape != (result.problem.n_blocks,) * 2:
         raise ValueError(
@@ -765,7 +793,7 @@ def evaluate_truncated(
     if not present.any():
         if shape is None:
             raise ValueError("All terms are structurally zero; pass an explicit shape.")
-        return np.zeros(values.shape[:-1] + tuple(shape), dtype=np.complex128)
+        return np.zeros(values.shape[:-1] + tuple(shape))
     orders = np.array(list(orders_up_to(max_orders)))[present]
     terms = entries.compressed()
     if shape is None:

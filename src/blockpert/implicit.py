@@ -33,13 +33,14 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sla
 
-from blockpert.operators import MatrixFreeOperator, _overlap
+from blockpert.operators import MatrixFreeOperator, _overlap, as_dense
 from blockpert.diagonalization import (
     PerturbationProblem,
     _assemble,
     _check_operand,
     _require_finite,
     _require_orthonormal,
+    _value_dtype,
 )
 from blockpert.separation import SeparationRule
 
@@ -92,7 +93,8 @@ def projected_operator(matrix, psi: np.ndarray) -> MatrixFreeOperator:
     def apply_adjoint(x):
         return _project_out(psi, matrix.conj().T @ _project_out(psi, x))
 
-    return MatrixFreeOperator(matrix.shape[0], apply, apply_adjoint)
+    dtype = np.promote_types(matrix.dtype, psi.dtype)
+    return MatrixFreeOperator(matrix.shape[0], apply, apply_adjoint, dtype)
 
 
 @dataclass(frozen=True)
@@ -118,8 +120,8 @@ class ShiftedSolverSet:
     explicit ``|E|`` or 1. The shift stays far above the rounding of
     ``E_i``, also when other explicit eigenvalues lie close to it, and the
     explicit directions that the LU amplifies are projected out. The
-    factorization is real when the entries of ``H_0`` are, and a complex
-    right-hand side then goes through it as two real columns.
+    factorization is real when ``H_0`` is, and a complex right-hand side
+    goes through it as two real columns.
 
     A solve projects the right-hand side onto the implicit subspace and
     refines ``x <- x + P LU_i^-1 r`` on the residual ``r = P(rhs - (H_0 -
@@ -135,14 +137,12 @@ class ShiftedSolverSet:
     """
 
     def __init__(self, h0, psi: np.ndarray, energies: np.ndarray):
-        self.psi = np.asarray(psi, dtype=np.complex128)
+        self.psi = np.asarray(psi)
         self.energies = np.asarray(energies, dtype=float)
         self.h0 = h0
         self.records: list[SolveRecord] = []
         matrix = sparse.csc_matrix(h0)
-        self.real_factors = not np.any(np.imag(matrix.data))
-        if self.real_factors:
-            matrix = matrix.real
+        self.real_factors = not np.iscomplexobj(matrix)
         identity = sparse.identity(matrix.shape[0], dtype=matrix.dtype, format="csc")
         shift = SHIFT_FRACTION * max(1.0, float(np.max(np.abs(self.energies))))
         self._factors = []
@@ -177,7 +177,7 @@ class ShiftedSolverSet:
 
     def _precondition(self, i: int, column: np.ndarray) -> np.ndarray:
         """``P LU_i^-1 column``, the preconditioned refinement step."""
-        if self.real_factors:  # real and imaginary parts as two columns
+        if self.real_factors and np.iscomplexobj(column):  # parts as two columns
             parts = self._factors[i].solve(column.view(np.float64).reshape(-1, 2))
             solved = np.ascontiguousarray(parts).view(np.complex128).ravel()
         else:
@@ -186,7 +186,7 @@ class ShiftedSolverSet:
 
     def solve_shifted_deflated(self, i: int, rhs_row: np.ndarray) -> np.ndarray:
         """Row vector ``x`` with ``x (H_0 - E_i) = rhs_row`` and ``x Psi = 0``."""
-        rhs_row = np.asarray(rhs_row, dtype=np.complex128).ravel()
+        rhs_row = np.asarray(rhs_row).ravel()
         column = rhs_row.conj()
         norm = np.linalg.norm(column)
         if norm == 0.0:
@@ -204,7 +204,7 @@ class ShiftedSolverSet:
         correction = column
         previous = norm
         for steps in itertools.count(1):
-            solution += self._precondition(i, correction)
+            solution = solution + self._precondition(i, correction)
             residual = column - (self.h0 @ solution - energy * solution)
             correction = _project_out(self.psi, residual)
             current = np.linalg.norm(correction)
@@ -251,7 +251,7 @@ def build_extended_problem(
         Eigenvalues matching ``explicit_vectors``. The caller certifies that
         these are separated from the rest of the spectrum.
     """
-    psi = np.asarray(explicit_vectors, dtype=np.complex128)
+    psi = np.asarray(explicit_vectors)
     if psi.ndim != 2:
         raise ValueError("explicit_vectors must be a matrix of columns.")
     n, n_e = psi.shape
@@ -270,6 +270,9 @@ def build_extended_problem(
     if np.shape(h0) != (n, n):
         raise ValueError(f"H_0 has shape {np.shape(h0)}, not {(n, n)}.")
     _check_operand(h0, "H_0")
+    h0 = h0.real if _value_dtype(h0) == np.float64 else h0  # a real LU
+    dtype = _value_dtype(*perturbations.values(), h0, psi)
+    psi = as_dense(psi, dtype)
     eigen_residual = h0 @ psi - psi * energies[None, :]
     scale = max(1.0, float(np.max(np.abs(energies))))
     if np.max(np.abs(eigen_residual)) > EIGEN_RESIDUAL_RTOL * scale:
@@ -282,7 +285,7 @@ def build_extended_problem(
         yield (0, 1), coupling - explicit_block @ psi.conj().T
         yield (1, 1), projected_operator(term, psi)
 
-    blocks, n_params = _assemble(perturbations, n, pieces)
+    blocks, n_params = _assemble(perturbations, n, pieces, dtype)
     blocks[(1, 1, (0,) * n_params)] = projected_operator(h0, psi)
     return PerturbationProblem(
         eigenvalues=(energies, None),

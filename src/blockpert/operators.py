@@ -5,7 +5,7 @@ Series elements are one of:
 - ``zero``, a structural absorbing element that participates in products and
   sums at no cost,
 - ``one``, a structural multiplicative identity,
-- a dense ``numpy.ndarray`` of dtype ``complex128``,
+- a dense ``numpy.ndarray`` of the problem's ``float64`` or ``complex128``,
 - a `Reference` ``±y`` or ``±yᴴ`` to a stored ndarray ``y``, an entry
   that the recurrences derive from another one and that owns no buffer,
 - a `FactoredOperator` ``Q[:, :r] C Q[:, :c]ᴴ``, an entry of a large
@@ -116,9 +116,10 @@ class MatrixFreeOperator(LinearOperator):
     """Square action-only operator for the implicit subspace.
 
     Wraps a pair of callables computing ``v -> M v`` and ``v -> M^H v`` on
-    dense blocks of column vectors. Its adjoint swaps the two callables. A
-    product or sum with a `FactoredOperator` stays a scipy composition that
-    is applied term by term, so no dense N x N matrix is ever materialized.
+    dense blocks of column vectors; ``dtype`` is that of ``M``. Its adjoint
+    swaps the two callables. A product or sum with a `FactoredOperator`
+    stays a scipy composition that is applied term by term, so no dense
+    N x N matrix is ever materialized.
     """
 
     def __init__(
@@ -126,16 +127,19 @@ class MatrixFreeOperator(LinearOperator):
         dimension: int,
         apply: Callable[[np.ndarray], np.ndarray],
         apply_adjoint: Callable[[np.ndarray], np.ndarray],
+        dtype=np.complex128,
     ):
-        super().__init__(dtype=np.complex128, shape=(dimension, dimension))
+        super().__init__(dtype=dtype, shape=(dimension, dimension))
         self._apply = apply
         self._apply_adjoint = apply_adjoint
 
     def _matmat(self, X):
-        return self._apply(np.asarray(X, dtype=np.complex128))
+        return self._apply(X)
 
     def _adjoint(self):
-        return MatrixFreeOperator(self.shape[0], self._apply_adjoint, self._apply)
+        return MatrixFreeOperator(
+            self.shape[0], self._apply_adjoint, self._apply, self.dtype
+        )
 
 
 class Reference:
@@ -159,7 +163,7 @@ class Reference:
 
     def toarray(self) -> np.ndarray:
         """The entry as a new array."""
-        value = self.source.conj().T if self.adjoint else self.source.copy()
+        value = np.conj(self.source.T) if self.adjoint else self.source.copy()
         return np.negative(value, out=value) if self.sign < 0 else value
 
 
@@ -197,13 +201,13 @@ class LargeBlockBasis:
     -1 and those of the other side if it is an adjoint; no arrays are
     compared. ``buffer`` is exactly
     ``N x width``: each extension replaces it by a copy wider by the
-    columns added. Entries read it through this object, so they never pin
-    an old buffer.
+    columns added, real until a complex operand arrives. Entries read it
+    through this object, so they never pin an old buffer.
     """
 
     def __init__(self, dimension: int):
         self.dimension = dimension
-        self.buffer = np.empty((dimension, 0), dtype=np.complex128, order="F")
+        self.buffer = np.empty((dimension, 0), order="F")
         self.dropped = 0
         self._known: dict[tuple, tuple] = {}
 
@@ -285,7 +289,7 @@ class LargeBlockBasis:
         else:
             added = values[:kept, None] * weights[:kept]
         width = q.shape[1]
-        self.buffer = np.empty((self.dimension, width + kept), q.dtype, order="F")
+        self.buffer = np.empty((self.dimension, width + kept), new.dtype, order="F")
         self.buffer[:, :width] = q
         self.buffer[:, width:] = new
         return np.vstack([coefficients, added])
@@ -347,7 +351,7 @@ class FactoredOperator(LinearOperator):
     """
 
     def __init__(self, basis: LargeBlockBasis, core: np.ndarray):
-        super().__init__(np.complex128, (basis.dimension, basis.dimension))
+        super().__init__(core.dtype, (basis.dimension, basis.dimension))
         core.flags.writeable = False
         self.basis = basis
         self.core = core
@@ -403,19 +407,24 @@ def _materialized(a):
 def _padded_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sum of two cores, the smaller padded with zeros."""
     shape = tuple(map(max, a.shape, b.shape))
-    total = np.zeros(shape, dtype=np.complex128)
+    total = np.zeros(shape, dtype=np.promote_types(a.dtype, b.dtype))
     total[: a.shape[0], : a.shape[1]] = a
     total[: b.shape[0], : b.shape[1]] += b
     return total
 
 
-def as_dense(array) -> np.ndarray:
-    """Promote input to a 2-D complex double-precision ndarray."""
+def as_dense(array, dtype=None, what: str = "An input") -> np.ndarray:
+    """Input as a 2-D ndarray, of ``dtype`` if given. As ``float64``, a complex
+    input with a non-zero imaginary part raises `ValueError`, naming ``what``."""
     if type(array) is Reference:
         return array.toarray()
     if issparse(array):
         array = array.toarray()
-    result = np.asarray(array, dtype=np.complex128)
+    if dtype == np.float64 and np.iscomplexobj(array):
+        if np.any(np.imag(array)):
+            raise ValueError(f"{what} is complex, but the problem is real.")
+        array = np.real(array).copy()
+    result = np.asarray(array, dtype=dtype)
     if result.ndim != 2:
         raise ValueError(f"Expected a 2-D operator, got shape {result.shape}.")
     return result
@@ -523,14 +532,14 @@ def to_array(a, shape: tuple[int, int] | None = None) -> np.ndarray:
     if isinstance(a, Zero):
         if shape is None:
             raise ValueError("Cannot materialize zero without a shape.")
-        return np.zeros(shape, dtype=np.complex128)
+        return np.zeros(shape)
     if isinstance(a, One):
         if shape is None:
             raise ValueError("Cannot materialize the identity without a shape.")
-        return np.eye(*shape, dtype=np.complex128)
+        return np.eye(*shape)
     if type(a) in (FactoredOperator, Reference):
         return a.toarray()
     if isinstance(a, LinearOperator):
-        return a.matmat(np.eye(a.shape[1], dtype=np.complex128))
+        return a.matmat(np.eye(a.shape[1], dtype=a.dtype))
     return as_dense(a)
 

@@ -137,27 +137,31 @@ def test_w_starts_at_second_order(rng):
 
 def test_sylvester_residual():
     """[V, H_0]_n equals the right-hand side the solver received, which is a
-    read-only complex128 array."""
+    read-only array of the problem's dtype: complex128 for a complex problem,
+    float64 for its real part."""
     energies, perturbations, labels = random_two_block(2, 3, seed=2)
-    problem = PerturbationProblem.from_diagonal(energies, perturbations, labels)
-    default = make_eigenbasis_solver(
-        problem.eigenvalues, problem.rule, problem.tolerance
-    )
-    received = {}
+    real_part = {order: term.real for order, term in perturbations.items()}
+    for terms, dtype in ((perturbations, np.complex128), (real_part, np.float64)):
+        problem = PerturbationProblem.from_diagonal(energies, terms, labels)
+        assert problem.dtype == dtype
+        default = make_eigenbasis_solver(
+            problem.eigenvalues, problem.rule, problem.tolerance
+        )
+        received = {}
 
-    def solver(rhs, block, order):
-        received[block, order] = rhs
-        return default(rhs, block, order)
+        def solver(rhs, block, order):
+            received[block, order] = rhs
+            return default(rhs, block, order)
 
-    result = block_diagonalize(problem, solver)
-    result.h_tilde.get((0, 0), (4,))  # force evaluation
-    e_0, e_1 = problem.eigenvalues
-    for order in [(1,), (2,), (3,)]:
-        rhs = received[(0, 1), order]
-        assert rhs.dtype == np.complex128 and not rhs.flags.writeable
-        v = to_array(result.context["V"].get((0, 1), order))
-        np.testing.assert_allclose(v * e_1 - e_0[:, None] * v, rhs, atol=1e-12)
-    assert {block for block, _ in received} == {(0, 1)}
+        result = block_diagonalize(problem, solver)
+        result.h_tilde.get((0, 0), (4,))  # force evaluation
+        e_0, e_1 = problem.eigenvalues
+        for order in [(1,), (2,), (3,)]:
+            rhs = received[(0, 1), order]
+            assert rhs.dtype == dtype and not rhs.flags.writeable
+            v = to_array(result.context["V"].get((0, 1), order))
+            np.testing.assert_allclose(v * e_1 - e_0[:, None] * v, rhs, atol=1e-12)
+        assert {block for block, _ in received} == {(0, 1)}
 
 
 def test_b_starts_at_second_order(rng):
@@ -349,6 +353,8 @@ def real_sparse_solver(problem):
 
 def test_transmon_slice_masks_odd_orders():
     problem = transmon_problem().problem()
+    # Its inputs are complex128 arrays of real values: a real problem.
+    assert problem.dtype == np.float64
     reference = block_diagonalize(problem)
     # A custom solver may return real sparse solutions; they give the same H̃.
     for solver in (None, real_sparse_solver(problem)):
@@ -365,8 +371,8 @@ def test_transmon_slice_masks_odd_orders():
                 rtol=0,
                 atol=1e-15,
             )
-        # The solutions are stored in the one operand form, and the blocks
-        # below the diagonal refer to them.
+        # The solutions are stored in the one operand form, in the problem's
+        # dtype, and the blocks below the diagonal refer to them.
         v = result.context["V"]
         for key in v.stored_keys():
             value = v.get(key[:2], key[2:])
@@ -374,7 +380,7 @@ def test_transmon_slice_masks_odd_orders():
                 assert key[0] > key[1] and value.source is v.get(key[1::-1], key[2:])
                 value = value.source
             assert value is zero or (
-                type(value) is np.ndarray and value.dtype == np.complex128
+                type(value) is np.ndarray and value.dtype == problem.dtype
             )
 
 
@@ -425,7 +431,7 @@ def test_transform_observable_reproduces_h_tilde(rng):
     energies, perturbations, labels = random_two_block(2, 3, seed=9)
     real_perturbations = {order: term.real for order, term in perturbations.items()}
     # The complex problem, then a real copy of it whose H is also given in
-    # the caller's form; that form must give the same complex ndarrays.
+    # the caller's form; that form must give the same ndarrays, real ones.
     for terms in (perturbations, real_perturbations):
         problem = PerturbationProblem.from_diagonal(energies, terms, labels)
         result = block_diagonalize(problem)
@@ -448,7 +454,8 @@ def test_transform_observable_reproduces_h_tilde(rng):
                     continue
                 value = given.get(block, (order,))
                 if order:
-                    assert type(value) is np.ndarray and value.dtype == np.complex128
+                    assert type(value) is np.ndarray and value.dtype == problem.dtype
+                    assert problem.dtype == np.float64
                 np.testing.assert_allclose(
                     to_array(value, shape),
                     to_array(transformed.get(block, (order,)), shape),
@@ -818,9 +825,13 @@ def test_h0_blocks_come_from_the_eigenvalues():
         np.diag([0.0, 1.0, 2.0]), {(1,): np.ones((3, 3))}, [np.eye(3)[:, :1], np.eye(3)[:, 1:]]
     )
     h0, perturbations = lattice_problem(4, seed=1)
-    energies, psi = sla.eigsh(h0, k=2, which="SA")
+    # A real start vector keeps the complex128 vectors real.
+    v0 = np.random.default_rng(0).standard_normal(16)
+    energies, psi = sla.eigsh(h0, k=2, which="SA", v0=v0)
     implicit = build_extended_problem(h0, perturbations, psi, energies)
-    for problem in (explicit, rotated, implicit):
+    dtypes = (np.complex128, np.float64, np.float64)
+    for problem, dtype in zip((explicit, rotated, implicit), dtypes):
+        assert problem.dtype == dtype
         for label, values in enumerate(problem.eigenvalues):
             key = (label, label, problem.zero_order())
             if values is None:
@@ -828,7 +839,7 @@ def test_h0_blocks_come_from_the_eigenvalues():
                 continue
             assert key not in problem.blocks
             h0_block = problem.block(*key)
-            assert h0_block.dtype == np.complex128
+            assert h0_block.dtype == dtype
             np.testing.assert_array_equal(h0_block, np.diag(values))
 
 

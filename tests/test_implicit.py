@@ -94,7 +94,9 @@ def test_shifted_solver_residual_random(rng):
 def test_shifted_solver_factorizes_real_data_in_real_arithmetic(
     rng, kind, real_factors
 ):
-    """Real entries take a real LU whatever the dtype; every solve is logged."""
+    """Real entries take a real LU whatever the dtype, and make a real
+    problem; a right-hand side keeps its dtype, real or complex, through the
+    solve, and every solve is logged."""
     h0 = {
         "complex128, real data": lambda: lattice_problem(12, 1)[0],
         "float64, dense": lambda: lattice_problem(12, 1)[0].real.toarray(),
@@ -103,18 +105,21 @@ def test_shifted_solver_factorizes_real_data_in_real_arithmetic(
     n = h0.shape[0]
     energies, vectors = np.linalg.eigh(to_array(h0))
     energies, vectors = energies[:3], vectors[:, :3]
-    solvers = ShiftedSolverSet(h0, vectors, energies)
+    problem = build_extended_problem(h0, {(1,): h0}, vectors, energies)
+    solvers = problem.solver
     assert solvers.real_factors == real_factors
-    factor_dtype = np.float64 if real_factors else np.complex128
-    assert all(lu.L.dtype == factor_dtype for lu in solvers._factors)
+    assert problem.dtype == (np.float64 if real_factors else np.complex128)
+    assert all(lu.L.dtype == problem.dtype for lu in solvers._factors)
     projector = np.eye(n) - vectors @ vectors.conj().T
     for i in range(3):
-        rhs = (rng.normal(size=n) + 1j * rng.normal(size=n)) @ projector
-        solution = solvers.solve_shifted_deflated(i, rhs)
-        residual = solution @ (to_array(h0) - energies[i] * np.eye(n)) - rhs
-        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
-        assert np.linalg.norm(solution @ vectors) <= 1e-10
-    assert [record.shift for record in solvers.records] == [0, 1, 2]
+        real_rhs = rng.normal(size=n) @ projector
+        for rhs in (real_rhs + 1j * (rng.normal(size=n) @ projector), real_rhs):
+            solution = solvers.solve_shifted_deflated(i, rhs)
+            assert solution.dtype == rhs.dtype
+            residual = solution @ (to_array(h0) - energies[i] * np.eye(n)) - rhs
+            assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
+            assert np.linalg.norm(solution @ vectors) <= 1e-10
+    assert [record.shift for record in solvers.records] == [0, 0, 1, 1, 2, 2]
     for record in solvers.records:
         assert 1 <= record.steps <= 3
         assert record.residual <= RESIDUAL_RTOL

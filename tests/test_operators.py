@@ -86,39 +86,67 @@ def test_ring_axioms(seed):
     )
 
 
-def _operand_form(blocks):
-    """Whether every block is a complex128 ndarray, a reference to one or a
-    matrix-free operator."""
-    return all(
-        isinstance(block, MatrixFreeOperator)
-        or (type(block) is Reference and block.source.dtype == np.complex128)
-        or (type(block) is np.ndarray and block.dtype == np.complex128)
-        for block in blocks.values()
+def _operand_form(problem, dtype):
+    """Whether the problem is of ``dtype`` and every block is an ndarray of
+    it, a reference to one or a matrix-free operator of it."""
+    return problem.dtype == dtype and all(
+        (isinstance(block, MatrixFreeOperator) and block.dtype == dtype)
+        or (type(block) is Reference and block.source.dtype == dtype)
+        or (type(block) is np.ndarray and block.dtype == dtype)
+        for block in problem.blocks.values()
     )
 
 
 def test_assembly_produces_the_operand_form(rng):
-    """Real and sparse inputs are converted once, when a problem is built."""
+    """Dense and sparse inputs are converted once, when a problem is built,
+    to float64 when their values are real, whatever their dtype, and to
+    complex128 when one of them is not."""
     perturbation = rng.normal(size=(4, 4))
     perturbation = perturbation + perturbation.T
-    for term in (perturbation, sparse.csr_matrix(perturbation)):
+    complex_term = random_hermitian(rng, 4)
+    for term, dtype in (
+        (perturbation, np.float64),
+        (perturbation.astype(complex), np.float64),
+        (sparse.csr_matrix(perturbation), np.float64),
+        (sparse.csr_matrix(perturbation.astype(complex)), np.float64),
+        (complex_term, np.complex128),
+        (sparse.csr_matrix(complex_term), np.complex128),
+    ):
         problem = PerturbationProblem.from_diagonal(
             np.arange(4.0), {(1,): term}, [0, 0, 1, 1]
         )
-        assert _operand_form(problem.blocks)
-    vectors = np.eye(4)
-    problem = PerturbationProblem.from_eigenvectors(
-        np.diag(np.arange(4.0)), {(1,): perturbation}, [vectors[:, :2], vectors[:, 2:]]
+        assert _operand_form(problem, dtype)
+    # One complex term among real ones makes every block complex.
+    problem = PerturbationProblem.from_diagonal(
+        np.arange(4.0), {(1,): perturbation, (2,): complex_term}, [0, 0, 1, 1]
     )
-    assert _operand_form(problem.blocks)
+    assert _operand_form(problem, np.complex128)
+    vectors = np.eye(4)
+    for basis, term, dtype in (
+        (vectors, perturbation, np.float64),
+        (vectors.astype(complex), perturbation, np.float64),
+        (vectors, complex_term, np.complex128),
+        (vectors * np.exp(0.3j), perturbation, np.complex128),
+    ):
+        problem = PerturbationProblem.from_eigenvectors(
+            np.diag(np.arange(4.0)), {(1,): term}, [basis[:, :2], basis[:, 2:]]
+        )
+        assert _operand_form(problem, dtype)
+    # The lattice's inputs are complex128 arrays of real values.
     h0, perturbations = lattice_problem(4, seed=1)
-    h0 = h0.real.tocsr()
-    perturbations = {order: term.real.tocsr() for order, term in perturbations.items()}
-    energies, psi = sla.eigsh(h0, k=2, which="SA")
-    assert psi.dtype == np.float64
-    problem = build_extended_problem(h0, perturbations, psi, energies)
-    assert _operand_form(problem.blocks)
-    assert any(isinstance(b, MatrixFreeOperator) for b in problem.blocks.values())
+    real_inputs = h0.real.tocsr(), {o: t.real.tocsr() for o, t in perturbations.items()}
+    v0 = np.random.default_rng(0).standard_normal(16)
+    antisymmetric = sparse.random(16, 16, density=0.2, random_state=1)
+    for (h0, terms), extra, dtype in (
+        (real_inputs, {}, np.float64),
+        ((h0, perturbations), {}, np.float64),
+        ((h0, perturbations), {(2,): 1j * (antisymmetric - antisymmetric.T)}, np.complex128),
+    ):
+        energies, psi = sla.eigsh(h0, k=2, which="SA", v0=v0)
+        assert psi.dtype == h0.dtype
+        problem = build_extended_problem(h0, {**terms, **extra}, psi, energies)
+        assert _operand_form(problem, dtype)
+        assert any(isinstance(b, MatrixFreeOperator) for b in problem.blocks.values())
 
 
 def test_matrix_free_operator_probes(rng):

@@ -6,15 +6,20 @@ pair of states; degenerate states only ever share a selected pair. Half of
 its problems have, beside 1-2 small blocks, one block without a mask that
 holds 8-12 times their states, so the engine keeps it factored, whatever
 the number of parameters, and the entries between them are large enough to
-be references.
+be references. Half of its problems are real: their terms are complex128
+arrays whose imaginary parts are zero.
+
+A second strategy draws implicit problems: lattices of width 3-6 with 1-3
+explicit states, half of them made complex by a term ``1j (A - Aᵀ)``.
 """
 
 from itertools import combinations
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 import scipy.sparse.linalg as sla
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blockpert import series as series_module
@@ -60,9 +65,10 @@ def problems(draw):
             mask = mask | mask.T | (rungs[:, None] == rungs[None, :])
             masks[label] = mask
     n = len(energies)
+    real = draw(st.booleans())
     perturbations = {}
     for k in range(n_params):
-        term = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        term = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) * (not real)
         order = tuple(int(k == axis) for axis in range(n_params))
         perturbations[order] = 0.1 * floor * (term + term.conj().T) / 2
     return {
@@ -113,12 +119,58 @@ def query_everything(result, n_params):
                 result.u.get((i, j), order)
 
 
+def value_dtype(terms):
+    """The dtype the value rule gives terms, read whole."""
+    real = not any(np.any(np.imag(to_array(term))) for term in terms)
+    return np.float64 if real else np.complex128
+
+
+def h_tilde_dtypes(result) -> set:
+    """The dtypes of the arrays that ``H̃`` holds."""
+    values = result.h_tilde._data.values()
+    return {value.dtype for value in values if type(value) is np.ndarray}
+
+
 @settings(max_examples=15, deadline=None)
 @given(problems())
 def test_generated_problems_pass_verification(kwargs):
     problem = PerturbationProblem.from_diagonal(**kwargs)
-    checks = run_verification(problem, MAX_ORDER)
+    assert problem.dtype == value_dtype(kwargs["perturbations"].values())
+    result = block_diagonalize(problem)
+    checks = run_verification(problem, MAX_ORDER, result)
     assert all(check.passed for check in checks), [c.line() for c in checks]
+    assert h_tilde_dtypes(result) == {np.dtype(problem.dtype)}
+
+
+@st.composite
+def lattices(draw):
+    """Arguments of `build_extended_problem`: a disordered lattice of width
+    3-6, its 1-3 lowest states explicit, at least 0.05 below the rest. Its
+    inputs are complex128 arrays of real values; half of the draws add a
+    second-order term ``1j (A - Aᵀ)``."""
+    width, n_explicit = draw(st.integers(3, 6)), draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**16))
+    h0, perturbations = lattice_problem(width, seed)
+    energies, vectors = np.linalg.eigh(h0.toarray())
+    assume(energies[n_explicit] - energies[n_explicit - 1] > 0.05)
+    if draw(st.booleans()):
+        noise = sparse.random(width**2, width**2, density=0.2, random_state=seed)
+        perturbations[(2,)] = 0.2j * (noise - noise.T)
+    return h0, perturbations, vectors[:, :n_explicit], energies[:n_explicit]
+
+
+@settings(max_examples=10, deadline=None)
+@given(lattices())
+def test_generated_lattices_pass_verification(arguments):
+    """The paper's invariants hold on implicit problems, and the run's dtype
+    follows the value rule."""
+    h0, perturbations, vectors, energies = arguments
+    problem = build_extended_problem(*arguments)
+    assert problem.dtype == value_dtype([h0, vectors, *perturbations.values()])
+    result = block_diagonalize(problem)
+    checks = run_verification(problem, MAX_ORDER, result)
+    assert all(check.passed for check in checks), [c.line() for c in checks]
+    assert h_tilde_dtypes(result) == {np.dtype(problem.dtype)}
 
 
 @settings(max_examples=15, deadline=None)
