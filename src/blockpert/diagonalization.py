@@ -7,14 +7,12 @@ produce the transformed Hamiltonian ``H_tilde = U^H H U`` with vanishing
 remaining part, together with ``U = 1 + W + V`` and its adjoint.
 
 The recurrences avoid any product with ``H_0`` and use a single Cauchy
-product by the selected part of the perturbation:
-
-- ``W = -(U'^H U') / 2`` from unitarity, made by the shared product kernel
-  `blockpert.series.contract` with its Hermitian half-product option,
-- ``A = H'_R U'``, the term reused by several series.
-
-With ``M = A - U'^H B`` and the commutator ``[V, H'_S] = V H'_S + (V H'_S)^H``,
-one bracket ``G = (M + M^H)/2 - [V, H'_S]`` gives the rest:
+product by the selected part of the perturbation. ``W = -(U'^H U') / 2``
+from unitarity is made by the shared product kernel
+`blockpert.series.contract` with its Hermitian half-product option. With
+``A = H'_R U'``, ``M = A - U'^H B`` and the commutator
+``[V, H'_S] = V H'_S + (V H'_S)^H``, one bracket
+``G = (M + M^H)/2 - [V, H'_S]`` gives the rest:
 
 - ``H_tilde = H'_S + G_S``,
 - ``B = -(U'^H B + G_S)``,
@@ -24,17 +22,21 @@ one bracket ``G = (M + M^H)/2 - [V, H'_S]`` gives the rest:
   form needs no adjoint-partner products. The right-hand side is handed to
   the solver and not stored.
 
+The bracket forms ``A`` and ``V H'_S``, which no other entry reads, and
+stores neither. ``G`` is stored on the diagonal blocks, which ``B`` and
+``H_tilde`` both read.
+
 In the eigenbasis the Sylvester solution is elementwise,
 ``V_kl = RHS_kl / (E_l - E_k)`` on remaining elements, and ``V_S = 0``.
 
-No conjugate transpose is stored for ``U'^H``: since ``W`` is Hermitian and
-``V`` anti-Hermitian, ``U'^H = W - V``, so on two whole blocks its diagonal
-entries are the stored ``W`` entries. Entries that the recurrences derive
-from another stored entry are `~blockpert.operators.Reference`s to it, not
-copies: ``W_ji = W_ij^H`` and ``V_ji = -V_ij^H`` below the diagonal,
-``U'^H = -V`` where ``W`` is zero, ``B = -U'^H B`` where nothing is
-selected, and ``B = -H_tilde`` where ``U'^H B`` and ``H'_S`` are zero. Entries
-below `REFERENCE_MIN_SIZE` elements are copied. The output series
+Since ``W`` is Hermitian and ``V`` anti-Hermitian, ``U'^H = W - V``: the
+stored ``W`` on a diagonal block where ``V`` is zero. Entries that the
+recurrences derive from another stored entry are
+`~blockpert.operators.Reference`s to it, not copies: ``W_ji = W_ij^H`` and
+``V_ji = -V_ij^H`` below the diagonal, ``U'^H_ij = U'_ji^H`` elsewhere,
+``B = -U'^H B`` where nothing is selected, and ``B = -G_S`` where
+``U'^H B`` is zero, except on a factored block, which has no references.
+Entries below `REFERENCE_MIN_SIZE` elements are copied. The output series
 ``H_tilde``, ``U`` and ``U^H`` hand out arrays.
 """
 
@@ -590,13 +592,6 @@ def _build_series(
     # block, and products with them, as in transform_observable, are dense.
     explicit = large.keys() - problem.large_blocks
     outer = {label: basis for label, basis in large.items() if label not in explicit}
-    # The diagonal blocks on which B, where it is -H-tilde, refers to it:
-    # H-tilde holds their entries as arrays of REFERENCE_MIN_SIZE or more.
-    shared = {
-        label
-        for label, size in enumerate(rule.block_sizes)
-        if label not in large and size * size >= REFERENCE_MIN_SIZE
-    }
 
     def make(name, eval, large_blocks=large):
         return BlockSeries(
@@ -658,8 +653,8 @@ def _build_series(
         if not rule.has_remaining_part((i, j)):
             return zero
         # Two whole blocks have M_01 = M_10†: no adjoint-partner products.
-        rhs = add(H.get((i, j), n), bracket(i, j, n, hermitian=not two_block))
-        rhs = remain(rhs, rule, (i, j))
+        g = G.get((i, j), n) if i == j else bracket(i, j, n, not two_block)
+        rhs = remain(add(H.get((i, j), n), g), rule, (i, j))
         if isinstance(rhs, Zero):
             return zero
         solution = solver(_memo_value(rhs), (i, j), tuple(n))
@@ -671,25 +666,26 @@ def _build_series(
         return add(W.get((i, j), n), V.get((i, j), n))
 
     def eval_Up_adjoint(i, j, *n):
-        # U'† = W - V, since W is Hermitian and V anti-Hermitian.
+        # U'† = W - V, since W is Hermitian and V anti-Hermitian: U'_jiᴴ exactly.
         if not any(n):
             return zero
-        w = W.get((i, j), n)
-        if w is zero:
-            return _reference(V.get((i, j), n), -1)
-        return add(w, scale(V.get((i, j), n), -1))
+        if i == j and V.get((i, j), n) is zero:
+            return W.get((i, j), n)
+        return _reference(Up.get((j, i), n), dagger=True)
 
     def bracket(i, j, n, hermitian=True):
         """``G_ij``, or ``M_ij - [V, H'_S]_ij`` when not ``hermitian``."""
 
         def m(k, l):
-            return add(A.get((k, l), n), scale(UdB.get((k, l), n), -1))
+            a = contract(Hp_R, Up, (k, l), n, counter)
+            return add(a, scale(UdB.get((k, l), n), -1))
 
         mixed = m(i, j)
         if hermitian:
             mixed = scale(add(mixed, adjoint(mixed if i == j else m(j, i))), 0.5)
-        commutator = add(VHS.get((i, j), n), adjoint(VHS.get((j, i), n)))
-        return add(mixed, scale(commutator, -1))
+        vhs = contract(V, Hp_S, (i, j), n, counter)
+        partner = vhs if i == j else contract(V, Hp_S, (j, i), n, counter)
+        return add(mixed, scale(add(vhs, adjoint(partner)), -1))
 
     def eval_B(i, j, *n):
         if not any(n):
@@ -697,9 +693,10 @@ def _build_series(
         product = UdB.get((i, j), n)
         if not rule.has_selected_part((i, j)):
             return _reference(product, -1)
-        if i in shared and product is zero and Hp_S.get((i, j), n) is zero:
-            return _reference(H_tilde.get((i, j), n), -1)  # B = -G_S = -H̃
-        return scale(add(product, select(bracket(i, j, n), rule, (i, j))), -1)
+        if product is not zero:
+            return scale(add(product, G_S.get((i, i), n)), -1)
+        # -G_S: a reference, except on a factored block, where G_S is not stored.
+        return _reference(bracket(i, i, n) if i in large else G_S.get((i, i), n), -1)
 
     def eval_H_tilde(i, j, *n):
         if not any(n):
@@ -708,7 +705,9 @@ def _build_series(
             # The remaining part cancels by construction and is never
             # evaluated as a numeric residual.
             return zero
-        return add(Hp_S.get((i, j), n), select(bracket(i, j, n), rule, (i, j)))
+        if i in large and UdB.get((i, i), n) is zero:
+            return add(Hp_S.get((i, j), n), scale(B.get((i, i), n), -1))  # B = -G_S
+        return add(Hp_S.get((i, j), n), G_S.get((i, i), n))
 
     def identity_plus(part):
         """``1 + part``: ``U`` from ``U'`` and ``U†`` from ``U'†``."""
@@ -722,14 +721,14 @@ def _build_series(
     V = make("V", eval_V)
     Up = make("U'", eval_Up)
     Up_adj = make("U'†", eval_Up_adjoint)
-    A = cauchy_product(Hp_R, Up, name="A", counter=counter)
+    G = make("G", lambda i, j, *n: bracket(i, j, n))
+    G_S = make("G_S", lambda i, j, *n: select(G.get((i, j), n), rule, (i, j)))
     B = make("B", eval_B)
     UdB = cauchy_product(Up_adj, B, name="U'†B", counter=counter)
-    VHS = cauchy_product(V, Hp_S, name="VH'_S", counter=counter)
     H_tilde = make_output("H_tilde", eval_H_tilde)
     U = make_output("U", identity_plus(Up))
     U_adj = make_output("U†", identity_plus(Up_adj))
-    series = (H, Hp_S, Hp_R, W, V, Up, Up_adj, A, UdB, B, VHS, H_tilde, U, U_adj)
+    series = (H, Hp_S, Hp_R, W, V, Up, Up_adj, G, G_S, UdB, B, H_tilde, U, U_adj)
     return {s.name: s for s in series}
 
 

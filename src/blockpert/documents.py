@@ -16,7 +16,7 @@ either form, so documents of pairs still load.
 
 from __future__ import annotations
 
-import base64
+import binascii
 import contextlib
 import json
 import math
@@ -50,10 +50,10 @@ def _encode_values(values, pairs_key: str) -> dict:
     """``{"data": base64}`` of ``values`` as row-major little-endian
     ``complex128`` bytes, or ``{pairs_key: [[re, im], ...]}`` when one is not
     finite: base64 would carry NaN past the strict JSON writer."""
-    values = np.asarray(values, dtype="<c16")
+    values = np.ascontiguousarray(values, dtype="<c16")
     if not np.isfinite(values).all():
         return {pairs_key: [[float(z.real), float(z.imag)] for z in values.ravel()]}
-    return {"data": base64.b64encode(values.tobytes()).decode("ascii")}
+    return {"data": binascii.b2a_base64(values.view("B"), newline=False).decode()}
 
 
 def encode_matrix(matrix) -> dict:
@@ -72,9 +72,9 @@ def encode_matrix(matrix) -> dict:
     return {"dense": {"shape": list(dense.shape), **_encode_values(dense, "entries")}}
 
 
-def _decode_values(body: dict, pairs_key: str, shape: tuple, where: str) -> np.ndarray:
+def _decode_values(body: dict, pairs_key: str, shape: tuple, where: str, take) -> np.ndarray:
     """The complex values of a matrix body as an array of ``shape``, from its
-    base64 ``data`` or from its ``pairs_key`` list of ``[re, im]`` pairs."""
+    base64 ``data`` (popped with ``take``) or its ``pairs_key`` pairs."""
     count = math.prod(shape)
     if "data" not in body:
         where = f"{where}.{pairs_key}"
@@ -90,11 +90,11 @@ def _decode_values(body: dict, pairs_key: str, shape: tuple, where: str) -> np.n
         return np.ascontiguousarray(pairs).view(np.complex128).reshape(shape)
     if pairs_key in body:
         raise DocumentError(f"{where}: give 'data' or '{pairs_key}', not both.")
-    data = body["data"]
+    data = body.pop("data") if take else body["data"]
     if not isinstance(data, str):
         raise DocumentError(f"{where}.data must be a base64 string.")
     try:
-        raw = base64.b64decode(data, validate=True)
+        raw = binascii.a2b_base64(data, strict_mode=True)
     except ValueError:  # binascii.Error, or text that is not ASCII
         raise DocumentError(f"{where}.data: invalid base64.")
     if len(raw) != 16 * count:
@@ -102,7 +102,7 @@ def _decode_values(body: dict, pairs_key: str, shape: tuple, where: str) -> np.n
             f"{where}.data: {len(raw)} bytes, expected {16 * count} "
             f"for {count} complex128 values."
         )
-    return np.frombuffer(raw, "<c16").reshape(shape).astype(np.complex128)
+    return np.frombuffer(raw, "<c16").reshape(shape)
 
 
 def _typed(value, kind: type, where: str):
@@ -142,7 +142,13 @@ def _indices(value, size: int, where: str) -> np.ndarray:
 
 
 def decode_matrix(spec: dict, where: str = "matrix"):
-    """Decode a matrix; sparse encodings produce sparse operators."""
+    """Decode a matrix: a sparse operator, or an array that owns its memory."""
+    matrix = _decode(spec, where)
+    return matrix if sparse.issparse(matrix) else matrix.copy()
+
+
+def _decode(spec: dict, where: str, take: bool = False):
+    """`decode_matrix`, dense as a read-only view; ``take`` drops the text."""
     _typed(spec, dict, where)
     kind = next((k for k in ("dense", "sparse") if k in spec), None)
     if kind is None:
@@ -153,12 +159,12 @@ def decode_matrix(spec: dict, where: str = "matrix"):
     if len(shape) != 2 or min(shape) < 0:
         raise DocumentError(f"{where}: shape must have two non-negative entries.")
     if kind == "dense":
-        return _decode_values(body, "entries", shape, where)
+        return _decode_values(body, "entries", shape, where, take)
     rows = _indices(body.get("rows", []), shape[0], f"{where}.rows")
     cols = _indices(body.get("cols", []), shape[1], f"{where}.cols")
     if len(rows) != len(cols):
         raise DocumentError(f"{where}: rows and cols lengths differ.")
-    vals = _decode_values(body, "vals", rows.shape, where)
+    vals = _decode_values(body, "vals", rows.shape, where, take)
     return sparse.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
@@ -220,8 +226,8 @@ def write_document(doc: dict, path=None):
 
 def _read_json(path) -> dict:
     try:
-        with open(path) as handle:
-            return json.load(handle)
+        with open(path, "rb") as handle:  # decoded once, and parsed as one str
+            return json.loads(handle.read().decode("utf-8"))
     except OSError as exc:
         raise DocumentError(f"Cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
@@ -229,7 +235,7 @@ def _read_json(path) -> dict:
 
 
 def load_problem(path, tol_override: float | None = None) -> tuple[PerturbationProblem, dict]:
-    """Parse a problem document and construct the perturbation problem."""
+    """A document's perturbation problem, and the document without base64 text."""
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise DocumentError(f"{path}: document must be a JSON object.")
@@ -239,7 +245,7 @@ def load_problem(path, tol_override: float | None = None) -> tuple[PerturbationP
             f"expected {FORMAT_VERSION}."
         )
     try:
-        h0 = decode_matrix(doc["h0"], "h0")
+        h0 = _decode(doc["h0"], "h0", take=True)
     except KeyError:
         raise DocumentError(f"{path}: missing 'h0'.")
     perturbations, positions = {}, {}
@@ -257,7 +263,7 @@ def load_problem(path, tol_override: float | None = None) -> tuple[PerturbationP
                 f"have order {list(order)}."
             )
         positions[order] = k
-        perturbations[order] = decode_matrix(item["matrix"], where)
+        perturbations[order] = _decode(item["matrix"], where, take=True)
     if not perturbations:
         raise DocumentError(f"{path}: at least one perturbation is required.")
     param_names = doc.get("param_names")
@@ -304,7 +310,7 @@ def load_problem(path, tol_override: float | None = None) -> tuple[PerturbationP
     elif "eigenvectors" in subspaces:
         where = f"{path}: subspaces.eigenvectors"
         vectors = [
-            decode_matrix(v, f"subspaces.eigenvectors[{k}]")
+            _decode(v, f"subspaces.eigenvectors[{k}]", take=True)
             for k, v in enumerate(_typed(subspaces["eigenvectors"], list, where))
         ]
         problem = PerturbationProblem.from_eigenvectors(
@@ -323,7 +329,7 @@ def load_problem(path, tol_override: float | None = None) -> tuple[PerturbationP
         where = "subspaces.implicit"
         body = _typed(subspaces["implicit"], dict, f"{path}: {where}")
         vectors = body.get("explicit_vectors")
-        vectors = decode_matrix(vectors, f"{where}.explicit_vectors")
+        vectors = _decode(vectors, f"{where}.explicit_vectors", take=True)
         if sparse.issparse(vectors):
             vectors = vectors.toarray()
         energies = _reals(body.get("eigenvalues", []), f"{path}: {where}.eigenvalues")

@@ -244,7 +244,8 @@ def lattice_problem(width: int, seed: int = 0, *, hopping: float = 1.0,
 
     Nearest-neighbor hopping on a ``width x width`` lattice with a seeded
     random onsite potential; the perturbation interpolates towards a second
-    disorder realization. Both operators are sparse and Hermitian.
+    disorder realization. Both operators are sparse, real and symmetric, of
+    dtype ``float64``.
     """
     rng = np.random.default_rng(seed)
     n = width * width
@@ -262,8 +263,6 @@ def lattice_problem(width: int, seed: int = 0, *, hopping: float = 1.0,
                 cols.append(site + 1)
     data = -hopping * np.ones(len(rows))
     hop = sparse.coo_matrix((data, (rows, cols)), shape=(n, n))
-    h0 = (hop + hop.T).tocsr().astype(np.complex128) + sparse.diags(onsite).astype(
-        np.complex128
-    )
-    delta = sparse.diags(onsite_other - onsite).tocsr().astype(np.complex128)
+    h0 = (hop + hop.T + sparse.diags(onsite)).tocsr()
+    delta = sparse.diags(onsite_other - onsite).tocsr()
     return h0, {(1,): delta}

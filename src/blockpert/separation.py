@@ -194,14 +194,10 @@ def validate_rule(rule: SeparationRule, eigenvalues, tolerance: float):
     violations = []
     for i in range(rule.n_blocks):
         for j in range(i, rule.n_blocks):
+            remaining = rule.remaining_mask((i, j)) if i == j else True
+            if remaining is None:  # a whole selected block: no gaps to form
+                continue
             gaps = np.abs(eigenvalues[i][:, None] - eigenvalues[j][None, :])
-            if i == j:
-                mask = rule.remaining_mask((i, j))
-                if mask is None:
-                    continue
-                remaining = mask
-            else:
-                remaining = np.ones_like(gaps, dtype=bool)
             bad = remaining & (gaps <= tolerance)
             for row, col in zip(*np.nonzero(bad)):
                 violations.append(

@@ -1,7 +1,15 @@
-import numpy as np
-import pytest
+import os
 
-from blockpert import diagonalization
+# One BLAS thread for the whole suite, set before numpy is first imported:
+# beside a busy core, OpenBLAS's default two threads made a 4 s run take
+# 35-79 s. `test_benchmark_contract.py` checks that it takes effect.
+for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_variable] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from blockpert import diagonalization  # noqa: E402
 
 
 def random_hermitian(rng, n):

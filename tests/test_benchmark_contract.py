@@ -16,10 +16,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 import numpy as np
 import pytest
 import scipy.sparse.linalg as sla
+from hypothesis import given, settings
 
 from perfbench import worker
 from perfbench.tracing import Tracer
 
+from blockpert import series as series_module
 from blockpert.diagonalization import (
     REFERENCE_MIN_SIZE,
     PerturbationProblem,
@@ -34,6 +36,14 @@ from blockpert.operators import (
     zero,
 )
 from blockpert.problems import lattice_problem, random_two_block
+from blockpert.verify import orders_with_total_up_to
+
+from test_properties import lattices, problems
+
+
+def test_tier_one_runs_on_one_blas_thread():
+    """``conftest.py`` pins one BLAS thread before numpy loads its library."""
+    assert worker.blas_threads() in (1, None)  # None: the BLAS is not OpenBLAS
 
 
 def traced_solve(problem):
@@ -180,3 +190,76 @@ def test_reference_entries_allocate_no_buffer():
     signs = [(entry.sign, entry.adjoint) for entry in entries]
     assert signs == [(-1, True), (-1, False), (1, True)]
     assert all(entry.source is source for entry in entries)
+
+
+@pytest.mark.parametrize(
+    "problem, nbytes", [(dense_problem, 592_000), (lattice, 198_656)], ids=["dense", "lattice"]
+)
+def test_memo_bytes_are_pinned(problem, nbytes):
+    """The memo of the problems above after H̃[0, 0] to order 6. It held
+    796,800 and 309,248 bytes while the bracket's products ``A = H'_R U'``
+    and ``V H'_S`` were stored series."""
+    assert worker.memo_bytes(solved(problem()).context) == nbytes
+
+
+def assert_each_array_and_product_once(problem, monkeypatch, max_order=3):
+    """Solve ``problem`` for H̃ on every block with eigenvalues to total
+    order ``max_order``. No two stored owners of at least
+    `REFERENCE_MIN_SIZE` entries are ``±y`` or ``±yᴴ`` of each other,
+    `worker.memo_bytes` counts each once, and no two products multiply the
+    same pair of stored operands: each product is formed once. Not queried,
+    as they still hold copies: ``U`` and ``U†``, which make their references
+    arrays, and H̃ on a large block, which holds ``-B`` where ``U'†B`` and
+    ``H'_S`` are zero."""
+    operands = []
+    matmul = series_module.matmul
+
+    def recording_matmul(a, b, **kwargs):
+        if a is not one and b is not one:
+            operands.append((id(a), id(b)))
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(series_module, "matmul", recording_matmul)
+    result = block_diagonalize(problem)
+    for order in orders_with_total_up_to(problem.n_params, max_order):
+        for i in range(problem.n_blocks):
+            if i not in problem.large_blocks:
+                result.h_tilde.get((i, i), order)
+    assert result.counter.matmul_count == len(operands) == len(set(operands))
+    owners, _ = stored_owners(result.context)
+    large = [x for x in owners if x.size >= REFERENCE_MIN_SIZE]
+    for x, y in combinations(large, 2):
+        for target in (y, y.conj().T):
+            if x.shape == target.shape and x.any():
+                assert not np.array_equal(x, target) and not np.array_equal(x, -target)
+    assert worker.memo_bytes(result.context) == sum(x.nbytes for x in owners)
+
+
+def test_masked_problem_stores_each_array_and_product_once():
+    """A masked block of 144 elements: ``U'†`` off the diagonal and on the
+    masked block is a reference to ``U'ᴴ``, and ``B`` and H̃ share the
+    selected part of the bracket, ``G_S``."""
+    energies, perturbations, labels = random_two_block(12, 20, 3)
+    mask = np.random.default_rng(0).random((12, 12)) < 0.5
+    mask = mask | mask.T | np.eye(12, dtype=bool)
+    problem = PerturbationProblem.from_diagonal(
+        energies, perturbations, labels, masks={0: mask}
+    )
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_each_array_and_product_once(problem, monkeypatch, max_order=6)
+
+
+@settings(max_examples=10, deadline=None)
+@given(problems())
+def test_generated_problems_store_each_array_and_product_once(kwargs):
+    problem = PerturbationProblem.from_diagonal(**kwargs)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_each_array_and_product_once(problem, monkeypatch)
+
+
+@settings(max_examples=6, deadline=None)
+@given(lattices())
+def test_generated_lattices_store_each_array_and_product_once(arguments):
+    problem = build_extended_problem(*arguments)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        assert_each_array_and_product_once(problem, monkeypatch)

@@ -33,7 +33,7 @@ from blockpert.problems import (
     random_two_block,
     transmon_problem,
 )
-from blockpert.series import BlockSeries, orders_up_to
+from blockpert.series import BlockSeries, contract, orders_up_to
 from blockpert.separation import RuleValidationError, degeneracy_tolerance
 
 G = 0.25
@@ -199,11 +199,20 @@ def test_commutator_consistency(rng):
         (n,): assemble_full(result.context["U'"], problem, (n,))
         for n in range(1, max_order + 1)
     }
+    # A = H'_R U' is formed inside the bracket and not stored.
+    a = BlockSeries(
+        lambda i, j, *n: contract(
+            result.context["H'_R"], result.context["U'"], (i, j), n, OperationCounter()
+        ),
+        shape=(2, 2),
+        name="A",
+    )
     for n in range(1, max_order + 1):
+        a_n = assemble_full(a, problem, (n,))
         x_n = (
             assemble_full(result.context["B"], problem, (n,))
             + assemble_full(result.context["H'_R"], problem, (n,))
-            + assemble_full(result.context["A"], problem, (n,))
+            + a_n
         )
         commutator = np.zeros_like(x_n)
         for m in range(1, n + 1):
@@ -213,7 +222,6 @@ def test_commutator_consistency(rng):
             commutator += u_prime[(m,)] @ h_part - h_part @ u_prime[(m,)]
         np.testing.assert_allclose(x_n, commutator, atol=1e-12)
         # The antihermitian part used by the recurrences matches.
-        a_n = assemble_full(result.context["A"], problem, (n,))
         p_n = assemble_full(result.context["U'†B"], problem, (n,))
         z_n = 0.5 * (a_n - a_n.conj().T - p_n + p_n.conj().T)
         np.testing.assert_allclose(z_n, 0.5 * (x_n - x_n.conj().T), atol=1e-12)
@@ -1103,38 +1111,32 @@ def test_multiblock_hermitian_pairs(rng):
 
 
 def test_single_cauchy_product_by_selected_part(monkeypatch):
-    """Exactly one series multiplies by entries of the selected perturbation."""
+    """Every product that multiplies by an entry of the selected perturbation
+    is ``V H'_S``: its other factor is an entry of ``V``."""
     energies, perturbations, labels = random_two_block(2, 3, seed=13)
     problem = PerturbationProblem.from_diagonal(energies, perturbations, labels)
     result = block_diagonalize(problem)
-    in_flight, products = [], []
-
-    def traced(name, eval):
-        def wrapped(*key):
-            in_flight.append(name)
-            try:
-                return eval(*key)
-            finally:
-                in_flight.pop()
-
-        return wrapped
+    products = []
 
     def recording_matmul(a, b, **kwargs):
-        products.append((in_flight[-1], a, b))
+        products.append((a, b))
         return matmul(a, b, **kwargs)
 
     matmul = series_module.matmul
     for module in (series_module, diagonalization):
         monkeypatch.setattr(module, "matmul", recording_matmul)
-    for name, series in result.context.items():
-        series.eval = traced(name, series.eval)
     for order in range(1, 5):
         for block in ((0, 0), (1, 1)):
             result.h_tilde.get(block, (order,))
-    selected = result.context["H'_S"]
-    entries = {id(selected.get(key[:2], key[2:])) for key in selected.stored_keys()}
-    consumers = {name for name, a, b in products if {id(a), id(b)} & entries}
-    assert consumers == {"VH'_S"}
+
+    def entries(name):
+        series = result.context[name]
+        return {id(series.get(key[:2], key[2:])) for key in series.stored_keys()}
+
+    selected, v = entries("H'_S"), entries("V")
+    touching = [(a, b) for a, b in products if {id(a), id(b)} & selected]
+    assert touching
+    assert all(id(a) in v and id(b) in selected for a, b in touching)
 
 
 def test_whole_block_masks_keep_the_two_block_costs():

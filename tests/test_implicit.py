@@ -98,8 +98,8 @@ def test_shifted_solver_factorizes_real_data_in_real_arithmetic(
     problem; a right-hand side keeps its dtype, real or complex, through the
     solve, and every solve is logged."""
     h0 = {
-        "complex128, real data": lambda: lattice_problem(12, 1)[0],
-        "float64, dense": lambda: lattice_problem(12, 1)[0].real.toarray(),
+        "complex128, real data": lambda: lattice_problem(12, 1)[0].astype(complex),
+        "float64, dense": lambda: lattice_problem(12, 1)[0].toarray(),
         "complex": lambda: random_sparse_hermitian(rng, 144),
     }[kind]()
     n = h0.shape[0]

@@ -391,7 +391,7 @@ def complement_entries(result):
     """The stored non-zero (1, 1) entries of the computed series."""
     return {
         (name, key): value
-        for name in ("W", "A", "U'†B", "B", "U'", "U'†")
+        for name in ("W", "G", "U'†B", "B", "U'", "U'†")
         for key, value in result.context[name]._data.items()
         if key[:2] == (1, 1) and value is not zero
     }

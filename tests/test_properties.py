@@ -10,7 +10,8 @@ be references. Half of its problems are real: their terms are complex128
 arrays whose imaginary parts are zero.
 
 A second strategy draws implicit problems: lattices of width 3-6 with 1-3
-explicit states, half of them made complex by a term ``1j (A - Aᵀ)``.
+explicit states, half of them with complex128 inputs of real values and half
+made complex by a term ``1j (A - Aᵀ)``.
 """
 
 from itertools import combinations
@@ -146,11 +147,13 @@ def test_generated_problems_pass_verification(kwargs):
 def lattices(draw):
     """Arguments of `build_extended_problem`: a disordered lattice of width
     3-6, its 1-3 lowest states explicit, at least 0.05 below the rest. Its
-    inputs are complex128 arrays of real values; half of the draws add a
-    second-order term ``1j (A - Aᵀ)``."""
+    inputs are real; half of the draws cast them to complex128 arrays of
+    real values, and half add a second-order term ``1j (A - Aᵀ)``."""
     width, n_explicit = draw(st.integers(3, 6)), draw(st.integers(1, 3))
     seed = draw(st.integers(0, 2**16))
     h0, perturbations = lattice_problem(width, seed)
+    if draw(st.booleans()):
+        h0, perturbations[(1,)] = h0.astype(complex), perturbations[(1,)].astype(complex)
     energies, vectors = np.linalg.eigh(h0.toarray())
     assume(energies[n_explicit] - energies[n_explicit - 1] > 0.05)
     if draw(st.booleans()):
