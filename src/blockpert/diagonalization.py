@@ -20,19 +20,16 @@ from unitarity is made by the shared product kernel
   ``RHS = (H + G)_R``. When there are exactly two whole blocks,
   ``M_01 = M_10^H``, so ``RHS = (H + M - [V, H'_S])_R`` holds too; this
   form needs no adjoint-partner products. The right-hand side is handed to
-  the solver and not stored.
-
-The bracket forms ``A`` and ``V H'_S``, which no other entry reads, and
-stores neither. ``G`` is stored on the diagonal blocks, which ``B`` and
-``H_tilde`` both read.
+  the solver and not stored, nor are ``A`` and ``V H'_S``, which only the
+  bracket reads. ``G`` is stored on the diagonal blocks, read by ``B`` and
+  ``H_tilde``.
 
 In the eigenbasis the Sylvester solution is elementwise,
 ``V_kl = RHS_kl / (E_l - E_k)`` on remaining elements, and ``V_S = 0``.
 
-Since ``W`` is Hermitian and ``V`` anti-Hermitian, ``U'^H = W - V``: the
-stored ``W`` on a diagonal block where ``V`` is zero. Entries that the
-recurrences derive from another stored entry are
-`~blockpert.operators.Reference`s to it, not copies: ``W_ji = W_ij^H`` and
+Since ``W`` is Hermitian, ``U'^H`` is the stored ``W`` on a diagonal block
+where ``V`` is zero. Entries that the recurrences derive from another stored
+entry are `~blockpert.operators.Reference`s to it, not copies: ``W_ji = W_ij^H`` and
 ``V_ji = -V_ij^H`` below the diagonal, ``U'^H_ij = U'_ji^H`` elsewhere,
 ``B = -U'^H B`` where nothing is selected, and ``B = -G_S`` where
 ``U'^H B`` is zero, except on a factored block, which has no references.
@@ -666,7 +663,7 @@ def _build_series(
         return add(W.get((i, j), n), V.get((i, j), n))
 
     def eval_Up_adjoint(i, j, *n):
-        # U'† = W - V, since W is Hermitian and V anti-Hermitian: U'_jiᴴ exactly.
+        # U'†_ij = U'_jiᴴ: the Hermitian W itself where V is zero, else a reference.
         if not any(n):
             return zero
         if i == j and V.get((i, j), n) is zero:
@@ -687,16 +684,20 @@ def _build_series(
         partner = vhs if i == j else contract(V, Hp_S, (j, i), n, counter)
         return add(mixed, scale(add(vhs, adjoint(partner)), -1))
 
+    def b_holds_bracket(i, n):  # B = -G_S, as its own core: factored, no references
+        return i in large and UdB.get((i, i), n) is zero
+
     def eval_B(i, j, *n):
         if not any(n):
             return zero
         product = UdB.get((i, j), n)
         if not rule.has_selected_part((i, j)):
             return _reference(product, -1)
+        if b_holds_bracket(i, n):
+            return _reference(bracket(i, i, n), -1)
         if product is not zero:
             return scale(add(product, G_S.get((i, i), n)), -1)
-        # -G_S: a reference, except on a factored block, where G_S is not stored.
-        return _reference(bracket(i, i, n) if i in large else G_S.get((i, i), n), -1)
+        return _reference(G_S.get((i, i), n), -1)  # -G_S
 
     def eval_H_tilde(i, j, *n):
         if not any(n):
@@ -705,9 +706,8 @@ def _build_series(
             # The remaining part cancels by construction and is never
             # evaluated as a numeric residual.
             return zero
-        if i in large and UdB.get((i, i), n) is zero:
-            return add(Hp_S.get((i, j), n), scale(B.get((i, i), n), -1))  # B = -G_S
-        return add(Hp_S.get((i, j), n), G_S.get((i, i), n))
+        g_s = scale(B.get((i, i), n), -1) if b_holds_bracket(i, n) else G_S.get((i, i), n)
+        return add(Hp_S.get((i, j), n), g_s)
 
     def identity_plus(part):
         """``1 + part``: ``U`` from ``U'`` and ``U†`` from ``U'†``."""
