@@ -114,9 +114,12 @@ def _typed(value, kind: type, where: str):
 
 
 def _integers(value, where: str) -> tuple[int, ...]:
-    """A JSON list of integers; booleans and floats are rejected."""
+    """A JSON list of integers; booleans and floats are rejected.
+
+    The type check runs in C: ``type(True)`` is ``bool``, not ``int``.
+    """
     items = _typed(value, list, where)
-    if not all(isinstance(n, int) and not isinstance(n, bool) for n in items):
+    if not set(map(type, items)) <= {int}:
         raise DocumentError(f"{where} must be a list of integers.")
     return tuple(items)
 
@@ -124,7 +127,7 @@ def _integers(value, where: str) -> tuple[int, ...]:
 def _reals(value, where: str) -> np.ndarray:
     """A JSON list of numbers; booleans and strings are rejected."""
     items = _typed(value, list, where)
-    if not all(type(x) in (int, float) for x in items):
+    if not set(map(type, items)) <= {int, float}:
         raise DocumentError(f"{where} must be a list of numbers.")
     return np.asarray(items, dtype=float)
 

@@ -14,8 +14,11 @@ preconditioner of an iterative refinement on the projected system
 ``P (H_0 - E_i) P x = rhs`` with ``P = 1 - Psi_E Psi_E^H``: the projection
 removes the near-kernel direction that the LU amplifies, and refinement
 removes the shift to rounding in about two steps. The LU is real whenever
-the entries of ``H_0`` are, whatever its dtype. The factorizations are made
-eagerly at build time and reused for every order.
+the entries of ``H_0`` are, whatever its dtype. SuperLU factorizes it in
+panels of ``PANEL_SIZE`` columns, narrower than its default: the supernodes
+of a sparse lattice are small, so wide panels only add work, and the panel
+width changes neither the fill nor the refinement steps. The factorizations
+are made eagerly at build time and reused for every order.
 
 The problem states its complement once: its eigenvalues are ``None``, which
 makes block 1 its large block, whose computed entries the engine keeps
@@ -64,6 +67,13 @@ RESIDUAL_RTOL = 1e-8
 # kept H-tilde within 2e-13 of bordered solves (1e-10: 4e-13). 1e-9 took up
 # to 3 steps, and from 1e-14 on some solves stopped after 1.
 SHIFT_FRACTION = 1e-11
+# SuperLU's panel width, in columns, for every shifted LU. A 5-point lattice
+# has small supernodes, so wider panels do wasted work. On lattices of width
+# 52 to 300 (one BLAS thread, medians of 11 to 21 factorizations) a panel of
+# 1 took 0.57 to 0.78 of the default panel's time, with the same fill and
+# the same refinement steps; panels of 2 were 1.5-6% slower than 1 in
+# paired runs, and wider ones slower still.
+PANEL_SIZE = 1
 # Refinement stops at this projected residual relative to the right-hand
 # side, near rounding, or when a step shrinks the residual by less than
 # STALL_RATIO, which also bounds the number of steps.
@@ -121,7 +131,10 @@ class ShiftedSolverSet:
     ``E_i``, also when other explicit eigenvalues lie close to it, and the
     explicit directions that the LU amplifies are projected out. The
     factorization is real when ``H_0`` is, and a complex right-hand side
-    goes through it as two real columns.
+    goes through it as two real columns. SuperLU makes it in narrow panels
+    of ``PANEL_SIZE`` columns, which suit the small supernodes of a sparse
+    lattice and leave the fill as the default panel does; ``factor_nnz``
+    and ``factor_bytes`` report that fill and its memory per state.
 
     A solve projects the right-hand side onto the implicit subspace and
     refines ``x <- x + P LU_i^-1 r`` on the residual ``r = P(rhs - (H_0 -
@@ -147,12 +160,14 @@ class ShiftedSolverSet:
         shift = SHIFT_FRACTION * max(1.0, float(np.max(np.abs(self.energies))))
         self._factors = []
         for energy in self.energies:
+            shifted = matrix - (energy - shift) * identity
             try:
                 self._factors.append(
                     sla.splu(
-                        matrix - (energy - shift) * identity,
+                        shifted,
                         permc_spec="MMD_AT_PLUS_A",
                         diag_pivot_thresh=0.001,
+                        panel_size=PANEL_SIZE,
                         options=dict(SymmetricMode=True),
                     )
                 )
@@ -160,10 +175,33 @@ class ShiftedSolverSet:
                 raise FactorizationError(
                     f"Failed to factorize the shifted operator at E = {energy}."
                 ) from exc
+        self._value_bytes = shifted.dtype.itemsize
 
     @property
     def factorization_count(self) -> int:
         return len(self._factors)
+
+    @property
+    def factor_nnz(self) -> tuple[int, ...]:
+        """Non-zeros of ``L`` plus those of ``U``, one count per state."""
+        return tuple(lu.nnz for lu in self._factors)
+
+    @property
+    def factor_bytes(self) -> tuple[int, ...]:
+        """Bytes of the ``data``, ``indices`` and ``indptr`` of ``L`` and
+        ``U`` in CSC form, one count per state.
+
+        Counted from the fill with SuperLU's C ``int`` indices, not read
+        from ``lu.L`` and ``lu.U``: scipy builds those copies on first
+        access and keeps them as long as the factorization, which on the
+        width-100 lattice with 10 states held 44 MB more.
+        """
+        index = np.dtype(np.intc).itemsize
+        rows = self.psi.shape[0]
+        return tuple(
+            nnz * (self._value_bytes + index) + 2 * (rows + 1) * index
+            for nnz in self.factor_nnz
+        )
 
     def __call__(self, rhs, block, order):
         """The problem's Sylvester solver: ``V_01``, one row per state."""

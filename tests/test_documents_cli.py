@@ -265,6 +265,16 @@ def test_masked_documents_load_the_direct_problem(tmp_path, case):
             "tol_degeneracy must be a number",
         ),
         pytest.param(
+            lambda d: d["perturbations"][0].update(matrix=sparse_entry([0, True], [0, 1])),
+            re.escape("perturbations[0].sparse.rows must be a list of integers."),
+            id="boolean-index",
+        ),
+        pytest.param(
+            lambda d: d["perturbations"][0].update(matrix=sparse_entry([0, 1.0], [0, 1])),
+            re.escape("perturbations[0].sparse.rows must be a list of integers."),
+            id="float-index",
+        ),
+        pytest.param(
             lambda d: d["perturbations"].append(d["perturbations"][0]),
             re.escape("perturbations[0] and perturbations[1] both have order [1]"),
             id="repeated-order",

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sla
 
+from blockpert import implicit
 from blockpert.diagonalization import PerturbationProblem, block_diagonalize
 from blockpert.implicit import (
     DEFLATION_ATOL,
@@ -124,6 +125,40 @@ def test_shifted_solver_factorizes_real_data_in_real_arithmetic(
         assert 1 <= record.steps <= 3
         assert record.residual <= RESIDUAL_RTOL
         assert record.overlap <= DEFLATION_ATOL
+
+
+@pytest.mark.parametrize("complex_h0", [False, True], ids=["real", "complex"])
+def test_narrow_panel_changes_neither_fill_nor_solves(monkeypatch, complex_h0):
+    """The narrow SuperLU panel gives each state the fill and factor bytes
+    of the default panel, and every solve takes as many refinement steps."""
+    h0, perturbations = lattice_problem(30, 2)
+    if complex_h0:
+        hop = sparse.diags(np.ones(h0.shape[0] - 1), 1)
+        h0 = (h0 + 0.1j * (hop - hop.T)).tocsr()
+    energies, vectors = sla.eigsh(h0, k=4, which="SA", v0=np.ones(h0.shape[0]))
+
+    def run():
+        problem = build_extended_problem(h0, perturbations, vectors, energies)
+        result = block_diagonalize(problem)
+        for order in range(1, 5):
+            result.h_tilde.get((0, 0), (order,))
+        return problem.solver
+
+    narrow = run()
+    monkeypatch.setattr(implicit, "PANEL_SIZE", None)  # SuperLU's default
+    default = run()
+    assert narrow.real_factors != complex_h0
+    copies = [(lu.L, lu.U) for lu in default._factors]
+    assert narrow.factor_nnz == tuple(l.nnz + u.nnz for l, u in copies)
+    assert narrow.factor_bytes == tuple(
+        sum(m.data.nbytes + m.indices.nbytes + m.indptr.nbytes for m in pair)
+        for pair in copies
+    )
+    assert narrow.records
+    assert [(r.shift, r.steps) for r in narrow.records] == [
+        (r.shift, r.steps) for r in default.records
+    ]
+    assert max(r.residual for r in narrow.records) <= RESIDUAL_RTOL
 
 
 def weakly_split_lattice():
