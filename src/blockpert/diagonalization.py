@@ -33,8 +33,9 @@ entry are `~blockpert.operators.Reference`s to it, not copies: ``W_ji = W_ij^H``
 ``V_ji = -V_ij^H`` below the diagonal, ``U'^H_ij = U'_ji^H`` elsewhere,
 ``B = -U'^H B`` where nothing is selected, and ``B = -G_S`` where
 ``U'^H B`` is zero, except on a factored block, which has no references.
-Entries below `REFERENCE_MIN_SIZE` elements are copied. The output series
-``H_tilde``, ``U`` and ``U^H`` hand out arrays.
+Small entries, below `~blockpert.operators.REFERENCE_MIN_SIZE` elements,
+are copied. The output series ``H_tilde``, ``U`` and ``U^H`` hand out
+arrays.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ import scipy.sparse as sparse
 from scipy.sparse.linalg import LinearOperator
 
 from blockpert.operators import (
+    REFERENCE_MIN_SIZE,
     LargeBlockBasis,
     One,
     OperationCounter,
@@ -104,14 +106,6 @@ ORTHONORMALITY_ATOL = 1e-10
 # Two parameters, whole order box, three runs each: 20+1000 to (3, 3),
 # 1.37-1.39 against 0.12 s; 125+1000 to (3, 3), 2.56-2.66 against 2.57-2.65 s.
 FACTOR_RATIO = 8
-
-# An entry of fewer elements is copied instead of referred to: it holds at
-# most 1 KiB, and resolving a reference costs about 1 us more in each
-# product that reads it. References made the bilayer-graphene solve (2x2
-# blocks, 30,969 products) 15-25% slower, and H-tilde[0, 0] of
-# random_two_block(n, n) to order 12 13-18% slower up to n = 12, 7.5% at
-# n = 32 and no slower from n = 64, on one BLAS thread.
-REFERENCE_MIN_SIZE = 64
 
 # Dense inputs of more rows than this are checked in tiles of this many rows
 # and columns (`_max_abs`, `_hermitian_defect`) instead of through temporaries

@@ -22,16 +22,26 @@ transformed observable go through `as_dense`. All arithmetic goes through
 the module-level functions `matmul`, `add`, `scale` and `adjoint`, which
 dispatch on these types, and `to_array` materializes any element for
 output. Two ndarrays go to numpy before any dispatch: on small blocks the
-dispatch would cost more than the arithmetic. A product with a reference
-is one numpy product on its source. A product of two thin operands that
-lands on a large block, ``matmul(a, b, lazy=basis)``, becomes the core
-``(Qᴴa)(bQ)``; products, sums, multiples and adjoints of factored entries
-are those of their cores. The basis holds the coordinates of each memoized
-operand, and a reference takes those of its source. A factored entry is
-applied to a thin operand by ``_matmat`` on columns and
-`FactoredOperator.premultiply` on rows, each reading a held operand's
-coordinates instead of its product with ``Q``. Products are counted where
-the engine makes them, into an `OperationCounter`.
+dispatch would cost more than the arithmetic.
+
+One rule holds for small ndarrays, of fewer than `REFERENCE_MIN_SIZE`
+elements: a small entry is a copy, never a reference, and a product of two
+that `blockpert.series.contract` asks for with a `ProductBatch` waits in
+it, to be formed with the others of its sum by one stacked numpy product.
+A stacked product copies its operands into C order, so it rounds like
+``a @ b`` where that needs no transposed BLAS call; `adjoint` returns
+small adjoints C-contiguous.
+
+A product with a reference is one numpy product on its source. A product
+of two thin operands that lands on a large block,
+``matmul(a, b, lazy=basis)``, becomes the core ``(Qᴴa)(bQ)``; products,
+sums, multiples and adjoints of factored entries are those of their cores.
+The basis holds the coordinates of each memoized operand, and a reference
+takes those of its source. A factored entry is applied to a thin operand by
+``_matmat`` on columns and `FactoredOperator.premultiply` on rows, each
+reading a held operand's coordinates instead of its product with ``Q``.
+Products are counted where the engine makes them, into an
+`OperationCounter`.
 """
 
 from __future__ import annotations
@@ -51,6 +61,7 @@ __all__ = [
     "CountedMatrix",
     "MatrixFreeOperator",
     "Reference",
+    "ProductBatch",
     "LargeBlockBasis",
     "FactoredOperator",
     "matmul",
@@ -165,6 +176,71 @@ class Reference:
         """The entry as a new array."""
         value = np.conj(self.source.T) if self.adjoint else self.source.copy()
         return np.negative(value, out=value) if self.sign < 0 else value
+
+
+# An ndarray of fewer elements is small, and one rule treats it alike in the
+# memo and in products:
+# - A small entry is copied instead of referred to: it holds at most 1 KiB,
+#   and resolving a reference costs about 1 us more in each product that
+#   reads it. References made the bilayer-graphene solve (2x2 blocks, 30,969
+#   products) 15-25% slower, and H-tilde[0, 0] of random_two_block(n, n) to
+#   order 12 13-18% slower up to n = 12, 7.5% at n = 32 and no slower from
+#   n = 64, on one BLAS thread.
+# - A product of two small ndarrays waits in a `ProductBatch`, and the
+#   batch is formed as one stacked product. 17 pairs of n x n blocks summed
+#   in order, stacked against one by one, on a 2-vCPU Xeon with one BLAS
+#   thread: complex, 16 against 34 us at n = 2, 19 against 35 us at n = 8,
+#   43 against 62 us at n = 16, and 2.2x slower stacked at n = 24; real,
+#   2.6x slower stacked at n = 32. So the bound keeps well below the loss.
+REFERENCE_MIN_SIZE = 64
+
+
+class ProductBatch:
+    """Products of small ndarrays that `matmul` was asked for and has not
+    formed yet, for `blockpert.series.contract` to form together.
+
+    Given a batch as ``lazy``, `matmul` hands two ndarrays to `take`, and
+    returns the batch if it took them. A batch is false, so that
+    ``if not lazy`` does not take it for a basis.
+    """
+
+    __slots__ = ("lefts", "rights", "kind")
+
+    def __init__(self):
+        self.lefts: list[np.ndarray] = []
+        self.rights: list[np.ndarray] = []
+        self.kind = None
+
+    def __bool__(self):
+        return False
+
+    def take(self, a: np.ndarray, b: np.ndarray) -> bool:
+        """Hold ``a b`` if both have fewer than `REFERENCE_MIN_SIZE`
+        elements, none of them empty, and the batch is empty or holds
+        operands of their sizes and dtypes.
+
+        The products of one sum share their shape ``m x n``, so non-empty
+        operands of ``m k`` and ``k n`` elements share their shapes too, and
+        the held operands stack.
+        """
+        kind = (a.size, b.size, a.dtype, b.dtype)
+        if kind != self.kind:
+            if self.lefts or not (
+                0 < a.size < REFERENCE_MIN_SIZE and 0 < b.size < REFERENCE_MIN_SIZE
+            ):
+                return False
+            self.kind = kind
+        self.lefts.append(a)
+        self.rights.append(b)
+        return True
+
+    def products(self) -> np.ndarray:
+        """The held products in the order taken, stacked, from one numpy
+        product; empties the batch."""
+        products = np.matmul(np.array(self.lefts), np.array(self.rights))
+        self.lefts.clear()
+        self.rights.clear()
+        return products
 
 
 # A new operand's directions whose residual, after its projection on the
@@ -430,20 +506,25 @@ def as_dense(array, dtype=None, what: str = "An input") -> np.ndarray:
     return result
 
 
-def matmul(a, b, *, lazy: LargeBlockBasis | None = None):
+def matmul(a, b, *, lazy: LargeBlockBasis | ProductBatch | None = None):
     """Matrix product of two operators.
 
     Products involving ``zero`` return ``zero`` and products with ``one``
     return the other factor without scalar work. ``lazy`` is the basis of
     the large block the product lands on: a product of two thin operands
     (ndarrays or references) is then kept as a `FactoredOperator` on that
-    basis, and otherwise formed by one numpy product. Two factored entries
-    multiply their cores, and a factored entry times a thin operand is a
-    thin ndarray. Where any other `LinearOperator` meets an operand, the
-    product is its action, or a lazy composition of two operators.
+    basis, and otherwise formed by one numpy product. Or ``lazy`` is a
+    `ProductBatch`, which is returned if it takes two ndarrays; any other
+    product is formed as without ``lazy``. Two factored entries multiply
+    their cores, and a factored entry times a thin operand is a thin
+    ndarray. Where any other `LinearOperator` meets an operand, the product
+    is its action, or a lazy composition of two operators.
     """
-    if type(a) is np.ndarray and type(b) is np.ndarray and not lazy:
-        return a @ b
+    if type(a) is np.ndarray and type(b) is np.ndarray:
+        if type(lazy) is ProductBatch and lazy.take(a, b):
+            return lazy
+        if not lazy:
+            return a @ b
     if type(a) in _THIN and type(b) in _THIN and not lazy:
         return _dot(a, b)
     if isinstance(a, Zero) or isinstance(b, Zero):
@@ -517,13 +598,16 @@ def scale(a, c: complex):
 
 
 def adjoint(a):
-    """Conjugate transpose; shape swapped, no products performed."""
+    """Conjugate transpose; shape swapped, no products performed. That of
+    a small ndarray is C-contiguous, to be stacked as ``a @ b`` rounds."""
     if isinstance(a, (Zero, One)):
         return a
     if type(a) is Reference:
         return Reference(a.sign, not a.adjoint, a.source)
     if isinstance(a, LinearOperator):
         return a.H
+    if a.size < REFERENCE_MIN_SIZE:
+        return np.ascontiguousarray(a.conj().T)
     return a.conj().T
 
 

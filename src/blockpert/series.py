@@ -18,7 +18,12 @@ cached per order, shared by every block and series. Factors are read
 straight from the memo dict of each series, stored flat under
 ``(i, j, *order)`` keys; only a missing entry takes the series' evaluation
 path, which does all that `BlockSeries.get` does on a miss. Products are
-tallied once per entry.
+tallied once per entry. Each product is one `matmul` call, but one of two
+small ndarrays (`~blockpert.operators.REFERENCE_MIN_SIZE`) only joins the
+`~blockpert.operators.ProductBatch` of its sum. The kernel forms the batch
+as one stacked numpy product before the next term formed on its own, and
+at the end, and adds its products in plan order like every other term; so
+each sum is bitwise the one of products formed one at a time.
 """
 
 from __future__ import annotations
@@ -33,11 +38,13 @@ import numpy as np
 from blockpert.operators import (
     LargeBlockBasis,
     OperationCounter,
+    ProductBatch,
     Zero,
     add,
     adjoint,
     matmul,
     one,
+    to_array,
     zero,
 )
 
@@ -301,7 +308,8 @@ def contract(left, right, block, order, counter, *, hermitian=False):
     every product in ``counter``. Of each pair the factor at lower total
     order is queried first (the left one on ties); a structural zero skips
     the other query and the product. On a large diagonal block every
-    product gets the block's basis as ``lazy=``, so it stays factored.
+    product gets the block's basis as ``lazy=``, so it stays factored;
+    elsewhere it gets the `~blockpert.operators.ProductBatch` of its sum.
     ``hermitian`` declares the pair ``(p, m)`` the adjoint of ``(m, p)``, as
     in ``X†X`` on a diagonal block: only pairs with ``m <= p`` are
     multiplied, and the ``m < p`` part is added together with its adjoint
@@ -314,11 +322,13 @@ def contract(left, right, block, order, counter, *, hermitian=False):
     product with ``one`` is the stored factor itself.
     """
     i, j = block
-    lazy = None
+    basis = None
     if i == j:
-        lazy = left.large_blocks.get(i) or right.large_blocks.get(i)
+        basis = left.large_blocks.get(i) or right.large_blocks.get(i)
     left_memo, right_memo = left._data.get, right._data.get
     sums = [zero, zero]  # the other pairs, and the m < p half
+    batches = (ProductBatch(), ProductBatch())
+    lazy = (basis, basis) if basis else batches
     products = 0
     plan = _pair_plan(tuple(order), hermitian)
     for l in range(left.shape[1]):
@@ -348,10 +358,26 @@ def contract(left, right, block, order, counter, *, hermitian=False):
                     continue
             if a is not one and b is not one:
                 products += 1
-            sums[half] = add(sums[half], matmul(a, b, lazy=lazy))
+            batch = lazy[half]
+            term = matmul(a, b, lazy=batch)
+            if term is not batch:
+                sums[half] = add(_summed(sums[half], batches[half]), term)
+    result, half = map(_summed, sums, batches)
     counter.matmul_count += products
-    result, half = sums
     return add(result, add(half, adjoint(half)))
+
+
+def _summed(total, batch: ProductBatch):
+    """``total`` plus the products held in ``batch``, added one by one in
+    the order taken; empties the batch."""
+    if not batch.lefts:
+        return total
+    products = batch.products()
+    if total is not zero:
+        products = np.concatenate([to_array(total)[None], products])
+    if products[0].size == 1:  # add.reduce would sum these pairwise
+        return np.add.accumulate(products)[-1].copy()
+    return np.add.reduce(products)
 
 
 def cauchy_product(

@@ -35,7 +35,8 @@ from blockpert.operators import (
     one,
     zero,
 )
-from blockpert.problems import lattice_problem, random_two_block
+from blockpert.problems import bilayer_graphene_problem, lattice_problem, random_two_block
+from blockpert.series import orders_up_to
 from blockpert.verify import orders_with_total_up_to
 
 from test_properties import lattices, problems
@@ -79,6 +80,27 @@ def test_tracer_spans_agree_with_the_engine_counter_implicit():
     layers = tracer.layers()
     assert layers["diagonalization.solve_products"] == result.counter.matmul_count
     assert result.counter.matmul_count > 0
+
+
+def test_tracer_counts_batched_small_products():
+    """Bilayer graphene to (2, 2, 1), 3 parameters on 2x2 blocks, where
+    every product is batched: the tracer's spans agree with
+    `OperationCounter`, and its flop tally is 8·m·k·n = 64 per product,
+    so a batch is no basis to the tracer's ``if not lazy``."""
+    problem = bilayer_graphene_problem().problem()
+    assert problem.block_sizes == (2, 2)
+    tracer = Tracer()
+    with tracer.instrument():
+        result = tracer.block_diagonalize(problem)
+        first = len(tracer.names)
+        for order in orders_up_to((2, 2, 1)):
+            result.h_tilde.get((0, 0), order)
+        tracer.solve_range = (first, len(tracer.names))
+    layers = tracer.layers()  # raises when the counter and the spans disagree
+    products = result.counter.matmul_count
+    assert products > 100
+    assert layers["diagonalization.solve_products"] == products
+    assert tracer.flop == 8 * 2 * 2 * 2 * products
 
 
 def test_memo_bytes_counts_factored_entries_once():

@@ -699,10 +699,17 @@ def test_cli_spectrum_convergence(tmp_path):
 
 
 def test_cli_bench_counts(capsys):
+    """All four rows: the engine's products at orders 2-4 against the
+    textbook expressions', for a dense and an off-diagonal perturbation."""
     assert main(["bench", "counts"]) == 0
-    out = capsys.readouterr().out
-    assert "1       3       11" in out
-    assert "1       4       27" in out
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert rows == [
+        ["perturbation", "implementation", "order2", "order3", "order4"],
+        ["dense", "engine", "1", "3", "11"],
+        ["dense", "reference", "1", "4", "27"],
+        ["offdiagonal", "engine", "1", "0", "9"],
+        ["offdiagonal", "reference", "1", "0", "15"],
+    ]
 
 
 def test_cli_avoided_crossing_gap(tmp_path):

@@ -8,10 +8,18 @@ from hypothesis import strategies as st
 
 from blockpert import series as series_module
 from blockpert.diagonalization import block_diagonalize
-from blockpert.operators import OperationCounter, Zero, adjoint, one, zero
+from blockpert.operators import (
+    REFERENCE_MIN_SIZE,
+    OperationCounter,
+    Zero,
+    adjoint,
+    one,
+    zero,
+)
 from blockpert.problems import bilayer_graphene_problem
 from blockpert.series import (
     BlockSeries,
+    NonFiniteError,
     RecurrenceCycleError,
     cauchy_product,
     contract,
@@ -418,6 +426,76 @@ def test_contract_keeps_the_summation_order_bitwise(seed, hermitian):
             assert value.tobytes() == expected.tobytes()
         else:
             assert value is expected  # zero, or one times one
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_products_keep_the_summation_order_bitwise(seed, hermitian):
+    """`contract` against the reference loop, byte for byte, where small
+    products are batched: blocks of sizes 1, 8 and 2, so that a product on
+    1x1 blocks has up to 13 pairs per internal block and operands of
+    `REFERENCE_MIN_SIZE` elements or more (the 8x8 block) and ``one``
+    come between small ones. Entries are ``float64`` or ``complex128`` at
+    random, and some are adjoints of other arrays; with ``hermitian`` the
+    product is ``X†X``, summed in two halves."""
+    rng = np.random.default_rng(seed)
+    sizes = (1, 8, 2)
+    assert sizes[1] ** 2 >= REFERENCE_MIN_SIZE > sizes[0] * sizes[1]
+    max_order = 12
+
+    def random_array(shape):
+        value = rng.normal(size=shape)
+        if rng.random() < 0.5:
+            value = value + 1j * rng.normal(size=shape)
+        return adjoint(value.T.copy()) if rng.random() < 0.3 else value
+
+    def random_series(name):
+        entries = {}
+        for i, j in cartesian(range(3), repeat=2):
+            entries[(i, j, 0)] = one if i == j else zero
+            for order in range(1, max_order + 1):
+                if rng.random() < 0.9:
+                    entries[(i, j, order)] = random_array((sizes[i], sizes[j]))
+        return BlockSeries(
+            eval=lambda *key: entries.get(key, zero), shape=(3, 3), n_params=1, name=name
+        )
+
+    right = random_series("X")
+    if hermitian:
+        left = BlockSeries(
+            eval=lambda i, j, n: adjoint(right.get((j, i), (n,))),
+            shape=(3, 3),
+            n_params=1,
+            name="X†",
+        )
+    else:
+        left = random_series("Y")
+    blocks = [(i, i) for i in range(3)] if hermitian else list(cartesian(range(3), repeat=2))
+    dtypes = set()
+    for block, order in cartesian(blocks, range(max_order + 1)):
+        counter = OperationCounter()
+        value = contract(left, right, block, (order,), counter, hermitian=hermitian)
+        expected, products = _reference_contract(left, right, block, (order,), hermitian)
+        assert counter.matmul_count == products
+        if isinstance(expected, np.ndarray):
+            assert value.dtype == expected.dtype
+            assert value.tobytes() == expected.tobytes()
+            dtypes.add(value.dtype)
+        else:
+            assert value is expected
+    assert dtypes == {np.dtype(float), np.dtype(complex)}
+
+
+def test_overflow_in_a_batch_names_the_entry():
+    """Products that overflow inside a batch raise `NonFiniteError` for the
+    entry being evaluated, as products formed one at a time do."""
+    factor = BlockSeries(
+        eval=lambda i, j, n: np.full((2, 2), 1e200), shape=(1, 1), n_params=1, name="F"
+    )
+    product = cauchy_product(factor, factor, name="FF")
+    with pytest.raises(NonFiniteError, match=r"^FF\(0, 0, 2\) is not finite: "):
+        product.get((0, 0), (2,))
+    assert (0, 0, 2) not in product.stored_keys()
 
 
 def test_cycle_through_the_product_kernel():
