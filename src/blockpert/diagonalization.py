@@ -584,7 +584,7 @@ def _build_series(
     explicit = large.keys() - problem.large_blocks
     outer = {label: basis for label, basis in large.items() if label not in explicit}
 
-    def make(name, eval, large_blocks=large):
+    def make(name, eval, large_blocks=large, support=None):
         return BlockSeries(
             eval=eval,
             shape=(b, b),
@@ -592,6 +592,7 @@ def _build_series(
             name=name,
             param_names=problem.param_names,
             large_blocks=large_blocks,
+            support=support,
         )
 
     def make_output(name, eval):
@@ -611,18 +612,24 @@ def _build_series(
 
     H = make("H", lambda i, j, *n: problem.block(i, j, n))
 
-    def eval_Hp_S(i, j, *n):
-        if not any(n) or not rule.has_selected_part((i, j)):
-            return zero
-        return select(H.get((i, j), n), rule, (i, j))
-
-    def eval_Hp_R(i, j, *n):
-        if not any(n) or not rule.has_remaining_part((i, j)):
-            return zero
-        return remain(H.get((i, j), n), rule, (i, j))
-
-    Hp_S = make("H'_S", eval_Hp_S)
-    Hp_R = make("H'_R", eval_Hp_R)
+    # H' is H at the input's non-zero orders n != 0. Its selected and
+    # remaining parts are non-zero there only in the blocks where the rule
+    # keeps such a part: the supports of H'_S and H'_R, outside which
+    # neither is evaluated.
+    orders = {}
+    for (i, j, order), value in problem.blocks.items():
+        if any(order) and not isinstance(value, Zero):
+            orders.setdefault((i, j), set()).add(order)
+    Hp_S = make(
+        "H'_S",
+        lambda i, j, *n: select(H.get((i, j), n), rule, (i, j)),
+        support={k: v for k, v in orders.items() if rule.has_selected_part(k)},
+    )
+    Hp_R = make(
+        "H'_R",
+        lambda i, j, *n: remain(H.get((i, j), n), rule, (i, j)),
+        support={k: v for k, v in orders.items() if rule.has_remaining_part(k)},
+    )
 
     # The callbacks close over series made below; none runs before all exist.
     def eval_W(i, j, *n):

@@ -14,12 +14,16 @@ outer product.
 
 On small blocks the kernel's bookkeeping, not its arithmetic, sets the
 time, so it keeps that small. The order pairs of an entry come from a plan
-cached per order, shared by every block and series. Factors are read
-straight from the memo dict of each series, stored flat under
-``(i, j, *order)`` keys; only a missing entry takes the series' evaluation
-path, which does all that `BlockSeries.get` does on a miss. Products are
-tallied once per entry. Each product is one `matmul` call, but one of two
-small ndarrays (`~blockpert.operators.REFERENCE_MIN_SIZE`) only joins the
+cached per order, shared by every block and series. A series may declare
+its support, the orders at which each block can be non-zero, as the
+perturbation's ``H'_S`` and ``H'_R`` do; the kernel then takes only the
+pairs of the plan whose factors lie in it, and the series stores nothing
+outside it. Factors are read straight from the memo dict of each series,
+stored flat under ``(i, j, *order)`` keys; only a missing entry takes the
+series' evaluation path, which does all that `BlockSeries.get` does on a
+miss. Products are tallied once per entry. Each product is one `matmul`
+call, but one of two small ndarrays
+(`~blockpert.operators.REFERENCE_MIN_SIZE`) only joins the
 `~blockpert.operators.ProductBatch` of its sum. The kernel forms the batch
 as one stacked numpy product before the next term formed on its own, and
 at the end, and adds its products in plan order like every other term; so
@@ -31,7 +35,8 @@ from __future__ import annotations
 import threading
 from functools import lru_cache
 from itertools import product as cartesian
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -147,6 +152,12 @@ class BlockSeries:
         by label: the large blocks of an implicit problem and the big
         explicit blocks. Products landing on such a diagonal block are kept
         factored on its basis, shared by every series of one run.
+    support :
+        Optional orders at which each block ``(i, j)`` can be non-zero; a
+        block it does not list is zero at every order. An entry outside
+        the support is ``zero`` without being evaluated or stored, and
+        `contract` plans no product with it. ``None``, the default, means
+        that any entry can be non-zero.
     """
 
     def __init__(
@@ -158,6 +169,7 @@ class BlockSeries:
         name: str = "series",
         param_names: tuple[str, ...] | None = None,
         large_blocks: dict[int, LargeBlockBasis] | None = None,
+        support: Mapping[tuple[int, int], Iterable[tuple[int, ...]]] | None = None,
     ):
         self.eval = eval
         self.shape = shape
@@ -169,6 +181,28 @@ class BlockSeries:
         self.large_blocks = large_blocks or {}
         self._data = {k: _memo_value(v) for k, v in (data or {}).items()}
         self._in_progress: dict[tuple, int] = {}  # key -> evaluating thread
+        self._support = None
+        if support is not None:
+            self._support = MappingProxyType(
+                {
+                    block: frozenset(map(tuple, support.get(block, ())))
+                    for block in cartesian(range(shape[0]), range(shape[1]))
+                }
+            )
+            outside = [
+                key
+                for key, value in self._data.items()
+                if value is not zero and key[2:] not in self._support[key[:2]]
+            ]
+            if outside:
+                raise ValueError(f"{name} holds entries outside its support: {outside}")
+        self._plans: dict[tuple, tuple] = {}  # see _plan_within
+
+    @property
+    def support(self) -> Mapping[tuple[int, int], frozenset] | None:
+        """The orders at which each block can be non-zero, read-only, or
+        ``None`` if any can."""
+        return self._support
 
     def __repr__(self):
         return (
@@ -197,9 +231,12 @@ class BlockSeries:
         is read at call time, so a wrapper installed after construction
         sees every evaluation. The outermost evaluation of a thread makes
         numpy raise on overflow and on invalid results, for it and for all
-        that it starts.
+        that it starts. An entry outside the support is ``zero``, neither
+        evaluated nor stored.
         """
         self._check_key(key)
+        if self._support is not None and key[2:] not in self._support[key[:2]]:
+            return zero
         if self.eval is None:
             raise KeyError(f"{self.name}{key} has no stored value and no eval.")
         thread = threading.get_ident()
@@ -286,9 +323,9 @@ def _pair_plan(order: tuple[int, ...], hermitian: bool) -> tuple:
     """The pairs ``(m, n - m, left_first, half)`` that `contract` sums at
     order ``n``, ``m`` in lexicographic order.
 
-    Cached per order only: every block, series and internal block
-    contracted at that order shares one plan, so the cache holds at most
-    two plans per order queried.
+    Cached per ``(n, hermitian)`` only: every block, series and internal
+    block contracted without a support shares one plan. A plan with a
+    support applied is cached apart, on its series (`_plan_within`).
     """
     total = sum(order)
     plan = []
@@ -298,6 +335,25 @@ def _pair_plan(order: tuple[int, ...], hermitian: bool) -> tuple:
             continue
         plan.append((m, p, 2 * sum(m) <= total, int(hermitian and m < p)))
     return tuple(plan)
+
+
+def _plan_within(left, right, row, column, order, hermitian) -> tuple:
+    """`_pair_plan` without the pairs whose left factor ``row + m`` or
+    right factor ``column + p`` lies outside its series' support, in the
+    plan's order. Cached on a series with a support, under the order,
+    ``hermitian`` and the two supports applied (``None`` for none)."""
+    ms = None if left._support is None else left._support[row]
+    ps = None if right._support is None else right._support[column]
+    plans = (right if ms is None else left)._plans
+    key = (order, hermitian, ms, ps)
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = tuple(
+            pair
+            for pair in _pair_plan(order, hermitian)
+            if (ms is None or pair[0] in ms) and (ps is None or pair[1] in ps)
+        )
+    return plan
 
 
 def contract(left, right, block, order, counter, *, hermitian=False):
@@ -316,10 +372,16 @@ def contract(left, right, block, order, counter, *, hermitian=False):
     once.
 
     The pairs of an order come from a plan cached per ``(n, hermitian)``.
-    Factors are read straight from each series' memo, under the key
-    ``(i, l) + m``; a missing entry is evaluated and stored by the series,
-    as `BlockSeries.get` would. Sums are never formed in place, since a
-    product with ``one`` is the stored factor itself.
+    Where a factor's series has a support, internal block ``l`` takes the
+    pairs of that plan whose ``m`` lies in the support of ``(i, l)`` on the
+    left and whose ``n - m`` lies in that of ``(l, j)`` on the right, in
+    the plan's order; an empty support skips ``l``. The pairs left out
+    hold a structural zero, so the sums, the query order of the others and
+    the products are those of the full plan. Factors are read straight
+    from each series' memo, under the key ``(i, l) + m``; a missing entry
+    is evaluated and stored by the series, as `BlockSeries.get` would.
+    Sums are never formed in place, since a product with ``one`` is the
+    stored factor itself.
     """
     i, j = block
     basis = None
@@ -330,9 +392,13 @@ def contract(left, right, block, order, counter, *, hermitian=False):
     batches = (ProductBatch(), ProductBatch())
     lazy = (basis, basis) if basis else batches
     products = 0
-    plan = _pair_plan(tuple(order), hermitian)
+    order = tuple(order)
+    plan = _pair_plan(order, hermitian)
+    supported = left._support is not None or right._support is not None
     for l in range(left.shape[1]):
         row, column = (i, l), (l, j)
+        if supported:
+            plan = _plan_within(left, right, row, column, order, hermitian)
         for m, p, left_first, half in plan:
             if left_first:
                 a = left_memo(row + m)

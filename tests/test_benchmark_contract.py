@@ -195,8 +195,10 @@ def test_memo_stores_no_array_twice(problem):
 
 def test_reference_entries_allocate_no_buffer():
     """``V[1, 0]``, ``U'†[0, 1]`` and ``U'†[1, 0]`` refer to the stored
-    ``V[0, 1]``: evaluating them allocates nothing of its size."""
-    result = solved(dense_problem())
+    ``V[0, 1]``: evaluating them allocates nothing of its size. Storing
+    them may grow a memo dict by a few kB, so ``V[0, 1]`` is 30 x 300 (144
+    kB), far above that, and a copy of it fails the bound."""
+    result = solved(PerturbationProblem.from_diagonal(*random_two_block(30, 300, 1)))
     source = result.context["V"].get((0, 1), (7,))
     tracemalloc.start()
     try:

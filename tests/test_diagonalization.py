@@ -345,6 +345,23 @@ def test_product_counts_per_problem_family(make, block, max_orders, products):
     assert result.counter.matmul_count == products
 
 
+def test_graphene_perturbation_holds_only_its_input_orders():
+    """``H'_R`` and ``H'_S`` of bilayer graphene are non-zero at the input's
+    few orders only: after H̃[0, 0] to (6, 6, 2) they hold no key outside
+    them, and the products stay the pinned 30,969."""
+    problem = _graphene()
+    result = block_diagonalize(problem)
+    for order in orders_up_to((6, 6, 2)):
+        result.h_tilde.get((0, 0), order)
+    inputs = {key for key, value in problem.blocks.items() if any(key[2])}
+    for name in ("H'_R", "H'_S"):
+        stored = {(i, j, tuple(n)) for i, j, *n in result.context[name].stored_keys()}
+        assert stored and stored <= inputs, name
+    assert result.context["H'_S"].support[0, 1] == frozenset()
+    assert result.context["H'_R"].support[0, 0] == frozenset()
+    assert result.counter.matmul_count == 30969
+
+
 def real_sparse_solver(problem):
     """The default solver, returning its real solutions as sparse matrices."""
     default = make_eigenbasis_solver(

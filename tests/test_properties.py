@@ -7,7 +7,10 @@ its problems have, beside 1-2 small blocks, one block without a mask that
 holds 8-12 times their states, so the engine keeps it factored, whatever
 the number of parameters, and the entries between them are large enough to
 be references. Half of its problems are real: their terms are complex128
-arrays whose imaginary parts are zero.
+arrays whose imaginary parts are zero. Beside a term at each first order,
+a problem may have terms at orders of total 2, and every term but the
+first may be confined to the diagonal or the off-diagonal blocks, so the
+perturbation is zero at some orders of some blocks.
 
 A second strategy draws implicit problems: lattices of width 3-6 with 1-3
 explicit states, half of them with complex128 inputs of real values and half
@@ -67,11 +70,19 @@ def problems(draw):
             masks[label] = mask
     n = len(energies)
     real = draw(st.booleans())
+    # A term at each first order and up to two at orders of total 2, each
+    # but the first confined at random to the diagonal or the off-diagonal
+    # blocks: the perturbation's support has gaps in orders and in blocks.
+    orders = [tuple(int(k == axis) for axis in range(n_params)) for k in range(n_params)]
+    second = [order for order in orders_with_total_up_to(n_params, 2) if sum(order) == 2]
+    orders += draw(st.lists(st.sampled_from(second), max_size=2, unique=True))
+    same = np.equal.outer(labels, labels)
+    parts = {"whole": True, "diagonal": same, "off-diagonal": ~same}
     perturbations = {}
-    for k in range(n_params):
+    for k, order in enumerate(orders):
+        part = parts[draw(st.sampled_from(list(parts)))] if k else True
         term = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) * (not real)
-        order = tuple(int(k == axis) for axis in range(n_params))
-        perturbations[order] = 0.1 * floor * (term + term.conj().T) / 2
+        perturbations[order] = 0.1 * floor * part * (term + term.conj().T) / 2
     return {
         "h0_diagonal": np.array(energies),
         "perturbations": perturbations,

@@ -486,6 +486,162 @@ def test_batched_products_keep_the_summation_order_bitwise(seed, hermitian):
     assert dtypes == {np.dtype(float), np.dtype(complex)}
 
 
+class QueryLog(dict):
+    """A memo dict that records every key looked up in it, as `contract`
+    and `BlockSeries.get` do before they evaluate an entry."""
+
+    def __init__(self):
+        super().__init__()
+        self.queried = set()
+
+    def get(self, key, default=None):
+        self.queried.add(key)
+        return super().get(key, default)
+
+
+def gapped_series(rng, name, sizes, max_orders):
+    """A random series of three blocks and its support: ``one`` on the
+    diagonal at order zero, arrays at about a third of the other orders,
+    and some orders in the support yet zero; one block is zero at every
+    order and has an empty support. Returns the series without a support,
+    the series with it, whose memo is a `QueryLog`, and the support."""
+    entries, support = {}, {}
+    empty = tuple(int(k) for k in rng.integers(0, 3, 2))
+    for i, j in cartesian(range(3), repeat=2):
+        orders = support[i, j] = set()
+        for order in orders_up_to(max_orders):
+            if (i, j) == empty:
+                continue
+            if not any(order):
+                if i == j:
+                    entries[(i, j, *order)] = one
+                    orders.add(order)
+            elif rng.random() < 0.35:
+                shape = (sizes[i], sizes[j])
+                entries[(i, j, *order)] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                orders.add(order)
+            elif rng.random() < 0.1:
+                orders.add(order)
+    assert not support[empty]
+
+    def make(**support):
+        return BlockSeries(
+            eval=lambda *key: entries.get(key, zero),
+            shape=(3, 3),
+            n_params=len(max_orders),
+            name=name,
+            **support,
+        )
+
+    within = make(support=support)
+    within._data = QueryLog()
+    return make(), within, support
+
+
+def assert_within_support(series):
+    """No key outside the support of ``series`` was looked up or stored."""
+    support = series.support
+    for i, j, *order in series._data.queried | series.stored_keys():
+        assert tuple(order) in support[i, j], (series.name, i, j, order)
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+@pytest.mark.parametrize("sides", ["left", "right", "both"])
+@pytest.mark.parametrize("seed", range(3))
+def test_contract_within_supports_keeps_the_summation_order_bitwise(seed, sides, hermitian):
+    """`contract` with a support on the left factor, the right one or both,
+    against the reference loop over the same series without supports:
+    byte for byte, with as many products, and no lookup outside a support.
+    Supports have gaps, hold orders whose entry is zero, and are empty for
+    one block; with ``hermitian`` the product is ``X†X`` and the left
+    support is the right one transposed."""
+    rng = np.random.default_rng(seed)
+    sizes = (2, 3, 1)
+    max_orders = (3, 2)
+    plain_right, right, support = gapped_series(rng, "X", sizes, max_orders)
+    if hermitian:
+        transposed = {(j, i): orders for (i, j), orders in support.items()}
+
+        def adjoint_of(series, **kwargs):
+            return BlockSeries(
+                eval=lambda i, j, *n: adjoint(series.get((j, i), n)),
+                shape=(3, 3),
+                n_params=2,
+                name="X†",
+                **kwargs,
+            )
+
+        plain_left, left = adjoint_of(plain_right), adjoint_of(right, support=transposed)
+        left._data = QueryLog()
+    else:
+        plain_left, left, _ = gapped_series(rng, "Y", sizes, max_orders)
+    left = left if sides != "right" else plain_left
+    right = right if sides != "left" else plain_right
+    blocks = [(i, i) for i in range(3)] if hermitian else list(cartesian(range(3), repeat=2))
+    for block, order in cartesian(blocks, orders_up_to(max_orders)):
+        counter = OperationCounter()
+        value = contract(left, right, block, order, counter, hermitian=hermitian)
+        expected, products = _reference_contract(
+            plain_left, plain_right, block, order, hermitian
+        )
+        assert counter.matmul_count == products
+        if isinstance(expected, np.ndarray):
+            assert value.tobytes() == expected.tobytes()
+        else:
+            assert value is expected
+    for series in (left, right):
+        if series.support is not None:
+            assert_within_support(series)
+
+
+def test_one_product_under_two_supports():
+    """The same right factor and order, with left factors that are non-zero
+    at every order but declare different supports: each product sums the
+    pairs of its own support, so a plan cached under the wrong key would
+    give another's sum."""
+    right = scalar_series({(n,): 1.0 + n for n in range(5)}, name="X")
+    for orders in ({(1,), (3,)}, {(2,)}, set()):
+        left = BlockSeries(
+            eval=lambda i, j, n: np.array([[2.0 + n]]),
+            shape=(1, 1),
+            n_params=1,
+            name="Y",
+            support={(0, 0): orders},
+        )
+        counter = OperationCounter()
+        value = contract(left, right, (0, 0), (4,), counter)
+        assert counter.matmul_count == len(orders)
+        if orders:
+            assert value[0, 0] == sum((2.0 + m) * (5.0 - m) for (m,) in orders)
+        else:
+            assert value is zero
+
+
+def test_support_is_read_only_and_bounds_the_memo():
+    """An entry outside the support is ``zero``, never evaluated or
+    stored; the support lists every block, read-only; and seeded entries
+    must lie inside it."""
+    evaluated = []
+
+    def eval(i, j, *n):
+        evaluated.append((i, j, *n))
+        return np.ones((1, 1))
+
+    series = BlockSeries(eval, shape=(2, 2), support={(0, 1): [(1,), (2,)]})
+    assert series.get((0, 1), (3,)) is zero
+    assert series.get((1, 1), (1,)) is zero
+    assert series.get((0, 1), (2,))[0, 0] == 1.0
+    assert evaluated == [(0, 1, 2)]
+    assert series.stored_keys() == {(0, 1, 2)}
+    assert series.support[1, 0] == frozenset()
+    assert series.support[0, 1] == {(1,), (2,)}
+    with pytest.raises(TypeError):
+        series.support[1, 0] = frozenset([(1,)])
+    assert BlockSeries(eval, shape=(2, 2)).support is None
+    with pytest.raises(ValueError, match="outside its support"):
+        BlockSeries(eval, shape=(2, 2), data={(0, 0, 1): np.ones((1, 1))}, support={})
+
+
 def test_overflow_in_a_batch_names_the_entry():
     """Products that overflow inside a batch raise `NonFiniteError` for the
     entry being evaluated, as products formed one at a time do."""
