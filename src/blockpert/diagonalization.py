@@ -32,10 +32,10 @@ where ``V`` is zero. Entries that the recurrences derive from another stored
 entry are `~blockpert.operators.Reference`s to it, not copies: ``W_ji = W_ij^H`` and
 ``V_ji = -V_ij^H`` below the diagonal, ``U'^H_ij = U'_ji^H`` elsewhere,
 ``B = -U'^H B`` where nothing is selected, and ``B = -G_S`` where
-``U'^H B`` is zero, except on a factored block, which has no references.
-Small entries, below `~blockpert.operators.REFERENCE_MIN_SIZE` elements,
-are copied. The output series ``H_tilde``, ``U`` and ``U^H`` hand out
-arrays.
+``U'^H B`` is zero, as a factored entry that shares ``G_S``'s core on a
+factored block. Small entries, below `~blockpert.operators.REFERENCE_MIN_SIZE`
+elements, are copied. The output series ``H_tilde``, ``U`` and ``U^H`` hand
+out arrays.
 """
 
 from __future__ import annotations
@@ -542,7 +542,7 @@ def _reference(a, sign: int = 1, dagger: bool = False):
     """``sign · a``, or ``sign · aᴴ`` with ``dagger``, of a stored entry
     ``a``, as a `~blockpert.operators.Reference` to its array where that
     holds at least `REFERENCE_MIN_SIZE` elements or ``a`` is a reference
-    (chains collapse to the final source); computed otherwise."""
+    (chains collapse to the final source); by `scale` otherwise."""
     if type(a) is Reference:
         return Reference(sign * a.sign, dagger != a.adjoint, a.source)
     if type(a) is np.ndarray and a.size >= REFERENCE_MIN_SIZE:
@@ -610,25 +610,24 @@ def _build_series(
 
         return make(name, dense, outer)
 
-    H = make("H", lambda i, j, *n: problem.block(i, j, n))
-
-    # H' is H at the input's non-zero orders n != 0. Its selected and
-    # remaining parts are non-zero there only in the blocks where the rule
-    # keeps such a part: the supports of H'_S and H'_R, outside which
-    # neither is evaluated.
-    orders = {}
+    # H is non-zero at the input's orders and at order 0 on the diagonal, H'
+    # at those orders n != 0, and H'_S and H'_R only where the rule keeps such
+    # a part. None of the three is evaluated outside these supports.
+    orders = {(i, i): {problem.zero_order()} for i in range(b)}
     for (i, j, order), value in problem.blocks.items():
-        if any(order) and not isinstance(value, Zero):
+        if not isinstance(value, Zero):
             orders.setdefault((i, j), set()).add(order)
+    perturbation = {k: {n for n in v if any(n)} for k, v in orders.items()}
+    H = make("H", lambda i, j, *n: problem.block(i, j, n), support=orders)
     Hp_S = make(
         "H'_S",
         lambda i, j, *n: select(H.get((i, j), n), rule, (i, j)),
-        support={k: v for k, v in orders.items() if rule.has_selected_part(k)},
+        support={k: v for k, v in perturbation.items() if rule.has_selected_part(k)},
     )
     Hp_R = make(
         "H'_R",
         lambda i, j, *n: remain(H.get((i, j), n), rule, (i, j)),
-        support={k: v for k, v in orders.items() if rule.has_remaining_part(k)},
+        support={k: v for k, v in perturbation.items() if rule.has_remaining_part(k)},
     )
 
     # The callbacks close over series made below; none runs before all exist.
@@ -685,17 +684,12 @@ def _build_series(
         partner = vhs if i == j else contract(V, Hp_S, (j, i), n, counter)
         return add(mixed, scale(add(vhs, adjoint(partner)), -1))
 
-    def b_holds_bracket(i, n):  # B = -G_S, as its own core: factored, no references
-        return i in large and UdB.get((i, i), n) is zero
-
     def eval_B(i, j, *n):
         if not any(n):
             return zero
         product = UdB.get((i, j), n)
         if not rule.has_selected_part((i, j)):
             return _reference(product, -1)
-        if b_holds_bracket(i, n):
-            return _reference(bracket(i, i, n), -1)
         if product is not zero:
             return scale(add(product, G_S.get((i, i), n)), -1)
         return _reference(G_S.get((i, i), n), -1)  # -G_S
@@ -707,8 +701,7 @@ def _build_series(
             # The remaining part cancels by construction and is never
             # evaluated as a numeric residual.
             return zero
-        g_s = scale(B.get((i, i), n), -1) if b_holds_bracket(i, n) else G_S.get((i, i), n)
-        return add(Hp_S.get((i, j), n), g_s)
+        return add(Hp_S.get((i, j), n), G_S.get((i, j), n))
 
     def identity_plus(part):
         """``1 + part``: ``U`` from ``U'`` and ``U†`` from ``U'†``."""

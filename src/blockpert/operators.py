@@ -8,7 +8,7 @@ Series elements are one of:
 - a dense ``numpy.ndarray`` of the problem's ``float64`` or ``complex128``,
 - a `Reference` ``±y`` or ``±yᴴ`` to a stored ndarray ``y``, an entry
   that the recurrences derive from another one and that owns no buffer,
-- a `FactoredOperator` ``Q[:, :r] C Q[:, :c]ᴴ``, an entry of a large
+- a `FactoredOperator` ``±Q[:, :r] C Q[:, :c]ᴴ``, an entry of a large
   diagonal block, implicit or big and explicit: ``Q`` is the
   `LargeBlockBasis` that all entries of that block share in one run, and
   ``C`` a small core,
@@ -35,7 +35,8 @@ small adjoints C-contiguous.
 A product with a reference is one numpy product on its source. A product
 of two thin operands that lands on a large block,
 ``matmul(a, b, lazy=basis)``, becomes the core ``(Qᴴa)(bQ)``; products,
-sums, multiples and adjoints of factored entries are those of their cores.
+sums, multiples and adjoints of factored entries are those of their cores,
+and ``scale(F, -1)`` shares ``F``'s core, as a reference shares its source.
 The basis holds the coordinates of each memoized operand, and a reference
 takes those of its source. A factored entry is applied to a thin operand by
 ``_matmat`` on columns and `FactoredOperator.premultiply` on rows, each
@@ -414,23 +415,25 @@ def _dot(a, b) -> np.ndarray:
 
 
 class FactoredOperator(LinearOperator):
-    """An entry ``Q[:, :r] C Q[:, :c]ᴴ`` of a large diagonal block.
+    """An entry ``sign · Q[:, :r] C Q[:, :c]ᴴ`` of a large diagonal block.
 
     ``Q`` is the block's `LargeBlockBasis`, shared by every entry of the
-    run, and ``C`` the read-only ``r x c`` core. ``args`` is the basis'
-    current buffer and the core, the arrays the entry holds. Applied to
-    columns (``_matmat``, and through the adjoint every other
-    `scipy.sparse.linalg.LinearOperator` action) or to rows
-    (`premultiply`), an entry costs two thin products with ``Q`` and never
-    extends it; one of them, if the basis holds the operand or its source
-    (`LargeBlockBasis.held`), is read from its coordinates instead.
+    run, ``C`` the read-only ``r x c`` core and ``sign`` 1 or -1, which
+    negates the small products of the core, never the core: a negated entry
+    shares its core. ``args`` is the basis' current buffer and the core, the
+    arrays the entry holds. Applied to columns (``_matmat``, and through the
+    adjoint every other `scipy.sparse.linalg.LinearOperator` action) or to
+    rows (`premultiply`), an entry costs two thin products with ``Q`` and
+    never extends it; one of them, if the basis holds the operand or its
+    source (`LargeBlockBasis.held`), is read from its coordinates instead.
     """
 
-    def __init__(self, basis: LargeBlockBasis, core: np.ndarray):
+    def __init__(self, basis: LargeBlockBasis, core: np.ndarray, sign: int = 1):
         super().__init__(core.dtype, (basis.dimension, basis.dimension))
         core.flags.writeable = False
         self.basis = basis
         self.core = core
+        self.sign = sign
 
     @property
     def args(self):
@@ -442,16 +445,19 @@ class FactoredOperator(LinearOperator):
     def _right(self):
         return self.basis.buffer[:, : self.core.shape[1]]
 
+    def _signed(self, x: np.ndarray) -> np.ndarray:
+        return np.negative(x, out=x) if self.sign < 0 else x
+
     def _matmat(self, x):
         coordinates = self.basis.held(x)
         if coordinates is None:
             coordinates = _project(self._right(), x, False)
         else:
             coordinates = coordinates[: self.core.shape[1]]
-        return self._left() @ (self.core @ coordinates)
+        return self._left() @ self._signed(self.core @ coordinates)
 
     def _adjoint(self):
-        return FactoredOperator(self.basis, self.core.conj().T)
+        return FactoredOperator(self.basis, self.core.conj().T, self.sign)
 
     def _times_right_adjoint(self, x):
         """``x Q_cᴴ`` as ``conj(conj(x) Q_cᵀ)``, with no conjugate copy of ``Q``."""
@@ -459,17 +465,17 @@ class FactoredOperator(LinearOperator):
         return np.conj(product, out=product)
 
     def premultiply(self, x) -> np.ndarray:
-        """``x @ self`` for rows ``x``: ``((x Q_r) C) Q_cᴴ``."""
+        """``x @ self`` for rows ``x``: ``sign · ((x Q_r) C) Q_cᴴ``."""
         coordinates = self.basis.held(x, rows=True)
         if coordinates is None:
             coordinates = _dot(x, self._left())
         else:
             coordinates = coordinates[: self.core.shape[0]].conj().T
-        return self._times_right_adjoint(coordinates @ self.core)
+        return self._times_right_adjoint(self._signed(coordinates @ self.core))
 
     def toarray(self) -> np.ndarray:
-        """The dense ``(Q_r C) Q_cᴴ``, a new array."""
-        return self._times_right_adjoint(self._left() @ self.core)
+        """The dense ``sign · (Q_r C) Q_cᴴ``, a new array."""
+        return self._times_right_adjoint(self._signed(self._left() @ self.core))
 
 
 _THIN = (np.ndarray, Reference)
@@ -480,12 +486,14 @@ def _materialized(a):
     return a.toarray() if type(a) is Reference else a
 
 
-def _padded_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum of two cores, the smaller padded with zeros."""
-    shape = tuple(map(max, a.shape, b.shape))
+def _padded_sum(a: FactoredOperator, b: FactoredOperator) -> np.ndarray:
+    """Core of ``a + b``, each core padded with zeros and taken with its sign."""
+    shape = tuple(map(max, a.core.shape, b.core.shape))
     total = np.zeros(shape, dtype=np.promote_types(a.dtype, b.dtype))
-    total[: a.shape[0], : a.shape[1]] = a
-    total[: b.shape[0], : b.shape[1]] += b
+    first = total[: a.core.shape[0], : a.core.shape[1]]
+    (np.negative if a.sign < 0 else np.positive)(a.core, out=first)
+    second = total[: b.core.shape[0], : b.core.shape[1]]
+    (np.subtract if b.sign < 0 else np.add)(second, b.core, out=second)
     return total
 
 
@@ -537,7 +545,8 @@ def matmul(a, b, *, lazy: LargeBlockBasis | ProductBatch | None = None):
         raise ValueError(f"Dimension mismatch in product: {a.shape} @ {b.shape}.")
     if type(a) is type(b) is FactoredOperator and a.basis is b.basis:
         inner = min(a.core.shape[1], b.core.shape[0])
-        return FactoredOperator(a.basis, a.core[:, :inner] @ b.core[:inner])
+        core = a.core[:, :inner] @ b.core[:inner]
+        return FactoredOperator(a.basis, core, a.sign * b.sign)
     thin_a, thin_b = type(a) in _THIN, type(b) in _THIN
     if thin_a and thin_b:
         return FactoredOperator(lazy, lazy.extend(a) @ lazy.extend(b, rows=True))
@@ -571,19 +580,15 @@ def add(a, b):
     if a.shape != b.shape:
         raise ValueError(f"Dimension mismatch in sum: {a.shape} + {b.shape}.")
     a, b = _materialized(a), _materialized(b)
-    if (
-        type(a) is FactoredOperator
-        and type(b) is FactoredOperator
-        and a.basis is b.basis
-    ):
-        return FactoredOperator(a.basis, _padded_sum(a.core, b.core))
+    if type(a) is type(b) is FactoredOperator and a.basis is b.basis:
+        return FactoredOperator(a.basis, _padded_sum(a, b))
     if isinstance(a, LinearOperator) or isinstance(b, LinearOperator):
         return aslinearoperator(a) + aslinearoperator(b)
     return a + b
 
 
 def scale(a, c: complex):
-    """Scalar multiple of an operator."""
+    """Scalar multiple; by -1, a reference or a factored entry copies nothing."""
     if isinstance(a, Zero):
         return zero
     if c == 1:
@@ -591,7 +596,9 @@ def scale(a, c: complex):
     if isinstance(a, One):
         raise ValueError("Cannot scale the structural identity; wrap it densely.")
     if type(a) is FactoredOperator:
-        return FactoredOperator(a.basis, a.core * c)
+        if c == -1:
+            return FactoredOperator(a.basis, a.core, -a.sign)
+        return FactoredOperator(a.basis, a.core * (c * a.sign))
     if type(a) is Reference and c == -1:
         return Reference(-a.sign, a.adjoint, a.source)
     return _materialized(a) * c

@@ -180,10 +180,22 @@ def stored_owners(context):
 def test_memo_stores_no_array_twice(problem):
     """No two stored owners of at least `REFERENCE_MIN_SIZE` entries are
     bit for bit ``±y`` or ``±yᴴ`` of each other: the entries that the
-    recurrences derive are references. `worker.memo_bytes` counts every
-    owner once and no reference."""
+    recurrences derive are references, or on the factored block 1 share
+    the core of their source, as ``B = -G_S`` does where ``U'†B`` is zero;
+    H̃[1, 1] is queried too. `worker.memo_bytes` counts every owner once and
+    no reference."""
     result = solved(problem())
-    owners, references = stored_owners(result.context)
+    context = result.context
+    negated = 0
+    for order in range(1, 7):
+        result.h_tilde.get((1, 1), (order,))
+        b, g_s = (context[name].get((1, 1), (order,)) for name in ("B", "G_S"))
+        if context["U'†B"].get((1, 1), (order,)) is zero and g_s is not zero:
+            assert type(b) is FactoredOperator and b.core is g_s.core
+            assert (b.sign, g_s.sign) == (-1, 1)
+            negated += 1
+    assert negated
+    owners, references = stored_owners(context)
     assert references
     large = [x for x in owners if x.size >= REFERENCE_MIN_SIZE]
     for x, y in combinations(large, 2):
@@ -231,10 +243,10 @@ def assert_each_array_and_product_once(problem, monkeypatch, max_order=3):
     order ``max_order``. No two stored owners of at least
     `REFERENCE_MIN_SIZE` entries are ``±y`` or ``±yᴴ`` of each other,
     `worker.memo_bytes` counts each once, and no two products multiply the
-    same pair of stored operands: each product is formed once. Not queried,
-    as they still hold copies: ``U`` and ``U†``, which make their references
-    arrays, and H̃ on a large block, which holds ``-B`` where ``U'†B`` and
-    ``H'_S`` are zero."""
+    same pair of stored operands: each product is formed once. Not queried:
+    ``U`` and ``U†``, which still make their references arrays, and H̃ on a
+    large block, a lazy sum with the matrix-free ``H'_S`` at its orders,
+    which `stored_owners` does not enter."""
     operands = []
     matmul = series_module.matmul
 

@@ -346,17 +346,25 @@ def test_product_counts_per_problem_family(make, block, max_orders, products):
 
 
 def test_graphene_perturbation_holds_only_its_input_orders():
-    """``H'_R`` and ``H'_S`` of bilayer graphene are non-zero at the input's
-    few orders only: after H̃[0, 0] to (6, 6, 2) they hold no key outside
-    them, and the products stay the pinned 30,969."""
+    """``H``, ``H'_R`` and ``H'_S`` of bilayer graphene are non-zero at the
+    input's few orders only, and ``H`` at order 0 on the diagonal: after
+    H̃[0, 0] to (6, 6, 2) they hold no key outside them and ``H`` no
+    ``zero``, and the products stay the pinned 30,969."""
     problem = _graphene()
     result = block_diagonalize(problem)
     for order in orders_up_to((6, 6, 2)):
         result.h_tilde.get((0, 0), order)
-    inputs = {key for key, value in problem.blocks.items() if any(key[2])}
-    for name in ("H'_R", "H'_S"):
+    inputs = {key for key, value in problem.blocks.items() if value is not zero}
+    diagonal = {(i, i, (0, 0, 0)) for i in range(problem.n_blocks)}
+    limits = {
+        "H": inputs | diagonal,
+        "H'_R": inputs - diagonal,
+        "H'_S": inputs - diagonal,
+    }
+    for name, limit in limits.items():
         stored = {(i, j, tuple(n)) for i, j, *n in result.context[name].stored_keys()}
-        assert stored and stored <= inputs, name
+        assert stored and stored <= limit, name
+    assert not any(value is zero for value in result.context["H"]._data.values())
     assert result.context["H'_S"].support[0, 1] == frozenset()
     assert result.context["H'_R"].support[0, 0] == frozenset()
     assert result.counter.matmul_count == 30969

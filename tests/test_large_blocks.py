@@ -77,6 +77,52 @@ def test_factored_arithmetic_matches_dense(rng):
     assert matmul(first, zero) is zero and add(first, zero) is first
 
 
+def test_negated_entry_shares_its_core(rng):
+    """``scale(F, -1)`` is ``F`` with the opposite sign: it shares ``F``'s
+    core and allocates nothing of its size, and every operation on it
+    equals, bit for bit, the same operation on an entry of the negated
+    core."""
+    n = 100
+    basis = LargeBlockBasis(n)
+    columns, rows = read_only(thin(rng, n, 30)), read_only(thin(rng, 30, n))
+    entry = matmul(columns, rows, lazy=basis)
+    other = matmul(thin(rng, n, 3), thin(rng, 3, n), lazy=basis)
+    tracemalloc.start()
+    try:
+        negated = scale(entry, -1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert negated.core is entry.core and (entry.sign, negated.sign) == (1, -1)
+    assert peak < entry.core.nbytes / 8
+    assert scale(negated, -1).sign == 1
+    x, y = thin(rng, n, 4), thin(rng, 4, n)
+    signed = (negated, scale(other, -1))
+    copies = (FactoredOperator(basis, -entry.core), FactoredOperator(basis, -other.core))
+    cases = {
+        "toarray": lambda f, g: to_array(f),
+        "columns": lambda f, g: matmul(f, x),
+        "held columns": lambda f, g: matmul(f, columns),
+        "rows": lambda f, g: matmul(y, f),
+        "held rows": lambda f, g: matmul(rows, f),
+        "adjoint": lambda f, g: to_array(adjoint(f)),
+        "adjoint on columns": lambda f, g: adjoint(f) @ x,
+        "product": lambda f, g: to_array(matmul(f, other)),
+        "product on the right": lambda f, g: to_array(matmul(other, f)),
+        "square": lambda f, g: to_array(matmul(f, f)),
+        "sum": lambda f, g: add(f, other).core,
+        "sum on the right": lambda f, g: add(other, f).core,
+        "sum of two negatives": lambda f, g: add(f, g).core,
+        "multiple": lambda f, g: scale(f, 0.5j).core,
+    }
+    for name, operation in cases.items():
+        value, expected = operation(*signed), operation(*copies)
+        assert value.dtype == expected.dtype and value.shape == expected.shape, name
+        assert value.tobytes() == expected.tobytes(), name
+    assert (adjoint(negated).sign, matmul(negated, other).sign) == (-1, -1)
+    assert matmul(negated, negated).sign == 1
+
+
 def test_operands_in_the_span_are_dropped(rng):
     n = 20
     basis = LargeBlockBasis(n)
