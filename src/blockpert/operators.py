@@ -271,9 +271,10 @@ class LargeBlockBasis:
     An entry ``a b`` is formed from thin operands, ``a`` of ``N x m``
     columns and ``b`` of ``m x N`` rows. Through `extend`, each operand
     first adds its new directions to ``Q``, found by block classical
-    Gram-Schmidt run twice and one QR. Of the ``m`` candidate directions of
-    an operand that is projected, those below `DROP_RTOL` are dropped and
-    counted in ``dropped``; an operand already in the span drops all ``m``.
+    Gram-Schmidt run twice and the triangle of one QR. Of the ``m``
+    candidate directions of an operand that is projected, those below
+    `DROP_RTOL` are dropped and counted in ``dropped``; an operand already
+    in the span drops all ``m`` after one projection pass.
     A `Reference` takes its source's coordinates, negated if its sign is
     -1 and those of the other side if it is an adjoint; no arrays are
     compared. ``buffer`` is exactly
@@ -329,13 +330,17 @@ class LargeBlockBasis:
     def _extend(self, x, rows):
         """Extend ``Q`` by the new directions of ``x``; its coordinates.
 
-        ``x`` is projected out of ``Q`` and its residual out of ``Q`` once
-        more, which removes the rounding of the first pass (Giraud, Langou
-        and Rozložník 2005). A QR of the residual and the SVD ``U s Vh`` of
-        its triangle give the new directions ``directions U`` and their
-        coordinates ``s Vh``. Weak directions (`WEAK_RTOL`) take a further
-        pass and their coordinates by projection. The QR is numpy's, so it
-        runs in the BLAS and thread pool of the products (see `_dot`).
+        ``x`` is projected out of ``Q``. A residual below `DROP_RTOL` of
+        its norm is dropped whole: a second pass could only shrink it.
+        Otherwise the residual is projected out of ``Q`` once more, which
+        removes the rounding of the first pass (Giraud, Langou and Rozložník
+        2005). The SVD ``U s Vh`` of the triangle ``R`` of its QR (``mode="r"``,
+        the same ``geqrf`` output as a full QR's, without building its ``Q``)
+        gives the new directions ``residual Vhᴴ / s``, equal to
+        ``Q_qr U`` in exact arithmetic, and their coordinates ``s Vh``.
+        Weak directions (`WEAK_RTOL`) take a further pass, a QR, and their
+        coordinates by projection. The QR is numpy's, so it runs in the BLAS
+        and thread pool of the products (see `_dot`).
         """
         columns = x.conj().T if rows else x
         norm = np.linalg.norm(columns)
@@ -347,18 +352,17 @@ class LargeBlockBasis:
         q = self.buffer
         coefficients = _project(q, x, rows)
         residual = columns - q @ coefficients
-        correction = _overlap(q, residual)
-        residual -= q @ correction
-        coefficients += correction
         kept = 0
         if np.linalg.norm(residual) > DROP_RTOL * norm:
-            directions, triangle = np.linalg.qr(residual)
-            rotation, values, weights = np.linalg.svd(triangle)
+            correction = _overlap(q, residual)
+            residual -= q @ correction
+            coefficients += correction
+            values, weights = np.linalg.svd(np.linalg.qr(residual, mode="r"))[1:]
             kept = int(np.count_nonzero(values > DROP_RTOL * norm))
         self.dropped += columns.shape[1] - kept
         if not kept:
             return coefficients
-        new = directions @ rotation[:, :kept]
+        new = residual @ (weights[:kept].conj().T / values[:kept])
         if values[kept - 1] < WEAK_RTOL * values[0]:
             new -= q @ _overlap(q, new)
             new = np.linalg.qr(new)[0]

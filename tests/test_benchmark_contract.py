@@ -152,26 +152,35 @@ def lattice():
 def stored_owners(context):
     """The distinct arrays that own the memory of the stored entries,
     found without `worker.memo_bytes`: ndarray entries, the cores of
-    factored entries and each basis buffer; and the references. A
-    reference owns nothing, and its source is a stored ndarray entry."""
+    factored entries and each basis buffer, also inside a lazy sum of
+    operators, as H̃ is on a large block where the matrix-free ``H'_S``
+    is not zero; and the references. A reference owns nothing, and its
+    source is a stored ndarray entry. A `MatrixFreeOperator` holds the
+    problem's inputs and is not entered."""
     owners, arrays, references = {}, set(), []
+
+    def visit(value):
+        if type(value) is np.ndarray:
+            while isinstance(value.base, np.ndarray):
+                value = value.base
+            owners[id(value)] = value
+        elif type(value) is FactoredOperator:
+            visit(value.core)
+            visit(value.basis.buffer)
+        elif isinstance(value, sla.LinearOperator) and type(value) is not MatrixFreeOperator:
+            for part in value.args:  # a lazy sum, or an array it wraps
+                visit(part)
+        else:
+            assert value in (zero, one) or type(value) is MatrixFreeOperator
+
     for series in context.values():
         for value in series._data.values():
             if type(value) is Reference:
                 references.append(value)
                 continue
-            if type(value) is FactoredOperator:
-                found = [value.core, value.basis.buffer]
-            elif type(value) is np.ndarray:
+            if type(value) is np.ndarray:
                 arrays.add(id(value))
-                found = [value]
-            else:
-                assert value in (zero, one) or type(value) is MatrixFreeOperator
-                found = []
-            for array in found:
-                while isinstance(array.base, np.ndarray):
-                    array = array.base
-                owners[id(array)] = array
+            visit(value)
     assert all(id(entry.source) in arrays for entry in references)
     return list(owners.values()), references
 
@@ -243,10 +252,10 @@ def assert_each_array_and_product_once(problem, monkeypatch, max_order=3):
     order ``max_order``. No two stored owners of at least
     `REFERENCE_MIN_SIZE` entries are ``±y`` or ``±yᴴ`` of each other,
     `worker.memo_bytes` counts each once, and no two products multiply the
-    same pair of stored operands: each product is formed once. Not queried:
-    ``U`` and ``U†``, which still make their references arrays, and H̃ on a
-    large block, a lazy sum with the matrix-free ``H'_S`` at its orders,
-    which `stored_owners` does not enter."""
+    same pair of stored operands: each product is formed once. H̃ on a
+    large block, a lazy sum with the matrix-free ``H'_S`` at its orders, is
+    queried too. Not queried: ``U`` and ``U†``, which still make their
+    references arrays."""
     operands = []
     matmul = series_module.matmul
 
@@ -259,8 +268,7 @@ def assert_each_array_and_product_once(problem, monkeypatch, max_order=3):
     result = block_diagonalize(problem)
     for order in orders_with_total_up_to(problem.n_params, max_order):
         for i in range(problem.n_blocks):
-            if i not in problem.large_blocks:
-                result.h_tilde.get((i, i), order)
+            result.h_tilde.get((i, i), order)
     assert result.counter.matmul_count == len(operands) == len(set(operands))
     owners, _ = stored_owners(result.context)
     large = [x for x in owners if x.size >= REFERENCE_MIN_SIZE]

@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockpert import operators
 from blockpert.cli import main
@@ -23,6 +25,7 @@ from blockpert.documents import (
 )
 from blockpert.implicit import build_extended_problem, projected_operator
 from blockpert.operators import (
+    DROP_RTOL,
     FactoredOperator,
     LargeBlockBasis,
     MatrixFreeOperator,
@@ -178,6 +181,74 @@ def test_extension_keeps_weak_directions_orthonormal(rng, weight, added):
     q = basis.buffer
     assert np.max(np.abs(q.conj().T @ q - np.eye(basis.width))) <= 1e-13
     assert np.linalg.norm(coordinates @ q.conj().T - rows) <= 1e-12 * np.linalg.norm(rows)
+
+
+@st.composite
+def extensions(draw):
+    """A dimension, whether the operands are complex and extend ``Q`` as
+    rows, the columns held before, the weights of the new directions
+    relative to the held part, the operand's columns and a seed."""
+    weights = draw(st.lists(st.sampled_from([1.0, 1e-2, 1e-12, 1e-15]), max_size=4))
+    return (
+        draw(st.integers(20, 60)),
+        draw(st.booleans()),
+        draw(st.booleans()),
+        draw(st.integers(1, 8)),
+        weights,
+        len(weights) + draw(st.integers(0 if weights else 1, 3)),
+        draw(st.integers(0, 2**16)),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(extensions())
+def test_extension_keeps_q_orthonormal_and_rebuilds_operands(case):
+    """An operand is a held part of norm 1 plus new orthonormal directions
+    at the drawn weights, each mixed into every column. ``Q`` stays
+    orthonormal, the coordinates rebuild the operand, and exactly the
+    directions below `DROP_RTOL` of its norm are dropped. A combination of
+    held operands then takes one projection pass, drops every column and
+    gets accurate coordinates."""
+    n, is_complex, rows, held, weights, m, seed = case
+    rng = np.random.default_rng(seed)
+
+    def draw(r, c):
+        return thin(rng, r, c) if is_complex else rng.normal(size=(r, c))
+
+    def rebuilt(coordinates):
+        q = basis.buffer
+        return (coordinates @ q.conj().T).conj().T if rows else q @ coordinates
+
+    basis = LargeBlockBasis(n)
+    first = draw(n, held)
+    basis.extend(first)
+    q = basis.buffer.copy()
+    fresh = draw(n, len(weights))
+    fresh = np.linalg.qr(fresh - q @ (q.conj().T @ fresh))[0]
+    x = q @ draw(held, m)
+    x /= np.linalg.norm(x)
+    x += (fresh * weights) @ np.linalg.qr(draw(m, m))[0][: len(weights)]
+    kept = sum(weight > DROP_RTOL * np.linalg.norm(x) for weight in weights)
+    coordinates = basis.extend(x.conj().T if rows else x, rows=rows)
+    assert (basis.width, basis.dropped) == (held + kept, m - kept)
+    q = basis.buffer
+    assert np.max(np.abs(q.conj().T @ q - np.eye(basis.width))) <= 1e-13
+    assert np.linalg.norm(rebuilt(coordinates) - x) <= 1e-12 * np.linalg.norm(x)
+
+    combination = first @ draw(held, 2) + x @ draw(m, 2)
+    passes = []
+    overlap = operators._overlap
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            operators, "_overlap", lambda q, y: passes.append(y) or overlap(q, y)
+        )
+        coordinates = basis.extend(
+            combination.conj().T if rows else combination, rows=rows
+        )
+    assert (basis.width, basis.dropped) == (held + kept, m - kept + 2)
+    assert len(passes) == (0 if rows else 1)  # `_project`'s, on columns
+    error = np.linalg.norm(rebuilt(coordinates) - combination)
+    assert error <= 1e-12 * np.linalg.norm(combination)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
