@@ -3,7 +3,10 @@
 Subcommands:
 
 - ``diagonalize``: read a problem document, evaluate requested blocks and
-  orders of the effective Hamiltonian, write a result document.
+  orders of the effective Hamiltonian, write a result document. Its
+  metadata holds the product count, timings and tolerances, the basis
+  ``width`` and ``dropped`` directions of each factored block, and for an
+  implicit problem the fill of its factorizations and its worst solve.
 - ``spectrum``: sweep parameter values on a grid and emit the eigenvalues of
   the truncated effective block as CSV.
 - ``verify``: run the invariant suite (unitarity, cancellation, similarity,
@@ -36,7 +39,7 @@ from blockpert.documents import (
     result_document,
     write_document,
 )
-from blockpert.implicit import DeflationError, FactorizationError
+from blockpert.implicit import DeflationError, FactorizationError, ShiftedSolverSet
 from blockpert.operators import Zero, to_array
 from blockpert.oracles import reference_count_benchmark
 from blockpert.problems import random_two_block
@@ -123,16 +126,32 @@ def cmd_diagonalize(args) -> int:
     tolerances = {}
     if problem.tolerance is not None:
         tolerances["degeneracy"] = problem.tolerance
-    payload = result_document(
-        entries,
-        metadata={
-            "matmul_count": result.counter.matmul_count,
-            "timings": {"build": build_time, "evaluate": evaluate_time},
-            "tolerances": tolerances,
+    metadata = {
+        "matmul_count": result.counter.matmul_count,
+        "timings": {"build": build_time, "evaluate": evaluate_time},
+        "tolerances": tolerances,
+        "factored_blocks": {
+            str(label): {"width": basis.width, "dropped": basis.dropped}
+            for label, basis in sorted(result.context["W"].large_blocks.items())
         },
-    )
-    write_document(payload, args.output)
+    }
+    if isinstance(problem.solver, ShiftedSolverSet):
+        metadata["implicit"] = _solver_report(problem.solver)
+    write_document(result_document(entries, metadata), args.output)
     return EXIT_OK
+
+
+def _solver_report(solver: ShiftedSolverSet) -> dict:
+    """Fill of the shifted factorizations, summed over the explicit states,
+    and the worst relative residual and refinement steps of the solves;
+    ``None`` where no solve ran."""
+    records = solver.records
+    return {
+        "factor_nnz": sum(solver.factor_nnz),
+        "factor_bytes": sum(solver.factor_bytes),
+        "max_residual": max((record.residual for record in records), default=None),
+        "max_steps": max((record.steps for record in records), default=None),
+    }
 
 
 def _parse_grid(specs, param_names) -> list[np.ndarray]:

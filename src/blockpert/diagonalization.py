@@ -33,9 +33,11 @@ entry are `~blockpert.operators.Reference`s to it, not copies: ``W_ji = W_ij^H``
 ``V_ji = -V_ij^H`` below the diagonal, ``U'^H_ij = U'_ji^H`` elsewhere,
 ``B = -U'^H B`` where nothing is selected, and ``B = -G_S`` where
 ``U'^H B`` is zero, as a factored entry that shares ``G_S``'s core on a
-factored block. Small entries, below `~blockpert.operators.REFERENCE_MIN_SIZE`
-elements, are copied. The output series ``H_tilde``, ``U`` and ``U^H`` hand
-out arrays.
+factored block. Beside a factored block, ``U'^H B`` keeps that block's side
+on its basis, and ``B = -U'^H B`` shares its core. Small entries, below
+`~blockpert.operators.REFERENCE_MIN_SIZE` elements, are copied. The output
+series ``H_tilde``, ``U`` and ``U^H`` hand out arrays everywhere but on the
+diagonal of a large block; so does `transform_observable`.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from blockpert.operators import (
     OperationCounter,
     Reference,
     Zero,
+    _materialized,
     add,
     adjoint,
     as_dense,
@@ -597,10 +600,8 @@ def _build_series(
 
     def make_output(name, eval):
         def dense(i, j, *n):
-            value = eval(i, j, *n)
-            if type(value) is Reference or (
-                i == j and i in explicit and isinstance(value, LinearOperator)
-            ):
+            value = _materialized(eval(i, j, *n))
+            if i == j and i in explicit and isinstance(value, LinearOperator):
                 value = to_array(value)
             # Sparse products and LU solves run in scipy's compiled code,
             # which numpy's error state does not see.
@@ -654,7 +655,7 @@ def _build_series(
         rhs = remain(add(H.get((i, j), n), g), rule, (i, j))
         if isinstance(rhs, Zero):
             return zero
-        solution = solver(_memo_value(rhs), (i, j), tuple(n))
+        solution = solver(_memo_value(_materialized(rhs)), (i, j), tuple(n))
         return as_dense(solution, dtype, f"The solution of block {(i, j)} at order {n}")
 
     def eval_Up(i, j, *n):
@@ -734,7 +735,8 @@ def transform_observable(
     Shares the memoized ``U`` entries of the diagonalization, so repeated
     transformations reuse the unitary's products, and tallies its products
     in ``result.counter``. Dense or sparse entries of ``observable`` are
-    converted to ndarrays of their own dtype when first used.
+    converted to ndarrays of their own dtype when first used. Like ``U``,
+    it hands out arrays everywhere but on the diagonal of a large block.
     """
     if observable.shape != (result.problem.n_blocks,) * 2:
         raise ValueError(
@@ -756,7 +758,18 @@ def transform_observable(
     inner = cauchy_product(
         operand, result.u, name=f"{observable.name}·U", counter=counter
     )
-    return cauchy_product(result.u_adjoint, inner, name="U†OU", counter=counter)
+
+    def eval_transformed(i, j, *n):
+        return _materialized(contract(result.u_adjoint, inner, (i, j), n, counter))
+
+    return BlockSeries(
+        eval_transformed,
+        observable.shape,
+        observable.n_params,
+        name="U†OU",
+        param_names=result.u_adjoint.param_names,
+        large_blocks=inner.large_blocks,
+    )
 
 
 def evaluate_truncated(

@@ -11,7 +11,8 @@ Series elements are one of:
 - a `FactoredOperator` ``±Q[:, :r] C Q[:, :c]ᴴ``, an entry of a large
   diagonal block, implicit or big and explicit: ``Q`` is the
   `LargeBlockBasis` that all entries of that block share in one run, and
-  ``C`` a small core,
+  ``C`` a small core; or, beside that block, ``±C Q[:, :c]ᴴ`` or
+  ``±Q[:, :r] C``, with one side on ``Q`` and the other explicit,
 - any other `scipy.sparse.linalg.LinearOperator`, used for matrix-free
   inputs (`MatrixFreeOperator`) and for the sums and products in which
   they, or ndarrays, meet a factored entry.
@@ -37,12 +38,14 @@ of two thin operands that lands on a large block,
 ``matmul(a, b, lazy=basis)``, becomes the core ``(Qᴴa)(bQ)``; products,
 sums, multiples and adjoints of factored entries are those of their cores,
 and ``scale(F, -1)`` shares ``F``'s core, as a reference shares its source.
-The basis holds the coordinates of each memoized operand, and a reference
-takes those of its source. A factored entry is applied to a thin operand by
-``_matmat`` on columns and `FactoredOperator.premultiply` on rows, each
-reading a held operand's coordinates instead of its product with ``Q``.
-Products are counted where the engine makes them, into an
-`OperationCounter`.
+A factored entry times a thin operand stays factored on the side that is
+on ``Q``: ``x (Q_r C Q_cᴴ)`` is ``((x Q_r) C) Q_cᴴ``, whose core is
+``(x Q_r) C``. The basis holds the coordinates of each memoized operand,
+and a reference takes those of its source, so a held operand is read from
+them instead of multiplied by ``Q``. An entry with one side on ``Q`` is
+made an ndarray only where an array is needed: in a sum with one, for a
+Sylvester solver, in `to_array` and in the output series. Products are
+counted where the engine makes them, into an `OperationCounter`.
 """
 
 from __future__ import annotations
@@ -419,25 +422,38 @@ def _dot(a, b) -> np.ndarray:
 
 
 class FactoredOperator(LinearOperator):
-    """An entry ``sign · Q[:, :r] C Q[:, :c]ᴴ`` of a large diagonal block.
+    """An entry ``sign · L C Rᴴ`` on the basis ``Q`` of a large block.
 
     ``Q`` is the block's `LargeBlockBasis`, shared by every entry of the
-    run, ``C`` the read-only ``r x c`` core and ``sign`` 1 or -1, which
-    negates the small products of the core, never the core: a negated entry
-    shares its core. ``args`` is the basis' current buffer and the core, the
-    arrays the entry holds. Applied to columns (``_matmat``, and through the
-    adjoint every other `scipy.sparse.linalg.LinearOperator` action) or to
-    rows (`premultiply`), an entry costs two thin products with ``Q`` and
-    never extends it; one of them, if the basis holds the operand or its
-    source (`LargeBlockBasis.held`), is read from its coordinates instead.
+    run, ``C`` the read-only core and ``sign`` 1 or -1, which negates the
+    small products of the core, never the core: a negated entry shares its
+    core. ``sides`` says which sides lie on the block: ``L`` is
+    ``Q[:, :r]`` for the ``r`` rows of ``C`` if ``sides[0]``, and the
+    identity otherwise; ``R`` is ``Q[:, :c]`` for its ``c`` columns if
+    ``sides[1]``. An entry of the large diagonal block is ``Q_r C Q_cᴴ``;
+    one beside it, on its row or column of blocks, ``C Q_cᴴ`` (m x N) or
+    ``Q_r C`` (N x m), whose other side is not on ``Q``. ``args`` is the basis'
+    current buffer and the core, the arrays the entry holds. Applied to
+    columns (``_matmat``, and through the adjoint every other
+    `scipy.sparse.linalg.LinearOperator` action), an entry never extends
+    ``Q``, and reads a held operand's coordinates
+    (`LargeBlockBasis.held`) instead of its product with ``Q``.
     """
 
-    def __init__(self, basis: LargeBlockBasis, core: np.ndarray, sign: int = 1):
-        super().__init__(core.dtype, (basis.dimension, basis.dimension))
+    def __init__(
+        self,
+        basis: LargeBlockBasis,
+        core: np.ndarray,
+        sign: int = 1,
+        sides: tuple[bool, bool] = (True, True),
+    ):
+        shape = [basis.dimension if side else k for side, k in zip(sides, core.shape)]
+        super().__init__(core.dtype, tuple(shape))
         core.flags.writeable = False
         self.basis = basis
         self.core = core
         self.sign = sign
+        self.sides = sides
 
     @property
     def args(self):
@@ -449,45 +465,74 @@ class FactoredOperator(LinearOperator):
     def _right(self):
         return self.basis.buffer[:, : self.core.shape[1]]
 
-    def _signed(self, x: np.ndarray) -> np.ndarray:
-        return np.negative(x, out=x) if self.sign < 0 else x
-
     def _matmat(self, x):
-        coordinates = self.basis.held(x)
-        if coordinates is None:
-            coordinates = _project(self._right(), x, False)
-        else:
-            coordinates = coordinates[: self.core.shape[1]]
-        return self._left() @ self._signed(self.core @ coordinates)
+        return to_array(_factored_product(self, x, None))
 
     def _adjoint(self):
-        return FactoredOperator(self.basis, self.core.conj().T, self.sign)
-
-    def _times_right_adjoint(self, x):
-        """``x Q_cᴴ`` as ``conj(conj(x) Q_cᵀ)``, with no conjugate copy of ``Q``."""
-        product = x.conj() @ self._right().T
-        return np.conj(product, out=product)
-
-    def premultiply(self, x) -> np.ndarray:
-        """``x @ self`` for rows ``x``: ``sign · ((x Q_r) C) Q_cᴴ``."""
-        coordinates = self.basis.held(x, rows=True)
-        if coordinates is None:
-            coordinates = _dot(x, self._left())
-        else:
-            coordinates = coordinates[: self.core.shape[0]].conj().T
-        return self._times_right_adjoint(self._signed(coordinates @ self.core))
+        core = self.core.conj().T
+        return FactoredOperator(self.basis, core, self.sign, self.sides[::-1])
 
     def toarray(self) -> np.ndarray:
-        """The dense ``sign · (Q_r C) Q_cᴴ``, a new array."""
-        return self._times_right_adjoint(self._signed(self._left() @ self.core))
+        """The dense ``sign · L C Rᴴ``, a new array; ``x Q_cᴴ`` is formed as
+        ``conj(conj(x) Q_cᵀ)``, with no conjugate copy of ``Q``."""
+        value = self._left() @ self.core if self.sides[0] else self.core
+        if self.sides[1]:
+            value = value.conj() @ self._right().T
+            np.conj(value, out=value)
+        return np.negative(value, out=value) if self.sign < 0 else value
 
 
 _THIN = (np.ndarray, Reference)
 
 
 def _materialized(a):
-    """``a``, with a reference made an array."""
-    return a.toarray() if type(a) is Reference else a
+    """``a``, with a reference or an entry with a side off its basis made an
+    array."""
+    if type(a) is Reference or type(a) is FactoredOperator and not all(a.sides):
+        return a.toarray()
+    return a
+
+
+def _entry(basis, core: np.ndarray, sign: int, sides: tuple[bool, bool]):
+    """``sign · core`` on ``basis`` with ``sides``, an ndarray where neither
+    side lies on ``Q``; ``core`` is a new array."""
+    if any(sides):
+        return FactoredOperator(basis, core, sign, sides)
+    return np.negative(core, out=core) if sign < 0 else core
+
+
+def _factored_product(a, b, lazy):
+    """``a @ b`` of a factored entry and a thin operand, or of two entries
+    on one basis whose inner sides agree, on that basis: the product of the
+    cores, a thin operand taken by its coordinates on ``Q`` where the inner
+    side lies on ``Q``, and as it is otherwise. A thin operand on the
+    large block's side of a product on that block (``lazy``) extends ``Q``.
+    """
+    if type(a) is type(b):
+        inner = min(a.core.shape[1], b.core.shape[0])
+        core = a.core[:, :inner] @ b.core[:inner]
+        return _entry(a.basis, core, a.sign * b.sign, (a.sides[0], b.sides[1]))
+    if type(a) is FactoredOperator:
+        basis, (outer, inner) = a.basis, a.sides
+        if inner:
+            coordinates = basis.held(b)
+            if coordinates is None:
+                coordinates = _project(a._right(), b, False)
+            core = a.core @ coordinates[: a.core.shape[1]]
+        else:
+            core = a.core @ basis.extend(b, rows=True) if lazy else _dot(a.core, b)
+        return _entry(basis, core, a.sign, (outer, not inner and bool(lazy)))
+    basis, (inner, outer) = b.basis, b.sides
+    if inner:
+        coordinates = basis.held(a, rows=True)
+        if coordinates is None:
+            coordinates = _dot(a, b._left())
+        else:
+            coordinates = coordinates[: b.core.shape[0]].conj().T
+        core = coordinates @ b.core
+    else:
+        core = basis.extend(a) @ b.core if lazy else _dot(a, b.core)
+    return _entry(basis, core, b.sign, (not inner and bool(lazy), outer))
 
 
 def _padded_sum(a: FactoredOperator, b: FactoredOperator) -> np.ndarray:
@@ -527,10 +572,11 @@ def matmul(a, b, *, lazy: LargeBlockBasis | ProductBatch | None = None):
     (ndarrays or references) is then kept as a `FactoredOperator` on that
     basis, and otherwise formed by one numpy product. Or ``lazy`` is a
     `ProductBatch`, which is returned if it takes two ndarrays; any other
-    product is formed as without ``lazy``. Two factored entries multiply
-    their cores, and a factored entry times a thin operand is a thin
-    ndarray. Where any other `LinearOperator` meets an operand, the product
-    is its action, or a lazy composition of two operators.
+    product is formed as without ``lazy``. A factored entry times a thin
+    operand, or times an entry on its basis, is factored on the outer sides
+    that lie on ``Q``, and an ndarray if neither does (`_factored_product`).
+    Where any other `LinearOperator` meets an operand, the product is its
+    action, or a lazy composition of two operators.
     """
     if type(a) is np.ndarray and type(b) is np.ndarray:
         if type(lazy) is ProductBatch and lazy.take(a, b):
@@ -547,17 +593,18 @@ def matmul(a, b, *, lazy: LargeBlockBasis | ProductBatch | None = None):
         return a
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"Dimension mismatch in product: {a.shape} @ {b.shape}.")
-    if type(a) is type(b) is FactoredOperator and a.basis is b.basis:
-        inner = min(a.core.shape[1], b.core.shape[0])
-        core = a.core[:, :inner] @ b.core[:inner]
-        return FactoredOperator(a.basis, core, a.sign * b.sign)
     thin_a, thin_b = type(a) in _THIN, type(b) in _THIN
     if thin_a and thin_b:
         return FactoredOperator(lazy, lazy.extend(a) @ lazy.extend(b, rows=True))
-    if thin_a and type(b) is FactoredOperator:
-        return b.premultiply(a)
-    if thin_b and type(a) is FactoredOperator:
-        return a._matmat(b)
+    if type(a) is FactoredOperator:
+        if thin_b or (
+            type(b) is FactoredOperator
+            and a.basis is b.basis
+            and a.sides[1] == b.sides[0]
+        ):
+            return _factored_product(a, b, lazy)
+    elif thin_a and type(b) is FactoredOperator:
+        return _factored_product(a, b, lazy)
     a, b = _materialized(a), _materialized(b)
     a_op = isinstance(a, LinearOperator)
     b_op = isinstance(b, LinearOperator)
@@ -583,9 +630,13 @@ def add(a, b):
         return a
     if a.shape != b.shape:
         raise ValueError(f"Dimension mismatch in sum: {a.shape} + {b.shape}.")
+    if (
+        type(a) is type(b) is FactoredOperator
+        and a.basis is b.basis
+        and a.sides == b.sides
+    ):
+        return FactoredOperator(a.basis, _padded_sum(a, b), sides=a.sides)
     a, b = _materialized(a), _materialized(b)
-    if type(a) is type(b) is FactoredOperator and a.basis is b.basis:
-        return FactoredOperator(a.basis, _padded_sum(a, b))
     if isinstance(a, LinearOperator) or isinstance(b, LinearOperator):
         return aslinearoperator(a) + aslinearoperator(b)
     return a + b
@@ -601,8 +652,8 @@ def scale(a, c: complex):
         raise ValueError("Cannot scale the structural identity; wrap it densely.")
     if type(a) is FactoredOperator:
         if c == -1:
-            return FactoredOperator(a.basis, a.core, -a.sign)
-        return FactoredOperator(a.basis, a.core * (c * a.sign))
+            return FactoredOperator(a.basis, a.core, -a.sign, a.sides)
+        return FactoredOperator(a.basis, a.core * (c * a.sign), sides=a.sides)
     if type(a) is Reference and c == -1:
         return Reference(-a.sign, a.adjoint, a.source)
     return _materialized(a) * c
@@ -623,7 +674,7 @@ def adjoint(a):
 
 
 def to_array(a, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Materialize any operator as a dense array (testing and output only)."""
+    """Materialize any operator as a dense array."""
     if isinstance(a, Zero):
         if shape is None:
             raise ValueError("Cannot materialize zero without a shape.")

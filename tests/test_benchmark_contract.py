@@ -238,12 +238,15 @@ def test_reference_entries_allocate_no_buffer():
 
 
 @pytest.mark.parametrize(
-    "problem, nbytes", [(dense_problem, 592_000), (lattice, 198_656)], ids=["dense", "lattice"]
+    "problem, nbytes",
+    [(dense_problem, 545_600), (lattice, 171_520)],
+    ids=["dense", "lattice"],
 )
 def test_memo_bytes_are_pinned(problem, nbytes):
     """The memo of the problems above after H̃[0, 0] to order 6. It held
     796,800 and 309,248 bytes while the bracket's products ``A = H'_R U'``
-    and ``V H'_S`` were stored series."""
+    and ``V H'_S`` were stored series, and 592,000 and 198,656 bytes while
+    ``U'†B`` and ``B`` beside the factored block were dense."""
     assert worker.memo_bytes(solved(problem()).context) == nbytes
 
 

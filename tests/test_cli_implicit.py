@@ -17,7 +17,7 @@ from blockpert.documents import (
     write_document,
 )
 from blockpert.oracles import exact_spectrum
-from blockpert.problems import lattice_problem
+from blockpert.problems import lattice_problem, random_two_block
 
 
 @pytest.fixture
@@ -72,6 +72,66 @@ def test_cli_implicit_diagonalize(tmp_path, implicit_document):
             decode_matrix(last["matrix"]),
             reference.get((0, 0), (max_order,)),
         )
+
+
+def diagonalize_metadata(tmp_path, path, max_order):
+    out = tmp_path / "result.json"
+    argv = ["diagonalize", "--input", path, "--max-order", str(max_order)]
+    assert main(argv + ["--output", str(out)]) == 0
+    return json.loads(out.read_text())["metadata"]
+
+
+def test_cli_reports_the_basis_and_the_solves(tmp_path, implicit_document):
+    """``diagonalize`` writes the factored block's basis ``width`` and
+    ``dropped`` directions, and on an implicit problem the total fill of
+    its factorizations and the largest residual and refinement steps of
+    its solves: those of the same run in the library."""
+    path = implicit_document[0]
+    metadata = diagonalize_metadata(tmp_path, path, 4)
+    problem = load_problem(path)[0]
+    result = block_diagonalize(problem)
+    for order in range(5):
+        result.h_tilde.get((0, 0), (order,))
+    basis = result.h_tilde.large_blocks[1]
+    assert basis.width > 0
+    assert metadata["factored_blocks"] == {
+        "1": {"width": basis.width, "dropped": basis.dropped}
+    }
+    solver, records = problem.solver, problem.solver.records
+    assert len(records) >= 4
+    assert metadata["implicit"] == {
+        "factor_nnz": sum(solver.factor_nnz),
+        "factor_bytes": sum(solver.factor_bytes),
+        "max_residual": max(record.residual for record in records),
+        "max_steps": max(record.steps for record in records),
+    }
+    assert 0 < metadata["implicit"]["max_residual"] < 1e-9
+
+
+def test_cli_reports_the_basis_of_a_big_explicit_block(tmp_path):
+    """A block of 100 beside 10 states is factored: its basis is reported,
+    and an explicit problem has no solver report. A small problem reports
+    no factored block."""
+    for sizes, factored in (((10, 100), True), ((2, 3), False)):
+        energies, perturbations, labels = random_two_block(*sizes, 5)
+        path = tmp_path / "problem.json"
+        document = problem_document(
+            np.diag(energies), perturbations, subspace_indices=labels
+        )
+        write_document(document, path)
+        metadata = diagonalize_metadata(tmp_path, str(path), 4)
+        assert "implicit" not in metadata
+        if not factored:
+            assert metadata["factored_blocks"] == {}
+            continue
+        result = block_diagonalize(load_problem(str(path))[0])
+        for order in range(5):
+            result.h_tilde.get((0, 0), (order,))
+        basis = result.context["W"].large_blocks[1]
+        assert basis.width > 0
+        assert metadata["factored_blocks"] == {
+            "1": {"width": basis.width, "dropped": basis.dropped}
+        }
 
 
 def test_cli_implicit_spectrum_error_decreases(tmp_path, implicit_document):

@@ -72,12 +72,81 @@ def test_factored_arithmetic_matches_dense(rng):
         assert type(value) is FactoredOperator, name
         np.testing.assert_allclose(to_array(value), expected, atol=1e-12, err_msg=name)
     x, y = thin(rng, n, 4), thin(rng, 4, n)
-    np.testing.assert_allclose(matmul(second, x), dense_second @ x, atol=1e-12)
-    np.testing.assert_allclose(matmul(y, second), y @ dense_second, atol=1e-12)
+    column, row = matmul(second, x), matmul(y, second)
+    np.testing.assert_allclose(to_array(column), dense_second @ x, atol=1e-12)
+    np.testing.assert_allclose(to_array(row), y @ dense_second, atol=1e-12)
     np.testing.assert_allclose(second @ x, dense_second @ x, atol=1e-12)
     np.testing.assert_allclose(second.H @ x, dense_second.conj().T @ x, atol=1e-12)
     assert basis.width == 10  # applying an entry does not extend the basis
     assert matmul(first, zero) is zero and add(first, zero) is first
+
+    # An entry beside the block keeps the block's side on Q: Q_r C (n x 4)
+    # and C Q_cᴴ (4 x n). Their products with entries, with each other and
+    # with small blocks, sums, multiples and adjoints are those of cores.
+    dense_column, dense_row = dense_second @ x, y @ dense_second
+    small = thin(rng, 4, 4)
+    on_rows, on_columns, on_both = (True, False), (False, True), (True, True)
+    one_sided = {
+        "column": (column, dense_column, on_rows),
+        "row": (row, dense_row, on_columns),
+        "entry times column": (
+            matmul(first, column),
+            dense_first @ dense_column,
+            on_rows,
+        ),
+        "row times entry": (matmul(row, first), dense_row @ dense_first, on_columns),
+        "column times small": (matmul(column, small), dense_column @ small, on_rows),
+        "small times row": (matmul(small, row), small @ dense_row, on_columns),
+        "sum of columns": (
+            add(column, matmul(first, x)),
+            dense_column + dense_first @ x,
+            on_rows,
+        ),
+        "sum of rows": (
+            add(matmul(y, first), row),
+            y @ dense_first + dense_row,
+            on_columns,
+        ),
+        "multiple": (scale(row, -0.5j), -0.5j * dense_row, on_columns),
+        "negative": (scale(column, -1), -dense_column, on_rows),
+        "adjoint of a column": (adjoint(column), dense_column.conj().T, on_columns),
+        "adjoint of a row": (adjoint(row), dense_row.conj().T, on_rows),
+        "column times row": (matmul(column, row), dense_column @ dense_row, on_both),
+    }
+    for name, (value, expected, sides) in one_sided.items():
+        assert type(value) is FactoredOperator and value.sides == sides, name
+        assert value.shape == expected.shape, name
+        np.testing.assert_allclose(to_array(value), expected, atol=1e-12, err_msg=name)
+        probe = thin(rng, value.shape[1], 2)  # scipy's action, as in a lazy sum
+        np.testing.assert_allclose(
+            value @ probe, expected @ probe, atol=1e-12, err_msg=name
+        )
+    assert basis.width == 10
+    # A product that leaves no side on Q, and a sum with an array, are arrays.
+    z = thin(rng, n, 2)
+    arrays = {
+        "row times column": (matmul(row, column), dense_row @ dense_column),
+        "row times thin": (matmul(row, z), dense_row @ z),
+        "thin times column": (matmul(z.T, column), z.T @ dense_column),
+        "sum with an array": (add(row, y), dense_row + y),
+        "sum with an array on the left": (add(x, column), x + dense_column),
+    }
+    for name, (value, expected) in arrays.items():
+        assert type(value) is np.ndarray, name
+        np.testing.assert_allclose(value, expected, atol=1e-12, err_msg=name)
+    assert basis.width == 10
+    # On the block, a thin factor beside an entry's free side extends Q by
+    # its own directions only; the entry's side is on Q already.
+    wide, tall = thin(rng, n, 3), thin(rng, 4, n)
+    entry = matmul(wide, matmul(small[:3], row), lazy=basis)
+    assert type(entry) is FactoredOperator and entry.sides == (True, True)
+    assert (basis.width, basis.dropped) == (13, 0)
+    expected = wide @ small[:3] @ dense_row
+    np.testing.assert_allclose(to_array(entry), expected, atol=1e-12)
+    entry = matmul(column, tall, lazy=basis)
+    assert type(entry) is FactoredOperator and entry.sides == (True, True)
+    assert (basis.width, basis.dropped) == (17, 0)
+    np.testing.assert_allclose(to_array(entry), dense_column @ tall, atol=1e-12)
 
 
 def test_negated_entry_shares_its_core(rng):
@@ -99,15 +168,21 @@ def test_negated_entry_shares_its_core(rng):
     assert negated.core is entry.core and (entry.sign, negated.sign) == (1, -1)
     assert peak < entry.core.nbytes / 8
     assert scale(negated, -1).sign == 1
-    x, y = thin(rng, n, 4), thin(rng, 4, n)
+    x, y, small = thin(rng, n, 4), thin(rng, 4, n), thin(rng, 4, 4)
     signed = (negated, scale(other, -1))
     copies = (FactoredOperator(basis, -entry.core), FactoredOperator(basis, -other.core))
     cases = {
         "toarray": lambda f, g: to_array(f),
-        "columns": lambda f, g: matmul(f, x),
-        "held columns": lambda f, g: matmul(f, columns),
-        "rows": lambda f, g: matmul(y, f),
-        "held rows": lambda f, g: matmul(rows, f),
+        "columns": lambda f, g: to_array(matmul(f, x)),
+        "held columns": lambda f, g: to_array(matmul(f, columns)),
+        "rows": lambda f, g: to_array(matmul(y, f)),
+        "held rows": lambda f, g: to_array(matmul(rows, f)),
+        "row times entry": lambda f, g: to_array(matmul(matmul(y, f), g)),
+        "entry times column": lambda f, g: to_array(matmul(g, matmul(f, x))),
+        "small times row": lambda f, g: to_array(matmul(small, matmul(y, f))),
+        "row times column": lambda f, g: matmul(matmul(y, f), matmul(g, x)),
+        "sum of rows": lambda f, g: add(matmul(y, f), matmul(y, g)).core,
+        "adjoint of a row": lambda f, g: to_array(adjoint(matmul(y, f))),
         "adjoint": lambda f, g: to_array(adjoint(f)),
         "adjoint on columns": lambda f, g: adjoint(f) @ x,
         "product": lambda f, g: to_array(matmul(f, other)),
@@ -124,6 +199,13 @@ def test_negated_entry_shares_its_core(rng):
         assert value.tobytes() == expected.tobytes(), name
     assert (adjoint(negated).sign, matmul(negated, other).sign) == (-1, -1)
     assert matmul(negated, negated).sign == 1
+    # A one-sided entry negates as an entry of the block does.
+    row = matmul(y, entry)
+    negated_row = scale(row, -1)
+    assert negated_row.core is row.core
+    assert negated_row.sides == row.sides == (False, True)
+    assert (row.sign, negated_row.sign, matmul(y, negated).sign) == (1, -1, -1)
+    assert adjoint(negated_row).sign == -1 and scale(negated_row, -1).sign == 1
 
 
 def test_operands_in_the_span_are_dropped(rng):
@@ -368,7 +450,7 @@ def test_exact_aliases_take_no_projection(rng, spy_projections):
 
 
 def test_held_operands_are_applied_from_their_coordinates(rng):
-    """``premultiply`` and ``matmul(F, x)`` on operands the basis holds,
+    """``matmul(x, F)`` and ``matmul(F, x)`` on operands the basis holds,
     directly or through references, equal the plain products, extend
     nothing and record no other operand."""
     n = 40
@@ -381,19 +463,21 @@ def test_held_operands_are_applied_from_their_coordinates(rng):
     width, known = basis.width, len(basis._known)
     for operand in (rows, Reference(-1, False, rows), Reference(1, True, columns)):
         expected = to_array(operand) @ dense
-        np.testing.assert_allclose(matmul(operand, entry), expected, atol=1e-12)
+        value = to_array(matmul(operand, entry))
+        np.testing.assert_allclose(value, expected, atol=1e-12)
         assert basis.held(operand, rows=True) is not None
     for operand in (columns, Reference(-1, False, columns), Reference(1, True, rows)):
         expected = dense @ to_array(operand)
-        np.testing.assert_allclose(matmul(entry, operand), expected, atol=1e-12)
+        value = to_array(matmul(entry, operand))
+        np.testing.assert_allclose(value, expected, atol=1e-12)
         assert basis.held(operand) is not None
     stranger = read_only(thin(rng, 3, n))
     as_columns, as_rows = Reference(-1, True, stranger), Reference(1, False, stranger)
     np.testing.assert_allclose(
-        matmul(entry, as_columns), dense @ to_array(as_columns), atol=1e-12
+        to_array(matmul(entry, as_columns)), dense @ to_array(as_columns), atol=1e-12
     )
     np.testing.assert_allclose(
-        matmul(as_rows, entry), to_array(as_rows) @ dense, atol=1e-12
+        to_array(matmul(as_rows, entry)), to_array(as_rows) @ dense, atol=1e-12
     )
     assert basis.held(as_columns) is None and basis.held(as_rows, rows=True) is None
     assert (basis.width, len(basis._known)) == (width, known)
@@ -588,6 +672,35 @@ def test_big_explicit_block_is_factored(seed):
     assert len(entries) > 20
     for label, value in entries.items():
         assert type(value) is FactoredOperator, label
+
+
+def test_products_beside_the_big_block_stay_on_its_basis(monkeypatch):
+    """Blocks of 100 and 1000, H̃[0, 0] to order 6: ``U'†B[0, 1]`` at
+    orders 3-5 keeps its columns on the big block's basis, ``C Q_cᴴ``, and
+    ``B[0, 1] = -U'†B[0, 1]`` shares its core. So no row of ``B[0, 1]`` is
+    projected back onto ``Q``: the basis is extended 4 times, by the rows
+    of ``V[0, 1]``, and drops no direction."""
+    extensions = []
+    extend = LargeBlockBasis._extend
+    monkeypatch.setattr(
+        LargeBlockBasis,
+        "_extend",
+        lambda basis, x, rows: extensions.append(x.shape) or extend(basis, x, rows),
+    )
+    problem = PerturbationProblem.from_diagonal(*random_two_block(100, 1000, 1))
+    result = block_diagonalize(problem)
+    for order in range(7):
+        result.h_tilde.get((0, 0), (order,))
+    for order in (3, 4, 5):
+        product = result.context["U'†B"].get((0, 1), (order,))
+        entry = result.context["B"].get((0, 1), (order,))
+        assert type(product) is FactoredOperator and product.sides == (False, True)
+        assert product.shape == (100, 1000) and product.core.shape[0] == 100
+        assert type(entry) is FactoredOperator and entry.core is product.core
+        assert (entry.sign, entry.sides) == (-product.sign, product.sides)
+    basis = result.context["W"].large_blocks[1]
+    assert len(extensions) == 4
+    assert (basis.width, basis.dropped) == (400, 0)
 
 
 def test_outputs_of_a_factored_block_are_arrays():

@@ -28,11 +28,13 @@ from hypothesis import strategies as st
 
 from blockpert import series as series_module
 from blockpert.diagonalization import (
+    FACTOR_RATIO,
     PerturbationProblem,
     block_diagonalize,
+    make_eigenbasis_solver,
     transform_observable,
 )
-from blockpert.implicit import build_extended_problem
+from blockpert.implicit import build_extended_problem, projected_operator
 from blockpert.operators import One, Zero, adjoint, to_array, zero
 from blockpert.problems import lattice_problem, random_two_block
 from blockpert.separation import RuleValidationError
@@ -185,6 +187,89 @@ def test_generated_lattices_pass_verification(arguments):
     checks = run_verification(problem, MAX_ORDER, result)
     assert all(check.passed for check in checks), [c.line() for c in checks]
     assert h_tilde_dtypes(result) == {np.dtype(problem.dtype)}
+
+
+def assert_callers_receive_arrays(problem, solver, observable_blocks, data):
+    """Solve ``problem`` with ``solver`` behind a spy and query ``H̃``, ``U``,
+    ``U†`` and ``U†OU`` on every block to total order `MAX_ORDER`. ``O``
+    has a drawn subset of ``observable_blocks`` (a dict by block), each at
+    a drawn order 0 or 1. Every entry on an explicit row or column, all but
+    the diagonal of a large block, is an ndarray, ``zero`` or ``one``, and
+    no Sylvester right-hand side is a `LinearOperator`."""
+    right_hand_sides = []
+
+    def spy(rhs, block, order):
+        right_hand_sides.append(rhs)
+        return solver(rhs, block, order)
+
+    result = block_diagonalize(problem, spy)
+    present = {
+        block: data.draw(st.integers(0, 1), label=f"order of O{block}")
+        for block in observable_blocks
+        if data.draw(st.booleans(), label=f"O{block} present")
+    }
+    observable = BlockSeries(
+        lambda i, j, *n: observable_blocks[i, j]
+        if present.get((i, j)) == sum(n)
+        else zero,
+        shape=result.h_tilde.shape,
+        n_params=problem.n_params,
+        name="O",
+    )
+    transformed = transform_observable(result, observable)
+    b = problem.n_blocks
+    for order in orders_with_total_up_to(problem.n_params, MAX_ORDER):
+        for i, j in np.ndindex(b, b):
+            if i == j and i in problem.large_blocks:
+                continue
+            for series in (result.h_tilde, result.u, result.u_adjoint, transformed):
+                value = series.get((i, j), order)
+                label = (series.name, i, j, order)
+                assert type(value) in (np.ndarray, Zero, One), label
+    assert right_hand_sides
+    assert not any(isinstance(rhs, sla.LinearOperator) for rhs in right_hand_sides)
+
+
+@settings(max_examples=10, deadline=None)
+@given(problems(), st.data())
+def test_callers_receive_arrays_beside_a_big_block(kwargs, data):
+    """On the draws with a block factored for its size, the entries that
+    meet it stay factored inside the run, yet callers and the solver get
+    arrays (`assert_callers_receive_arrays`)."""
+    problem = PerturbationProblem.from_diagonal(**kwargs)
+    sizes = problem.block_sizes
+    assume(any(FACTOR_RATIO * (sum(sizes) - size) <= size for size in sizes))
+    full = np.random.default_rng(sum(sizes)).normal(size=(sum(sizes),) * 2)
+    full += full.T
+    parts = [slice(a, b) for a, b in zip(np.cumsum((0,) + sizes), np.cumsum(sizes))]
+    blocks = {
+        (i, j): full[rows, columns].copy()
+        for i, rows in enumerate(parts)
+        for j, columns in enumerate(parts)
+    }
+    solver = make_eigenbasis_solver(
+        problem.eigenvalues, problem.rule, problem.tolerance
+    )
+    assert_callers_receive_arrays(problem, solver, blocks, data)
+
+
+@settings(max_examples=10, deadline=None)
+@given(lattices(), st.data())
+def test_callers_receive_arrays_beside_an_implicit_block(arguments, data):
+    """As above on implicit problems, with an observable whose block on the
+    complement is matrix-free."""
+    problem = build_extended_problem(*arguments)
+    psi = problem.solver.psi
+    full = np.random.default_rng(psi.shape[0]).normal(size=(psi.shape[0],) * 2)
+    full += full.T
+    outside = full @ psi - psi @ (psi.conj().T @ full @ psi)
+    blocks = {
+        (0, 0): psi.conj().T @ full @ psi,
+        (0, 1): outside.conj().T,
+        (1, 0): outside,
+        (1, 1): projected_operator(full, psi),
+    }
+    assert_callers_receive_arrays(problem, problem.solver, blocks, data)
 
 
 @settings(max_examples=15, deadline=None)
