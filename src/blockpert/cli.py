@@ -128,6 +128,8 @@ def cmd_diagonalize(args) -> int:
         tolerances["degeneracy"] = problem.tolerance
     metadata = {
         "matmul_count": result.counter.matmul_count,
+        "stacked": result.counter.stacked,
+        "stacks": result.counter.stacks,
         "timings": {"build": build_time, "evaluate": evaluate_time},
         "tolerances": tolerances,
         "factored_blocks": {

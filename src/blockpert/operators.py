@@ -26,12 +26,13 @@ output. Two ndarrays go to numpy before any dispatch: on small blocks the
 dispatch would cost more than the arithmetic.
 
 One rule holds for small ndarrays, of fewer than `REFERENCE_MIN_SIZE`
-elements: a small entry is a copy, never a reference, and a product of two
-that `blockpert.series.contract` asks for with a `ProductBatch` waits in
-it, to be formed with the others of its sum by one stacked numpy product.
-A stacked product copies its operands into C order, so it rounds like
-``a @ b`` where that needs no transposed BLAS call; `adjoint` returns
-small adjoints C-contiguous.
+elements: a small entry is a C-contiguous copy, never a reference or a
+view, and a product of two that `blockpert.series.contract` asks for with
+a `ProductBatch` waits in it, to be formed with the others of its sum by
+one stacked numpy product. The batch joins its operands' buffers into
+C-order stacks, so a stacked product rounds like ``a @ b`` where that
+needs no transposed BLAS call; `adjoint` returns small adjoints
+C-contiguous.
 
 A product with a reference is one numpy product on its source. A product
 of two thin operands that lands on a large block,
@@ -108,19 +109,26 @@ class OperationCounter:
     """Shared tally of matrix-matrix products.
 
     The engine's product kernel, `blockpert.series.contract`, adds the
-    products of each entry it computes. A product counts when neither
-    operand is ``zero`` or ``one``; elementwise operations (sums, scalar
-    multiples, Sylvester denominators) never count. Not thread safe;
+    products of each entry it computes to ``matmul_count``. A product
+    counts when neither operand is ``zero`` or ``one``; elementwise
+    operations (sums, scalar multiples, Sylvester denominators) never
+    count. Of those products, ``stacked`` were formed inside a
+    `ProductBatch`, in ``stacks`` stacked numpy products. Not thread safe;
     evaluation contexts are single-threaded.
     """
 
-    __slots__ = ("matmul_count",)
+    __slots__ = ("matmul_count", "stacked", "stacks")
 
     def __init__(self):
         self.matmul_count = 0
+        self.stacked = 0
+        self.stacks = 0
 
     def __repr__(self):
-        return f"OperationCounter(matmul_count={self.matmul_count})"
+        return (
+            f"OperationCounter(matmul_count={self.matmul_count}, "
+            f"stacked={self.stacked}, stacks={self.stacks})"
+        )
 
 
 class CountedMatrix:
@@ -191,11 +199,17 @@ class Reference:
 #   order 12 13-18% slower up to n = 12, 7.5% at n = 32 and no slower from
 #   n = 64, on one BLAS thread.
 # - A product of two small ndarrays waits in a `ProductBatch`, and the
-#   batch is formed as one stacked product. 17 pairs of n x n blocks summed
-#   in order, stacked against one by one, on a 2-vCPU Xeon with one BLAS
-#   thread: complex, 16 against 34 us at n = 2, 19 against 35 us at n = 8,
-#   43 against 62 us at n = 16, and 2.2x slower stacked at n = 24; real,
-#   2.6x slower stacked at n = 32. So the bound keeps well below the loss.
+#   batch is formed as one stacked product from its operands' joined
+#   buffers, which the memo stores C-contiguous. 17 pairs of n x n blocks
+#   summed in order, taken into a batch (with this bound lifted) against
+#   `matmul` and `add` one by one, best of 7, on a 2-vCPU Xeon with one
+#   BLAS thread: complex, 18 against 36 us at n = 2, 22 against 39 us at
+#   n = 8, 45 against 71 us at n = 16 and 86 against 113 us at n = 24;
+#   real, 52 against 73 us at n = 32. Stacks built by `np.array` took 3-6
+#   us more at each size. An earlier measurement found stacking 2.2x slower
+#   at n = 24 and 2.6x slower at n = 32 real; this one does not repeat that
+#   loss, so the stacking bound may rise, measured on blocks of several
+#   sizes and apart from the bound on references.
 REFERENCE_MIN_SIZE = 64
 
 
@@ -205,7 +219,10 @@ class ProductBatch:
 
     Given a batch as ``lazy``, `matmul` hands two ndarrays to `take`, and
     returns the batch if it took them. A batch is false, so that
-    ``if not lazy`` does not take it for a basis.
+    ``if not lazy`` does not take it for a basis. Its operands are
+    memoized entries, which the memo stores C-contiguous when small, so
+    `products` stacks them by joining their buffers; an operand that is
+    not C-contiguous makes the join raise `TypeError`.
     """
 
     __slots__ = ("lefts", "rights", "kind")
@@ -221,13 +238,14 @@ class ProductBatch:
     def take(self, a: np.ndarray, b: np.ndarray) -> bool:
         """Hold ``a b`` if both have fewer than `REFERENCE_MIN_SIZE`
         elements, none of them empty, and the batch is empty or holds
-        operands of their sizes and dtypes.
+        operands of their shapes and dtypes.
 
-        The products of one sum share their shape ``m x n``, so non-empty
-        operands of ``m k`` and ``k n`` elements share their shapes too, and
-        the held operands stack.
+        A batch is keyed by each operand's rows and size, which fix the
+        shape of a matrix, and dtype: a sum whose operands differ in shape
+        fails in numpy, as one formed term by term does, and is never
+        stacked under the wrong shape.
         """
-        kind = (a.size, b.size, a.dtype, b.dtype)
+        kind = (len(a), len(b), a.size, b.size, a.dtype, b.dtype)
         if kind != self.kind:
             if self.lefts or not (
                 0 < a.size < REFERENCE_MIN_SIZE and 0 < b.size < REFERENCE_MIN_SIZE
@@ -240,11 +258,20 @@ class ProductBatch:
 
     def products(self) -> np.ndarray:
         """The held products in the order taken, stacked, from one numpy
-        product; empties the batch."""
-        products = np.matmul(np.array(self.lefts), np.array(self.rights))
+        product; empties the batch. The stacks are joined from the
+        operands' buffers, C-contiguous as the memo stores them."""
+        products = np.matmul(_stacked(self.lefts), _stacked(self.rights))
         self.lefts.clear()
         self.rights.clear()
         return products
+
+
+def _stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """``np.array(arrays)`` for C-contiguous arrays of one shape and dtype,
+    from their joined buffers; read-only."""
+    first = arrays[0]
+    stack = np.frombuffer(b"".join(arrays), first.dtype)
+    return stack.reshape(len(arrays), *first.shape)
 
 
 # A new operand's directions whose residual, after its projection on the

@@ -27,7 +27,9 @@ call, but one of two small ndarrays
 `~blockpert.operators.ProductBatch` of its sum. The kernel forms the batch
 as one stacked numpy product before the next term formed on its own, and
 at the end, and adds its products in plan order like every other term; so
-each sum is bitwise the one of products formed one at a time.
+each sum is bitwise the one of products formed one at a time. The memo
+stores small entries C-contiguous, and a batch stacks them by joining
+their buffers.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from blockpert.operators import (
+    REFERENCE_MIN_SIZE,
     LargeBlockBasis,
     OperationCounter,
     ProductBatch,
@@ -111,14 +114,27 @@ _evaluating = _Evaluating()
 
 def _memo_value(value):
     """The form in which an entry is stored: ``zero`` for ``None``, and a
-    read-only view of a writeable ndarray, so no memoized entry can be
-    changed in place (the viewed array stays writeable). A read-only array,
-    a `~blockpert.operators.Reference` and any other operand are stored as
-    they are, so an entry that is another's array is that array."""
+    read-only ndarray, so no memoized entry can be changed in place.
+
+    A small ndarray, of fewer than `~blockpert.operators.REFERENCE_MIN_SIZE`
+    elements, is stored C-contiguous, copied once if it is not (a block of
+    a larger input term, say), so that a `~blockpert.operators.ProductBatch`
+    can stack it from its buffer. Any other writeable ndarray is stored as
+    a read-only view (the viewed array stays writeable). Any other
+    read-only array, a `~blockpert.operators.Reference` and any other
+    operand are stored as they are, so an entry that is another's array is
+    that array."""
     if value is None:
         return zero
-    if isinstance(value, np.ndarray) and value.flags.writeable:
-        value = value.view()
+    if isinstance(value, np.ndarray):
+        if (
+            type(value) is np.ndarray
+            and value.size < REFERENCE_MIN_SIZE
+            and not value.flags.c_contiguous
+        ):
+            value = np.ascontiguousarray(value)
+        elif value.flags.writeable:
+            value = value.view()
         value.flags.writeable = False
     return value
 
@@ -222,10 +238,14 @@ class BlockSeries:
         """
         key = (*block, *order)
         value = self._data.get(key)
-        return self._evaluate(key) if value is None else value
+        if value is None:
+            self._check_key(key)
+            return self._evaluate(key)
+        return value
 
     def _evaluate(self, key: tuple):
-        """Evaluate and store the entry ``key``, which is not stored yet.
+        """Evaluate and store the entry ``key``, which is not stored yet
+        and is valid: `get` checks it, and `contract` forms only valid keys.
 
         The miss path of `get` and of `contract`'s direct lookups. ``eval``
         is read at call time, so a wrapper installed after construction
@@ -234,7 +254,6 @@ class BlockSeries:
         that it starts. An entry outside the support is ``zero``, neither
         evaluated nor stored.
         """
-        self._check_key(key)
         if self._support is not None and key[2:] not in self._support[key[:2]]:
             return zero
         if self.eval is None:
@@ -381,7 +400,9 @@ def contract(left, right, block, order, counter, *, hermitian=False):
     from each series' memo, under the key ``(i, l) + m``; a missing entry
     is evaluated and stored by the series, as `BlockSeries.get` would.
     Sums are never formed in place, since a product with ``one`` is the
-    stored factor itself.
+    stored factor itself. ``block`` and ``order`` must be valid for the
+    product, as those of an entry being evaluated are: the factors' keys
+    formed from them are not checked again.
     """
     i, j = block
     basis = None
@@ -427,17 +448,21 @@ def contract(left, right, block, order, counter, *, hermitian=False):
             batch = lazy[half]
             term = matmul(a, b, lazy=batch)
             if term is not batch:
-                sums[half] = add(_summed(sums[half], batches[half]), term)
-    result, half = map(_summed, sums, batches)
+                sums[half] = add(_summed(sums[half], batches[half], counter), term)
+    result = _summed(sums[0], batches[0], counter)
+    half = _summed(sums[1], batches[1], counter)
     counter.matmul_count += products
     return add(result, add(half, adjoint(half)))
 
 
-def _summed(total, batch: ProductBatch):
+def _summed(total, batch: ProductBatch, counter: OperationCounter):
     """``total`` plus the products held in ``batch``, added one by one in
-    the order taken; empties the batch."""
+    the order taken; empties the batch and tallies its stack in
+    ``counter``."""
     if not batch.lefts:
         return total
+    counter.stacks += 1
+    counter.stacked += len(batch.lefts)
     products = batch.products()
     if total is not zero:
         products = np.concatenate([to_array(total)[None], products])

@@ -130,11 +130,17 @@ def test_memo_bytes_counts_factored_entries_once():
     assert worker.memo_bytes(result.context) == sum(owners.values()) + basis.nbytes
 
 
-def solved(problem):
-    """The result of ``problem`` after H-tilde[0, 0] to order 6."""
+ORDERS_TO_SIX = tuple((order,) for order in range(1, 7))
+# The orders of the graphene_spectrum workload's solve.
+GRAPHENE_ORDERS = tuple(orders_up_to((6, 6, 2)))
+
+
+def solved(problem, orders=ORDERS_TO_SIX):
+    """The result of ``problem`` after H-tilde[0, 0] at ``orders``, by
+    default 1 to 6."""
     result = block_diagonalize(problem)
-    for order in range(1, 7):
-        result.h_tilde.get((0, 0), (order,))
+    for order in orders:
+        result.h_tilde.get((0, 0), order)
     return result
 
 
@@ -147,6 +153,10 @@ def lattice():
     v0 = np.random.default_rng(1).standard_normal(h0.shape[0])
     energies, vectors = sla.eigsh(h0, k=8, which="SA", v0=v0)
     return build_extended_problem(h0, perturbations, vectors, energies)
+
+
+def graphene():
+    return bilayer_graphene_problem().problem()
 
 
 def stored_owners(context):
@@ -238,16 +248,41 @@ def test_reference_entries_allocate_no_buffer():
 
 
 @pytest.mark.parametrize(
-    "problem, nbytes",
-    [(dense_problem, 545_600), (lattice, 171_520)],
-    ids=["dense", "lattice"],
+    "problem, orders, nbytes",
+    [
+        (dense_problem, ORDERS_TO_SIX, 545_600),
+        (lattice, ORDERS_TO_SIX, 171_520),
+        (graphene, GRAPHENE_ORDERS, 131_328),
+    ],
+    ids=["dense", "lattice", "graphene"],
 )
-def test_memo_bytes_are_pinned(problem, nbytes):
-    """The memo of the problems above after H̃[0, 0] to order 6. It held
-    796,800 and 309,248 bytes while the bracket's products ``A = H'_R U'``
-    and ``V H'_S`` were stored series, and 592,000 and 198,656 bytes while
-    ``U'†B`` and ``B`` beside the factored block were dense."""
-    assert worker.memo_bytes(solved(problem()).context) == nbytes
+def test_memo_bytes_are_pinned(problem, orders, nbytes):
+    """The memo of the problems above after H̃[0, 0] to order 6, and to
+    (6, 6, 2) on graphene. Dense and lattice held 796,800 and 309,248
+    bytes while the bracket's products ``A = H'_R U'`` and ``V H'_S`` were
+    stored series, and 592,000 and 198,656 bytes while ``U'†B`` and ``B``
+    beside the factored block were dense. Graphene held 133,184 bytes
+    while its small entries that are views into the 4x4 input terms were
+    stored as views, pinning those terms' buffers."""
+    assert worker.memo_bytes(solved(problem(), orders).context) == nbytes
+
+
+@pytest.mark.parametrize(
+    "problem, orders, stacked, stacks",
+    [
+        (dense_problem, ORDERS_TO_SIX, 0, 0),
+        (lattice, ORDERS_TO_SIX, 0, 0),
+        (graphene, GRAPHENE_ORDERS, 30_969, 1_368),
+    ],
+    ids=["dense", "lattice", "graphene"],
+)
+def test_small_products_are_stacked(problem, orders, stacked, stacks):
+    """Every product of graphene's 2x2 blocks is formed in a stack, and
+    no product on the blocks of `REFERENCE_MIN_SIZE` elements or more of
+    the dense and lattice problems is. A change that stops stacking small
+    products, or stacks larger ones, moves these tallies."""
+    counter = solved(problem(), orders).counter
+    assert (counter.stacked, counter.stacks) == (stacked, stacks)
 
 
 def assert_each_array_and_product_once(problem, monkeypatch, max_order=3):

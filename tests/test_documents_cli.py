@@ -396,7 +396,9 @@ def test_cli_diagonalize_round_trip(tmp_path):
     assert entry["block"] == [0, 0] and entry["order"] == [2]
     matrix = decode_matrix(entry["matrix"])
     assert matrix.shape == (2, 2)
-    assert payload["metadata"]["matmul_count"] >= 1
+    metadata = payload["metadata"]
+    assert metadata["matmul_count"] >= 1
+    assert 1 <= metadata["stacks"] <= metadata["stacked"] <= metadata["matmul_count"]
     # Determinism: a second run produces identical payloads except timings.
     out2 = str(tmp_path / "result2.json")
     main(

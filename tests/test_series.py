@@ -486,6 +486,89 @@ def test_batched_products_keep_the_summation_order_bitwise(seed, hermitian):
     assert dtypes == {np.dtype(float), np.dtype(complex)}
 
 
+def test_small_operands_of_different_shapes_in_one_sum_raise():
+    """A malformed series whose small operands have equal sizes but
+    different shapes in one sum, ``(1x4)(4x1)`` beside ``(2x2)(2x2)``:
+    `contract` raises, as the sum of products formed one by one does,
+    rather than stacking one pair under the other's shape."""
+    rng = np.random.default_rng(0)
+    left_entries = {(0, 0, 1): rng.normal(size=(1, 4)), (0, 0, 2): rng.normal(size=(2, 2))}
+    right_entries = {(0, 0, 1): rng.normal(size=(2, 2)), (0, 0, 2): rng.normal(size=(4, 1))}
+    left, right = (
+        BlockSeries(
+            eval=lambda *key, entries=entries: entries.get(key, zero),
+            shape=(1, 1),
+            n_params=1,
+        )
+        for entries in (left_entries, right_entries)
+    )
+    with pytest.raises(ValueError):
+        contract(left, right, (0, 0), (3,), OperationCounter())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_small_entries_are_stored_c_contiguous(seed):
+    """Entries evaluated as transposed views, strided slices and
+    Fortran-order arrays, real and complex, on blocks of sizes 3 and 8. A
+    small one, of fewer than `REFERENCE_MIN_SIZE` elements, is stored as a
+    read-only C-contiguous copy, which a batch stacks from its buffer; a
+    larger one is stored as a read-only view of the evaluated array.
+    Batched `contract` over them equals the reference loop byte for byte."""
+    rng = np.random.default_rng(seed)
+    sizes = (3, 8)
+    max_order = 6
+
+    def random_array(shape):
+        value = rng.normal(size=shape)
+        return value + 1j * rng.normal(size=shape) if rng.random() < 0.5 else value
+
+    def laid_out(shape, layout):
+        if layout == "transposed":
+            return random_array(shape[::-1]).T
+        if layout == "strided":
+            return random_array((2 * shape[0], 3 * shape[1]))[::2, ::3]
+        return np.asfortranarray(random_array(shape))
+
+    entries = {}
+    for name in ("X", "Y"):
+        for i, j in cartesian(range(2), repeat=2):
+            entries[(name, i, j, 0)] = one if i == j else zero
+            for order in range(1, max_order + 1):
+                layout = ("transposed", "strided", "fortran")[rng.integers(3)]
+                entries[(name, i, j, order)] = laid_out((sizes[i], sizes[j]), layout)
+    left, right = (
+        BlockSeries(
+            eval=lambda *key, name=name: entries[(name, *key)],
+            shape=(2, 2),
+            n_params=1,
+            name=name,
+        )
+        for name in ("Y", "X")
+    )
+    counters = []
+    for block, order in cartesian(cartesian(range(2), repeat=2), range(max_order + 1)):
+        counters.append(OperationCounter())
+        value = contract(left, right, block, (order,), counters[-1])
+        expected, products = _reference_contract(left, right, block, (order,))
+        assert counters[-1].matmul_count == products
+        if isinstance(expected, np.ndarray):
+            assert value.dtype == expected.dtype
+            assert value.tobytes() == expected.tobytes()
+    for series in (left, right):
+        for key in series.stored_keys():
+            evaluated, stored = entries[(series.name, *key)], series.get(key[:2], key[2:])
+            if not isinstance(evaluated, np.ndarray):
+                continue
+            assert not evaluated.flags.c_contiguous and not stored.flags.writeable
+            assert np.array_equal(stored, evaluated)
+            if evaluated.size < REFERENCE_MIN_SIZE:
+                assert stored.flags.c_contiguous
+                assert not np.shares_memory(stored, evaluated)
+            else:
+                assert np.shares_memory(stored, evaluated)
+    assert any(counter.stacked for counter in counters)
+
+
 class QueryLog(dict):
     """A memo dict that records every key looked up in it, as `contract`
     and `BlockSeries.get` do before they evaluate an entry."""
