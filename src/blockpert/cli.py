@@ -4,9 +4,10 @@ Subcommands:
 
 - ``diagonalize``: read a problem document, evaluate requested blocks and
   orders of the effective Hamiltonian, write a result document. Its
-  metadata holds the product count, timings and tolerances, the basis
-  ``width`` and ``dropped`` directions of each factored block, and for an
-  implicit problem the fill of its factorizations and its worst solve.
+  metadata holds the product count, ``stacked`` of them formed in
+  ``stacks`` batches, timings and tolerances, the basis ``width`` and
+  ``dropped`` directions of each factored block, and for an implicit
+  problem the fill of its factorizations and its worst solve.
 - ``spectrum``: sweep parameter values on a grid and emit the eigenvalues of
   the truncated effective block as CSV.
 - ``verify``: run the invariant suite (unitarity, cancellation, similarity,

@@ -35,9 +35,11 @@ entry are `~blockpert.operators.Reference`s to it, not copies: ``W_ji = W_ij^H``
 ``U'^H B`` is zero, as a factored entry that shares ``G_S``'s core on a
 factored block. Beside a factored block, ``U'^H B`` keeps that block's side
 on its basis, and ``B = -U'^H B`` shares its core. Small entries, below
-`~blockpert.operators.REFERENCE_MIN_SIZE` elements, are copied. The output
-series ``H_tilde``, ``U`` and ``U^H`` hand out arrays everywhere but on the
-diagonal of a large block; so does `transform_observable`.
+`~blockpert.operators.REFERENCE_MIN_SIZE` elements, are copied. Every series
+returned, ``H_tilde``, ``U``, ``U^H`` and ``U^H O U``, comes from `_output`
+under one rule: references, one-sided factored entries and any other
+`LinearOperator` but on the diagonal of a block in ``problem.large_blocks``
+become arrays; an array that holds inf or NaN raises `NonFiniteError`.
 """
 
 from __future__ import annotations
@@ -566,6 +568,31 @@ def _factored_blocks(problem: PerturbationProblem) -> frozenset[int]:
     }
 
 
+def _output(name, eval, problem: PerturbationProblem, bases) -> BlockSeries:
+    """The series ``name`` of ``eval``'s entries under the module's rule, on
+    the ``bases`` of the large blocks only: products with it on a big
+    explicit block, as in `transform_observable`, are dense. Sparse products,
+    LU solves and matrix-free actions run where numpy's error state is blind."""
+    large = problem.large_blocks
+
+    def handed_out(i, j, *n):
+        value = _materialized(eval(i, j, *n))
+        if isinstance(value, LinearOperator) and not (i == j and i in large):
+            value = to_array(value)
+        if type(value) is np.ndarray and not np.isfinite(value).all():
+            raise NonFiniteError("it holds inf or NaN")
+        return value
+
+    return BlockSeries(
+        handed_out,
+        (problem.n_blocks,) * 2,
+        problem.n_params,
+        name=name,
+        param_names=problem.param_names,
+        large_blocks={label: bases[label] for label in large},
+    )
+
+
 def _build_series(
     problem: PerturbationProblem,
     solver: SylvesterSolver,
@@ -581,35 +608,17 @@ def _build_series(
         label: LargeBlockBasis(rule.block_sizes[label])
         for label in _factored_blocks(problem)
     }
-    # A big explicit block is factored inside the run only: H-tilde, U and
-    # U-dagger hand out its entries as ndarrays, like those of any explicit
-    # block, and products with them, as in transform_observable, are dense.
-    explicit = large.keys() - problem.large_blocks
-    outer = {label: basis for label, basis in large.items() if label not in explicit}
 
-    def make(name, eval, large_blocks=large, support=None):
+    def make(name, eval, support=None):
         return BlockSeries(
             eval=eval,
             shape=(b, b),
             n_params=n_params,
             name=name,
             param_names=problem.param_names,
-            large_blocks=large_blocks,
+            large_blocks=large,
             support=support,
         )
-
-    def make_output(name, eval):
-        def dense(i, j, *n):
-            value = _materialized(eval(i, j, *n))
-            if i == j and i in explicit and isinstance(value, LinearOperator):
-                value = to_array(value)
-            # Sparse products and LU solves run in scipy's compiled code,
-            # which numpy's error state does not see.
-            if type(value) is np.ndarray and not np.isfinite(value).all():
-                raise NonFiniteError("it holds inf or NaN")
-            return value
-
-        return make(name, dense, outer)
 
     # H is non-zero at the input's orders and at order 0 on the diagonal, H'
     # at those orders n != 0, and H'_S and H'_R only where the rule keeps such
@@ -720,9 +729,9 @@ def _build_series(
     G_S = make("G_S", lambda i, j, *n: select(G.get((i, j), n), rule, (i, j)))
     B = make("B", eval_B)
     UdB = cauchy_product(Up_adj, B, name="U'†B", counter=counter)
-    H_tilde = make_output("H_tilde", eval_H_tilde)
-    U = make_output("U", identity_plus(Up))
-    U_adj = make_output("U†", identity_plus(Up_adj))
+    H_tilde = _output("H_tilde", eval_H_tilde, problem, large)
+    U = _output("U", identity_plus(Up), problem, large)
+    U_adj = _output("U†", identity_plus(Up_adj), problem, large)
     series = (H, Hp_S, Hp_R, W, V, Up, Up_adj, G, G_S, UdB, B, H_tilde, U, U_adj)
     return {s.name: s for s in series}
 
@@ -735,8 +744,8 @@ def transform_observable(
     Shares the memoized ``U`` entries of the diagonalization, so repeated
     transformations reuse the unitary's products, and tallies its products
     in ``result.counter``. Dense or sparse entries of ``observable`` are
-    converted to ndarrays of their own dtype when first used. Like ``U``,
-    it hands out arrays everywhere but on the diagonal of a large block.
+    converted to ndarrays of their own dtype when first used, and must be
+    finite. Its entries are handed out like those of ``U``.
     """
     if observable.shape != (result.problem.n_blocks,) * 2:
         raise ValueError(
@@ -748,28 +757,19 @@ def transform_observable(
 
     def eval_operand(i, j, *n):
         value = observable.get((i, j), n)
-        structural = isinstance(value, (Zero, One, LinearOperator))
-        return value if structural else as_dense(value)
+        if not isinstance(value, (Zero, One, LinearOperator)):
+            value = as_dense(value)
+            _require_finite(value, f"{observable.name}{(i, j, *n)}")
+        return value
 
-    operand = BlockSeries(
-        eval_operand, observable.shape, observable.n_params, name=observable.name
-    )
-    counter = result.counter
-    inner = cauchy_product(
-        operand, result.u, name=f"{observable.name}·U", counter=counter
-    )
+    name, counter = observable.name, result.counter
+    operand = BlockSeries(eval_operand, observable.shape, observable.n_params, name=name)
+    inner = cauchy_product(operand, result.u, name=f"{name}·U", counter=counter)
 
     def eval_transformed(i, j, *n):
-        return _materialized(contract(result.u_adjoint, inner, (i, j), n, counter))
+        return contract(result.u_adjoint, inner, (i, j), n, counter)
 
-    return BlockSeries(
-        eval_transformed,
-        observable.shape,
-        observable.n_params,
-        name="U†OU",
-        param_names=result.u_adjoint.param_names,
-        large_blocks=inner.large_blocks,
-    )
+    return _output("U†OU", eval_transformed, result.problem, result.u.large_blocks)
 
 
 def evaluate_truncated(

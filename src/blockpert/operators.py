@@ -31,8 +31,7 @@ view, and a product of two that `blockpert.series.contract` asks for with
 a `ProductBatch` waits in it, to be formed with the others of its sum by
 one stacked numpy product. The batch joins its operands' buffers into
 C-order stacks, so a stacked product rounds like ``a @ b`` where that
-needs no transposed BLAS call; `adjoint` returns small adjoints
-C-contiguous.
+needs no transposed BLAS call.
 
 A product with a reference is one numpy product on its source. A product
 of two thin operands that lands on a large block,
@@ -687,16 +686,13 @@ def scale(a, c: complex):
 
 
 def adjoint(a):
-    """Conjugate transpose; shape swapped, no products performed. That of
-    a small ndarray is C-contiguous, to be stacked as ``a @ b`` rounds."""
+    """Conjugate transpose; shape swapped, no products performed."""
     if isinstance(a, (Zero, One)):
         return a
     if type(a) is Reference:
         return Reference(a.sign, not a.adjoint, a.source)
     if isinstance(a, LinearOperator):
         return a.H
-    if a.size < REFERENCE_MIN_SIZE:
-        return np.ascontiguousarray(a.conj().T)
     return a.conj().T
 
 
@@ -713,6 +709,8 @@ def to_array(a, shape: tuple[int, int] | None = None) -> np.ndarray:
     if type(a) in (FactoredOperator, Reference):
         return a.toarray()
     if isinstance(a, LinearOperator):
+        if a.shape[1] > a.shape[0]:  # applied to the smaller identity
+            return a.H.matmat(np.eye(a.shape[0], dtype=a.dtype)).conj().T
         return a.matmat(np.eye(a.shape[1], dtype=a.dtype))
     return as_dense(a)
 

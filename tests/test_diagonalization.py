@@ -228,23 +228,36 @@ def test_commutator_consistency(rng):
 
 
 def test_no_products_with_h0():
-    """Evaluating the result never multiplies by the unperturbed operator."""
+    """Evaluating the result never multiplies by the unperturbed operator.
+    Only handing out ``H̃`` at order 0, which is ``H_0`` itself, applies it,
+    since the output series hand out arrays on explicit blocks."""
     energies, perturbations, labels = random_two_block(2, 3, seed=5)
     problem = PerturbationProblem.from_diagonal(energies, perturbations, labels)
+    applied = []
 
-    def refuse(_x):
-        raise AssertionError("H_0 block was multiplied")
+    def action(block_energies):
+        def apply(x):
+            applied.append(x.shape)
+            return block_energies[:, None] * x
+
+        return apply
 
     zero_order = problem.zero_order()
-    for label, size in enumerate(problem.block_sizes):
+    for label, block_energies in enumerate(problem.eigenvalues):
+        apply = action(block_energies)
         problem.blocks[(label, label, zero_order)] = MatrixFreeOperator(
-            size, refuse, refuse
+            len(block_energies), apply, apply
         )
     result = block_diagonalize(problem)
     for order in range(5):
-        result.h_tilde.get((0, 0), (order,))
-        result.h_tilde.get((1, 1), (order,))
+        result.h_tilde.get((0, 0), (order + 1,))
+        result.h_tilde.get((1, 1), (order + 1,))
         result.u.get((0, 1), (order,))
+    assert not applied
+    for label, block_energies in enumerate(problem.eigenvalues):
+        h0 = result.h_tilde.get((label, label), zero_order)
+        assert type(h0) is np.ndarray
+        np.testing.assert_array_equal(h0, np.diag(block_energies))
 
 
 def test_memoization_economics():
@@ -522,6 +535,71 @@ def test_transform_observable_block_diagonal_case():
     np.testing.assert_allclose(first, 0, atol=1e-14)
 
 
+@pytest.mark.parametrize("kind", ["dense", "sparse"])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_observable_entries_are_rejected(kind, bad):
+    """Dense and sparse observable entries are checked where they enter,
+    as perturbation terms are, and the error names the entry."""
+    problem = PerturbationProblem.from_diagonal(*random_two_block(2, 3, 0))
+    result = block_diagonalize(problem)
+    entry = np.eye(2)
+    entry[0, 1] = bad
+    observable = BlockSeries(
+        data={(0, 0, 0): sparse.csr_matrix(entry) if kind == "sparse" else entry},
+        eval=lambda *k: zero,
+        shape=(2, 2),
+        n_params=1,
+        name="O",
+    )
+    transformed = transform_observable(result, observable)
+    with pytest.raises(ValueError, match=r"^O\(0, 0, 0\) has non-finite entries\.$"):
+        transformed.get((0, 0), (0,))
+
+
+def test_operator_observable_entries_are_handed_out_as_arrays():
+    """An observable given as `LinearOperator` blocks, on and off the
+    diagonal, transforms to the arrays of the same observable given
+    densely: ``U†OU``, like ``H̃``, hands out arrays on explicit blocks."""
+    problem = PerturbationProblem.from_diagonal(*random_two_block(2, 3, 0))
+    result = block_diagonalize(problem)
+    full = np.random.default_rng(7).normal(size=(5, 5))
+    full += full.T
+    parts = (slice(0, 2), slice(2, 5))
+
+    def observable(wrap):
+        blocks = {
+            (i, j): wrap(full[rows, cols])
+            for i, rows in enumerate(parts)
+            for j, cols in enumerate(parts)
+        }
+        return BlockSeries(
+            eval=lambda i, j, *n: zero if any(n) else blocks[i, j],
+            shape=(2, 2),
+            n_params=1,
+            name="O",
+        )
+
+    operators = transform_observable(result, observable(sla.aslinearoperator))
+    arrays = transform_observable(result, observable(np.array))
+    for i, j, order in cartesian(range(2), range(2), range(3)):
+        entry = operators.get((i, j), (order,))
+        expected = arrays.get((i, j), (order,))
+        assert type(entry) is type(expected) is np.ndarray, (i, j, order)
+        np.testing.assert_allclose(entry, expected, rtol=0, atol=1e-14)
+
+
+def test_transform_observable_rejects_a_mismatched_observable():
+    problem = PerturbationProblem.from_diagonal(*random_two_block(2, 3, 0))
+    result = block_diagonalize(problem)
+    shape = BlockSeries(eval=lambda *k: zero, shape=(3, 3), n_params=1)
+    message = re.escape("Observable block shape (3, 3) does not match the problem's 2 blocks.")
+    with pytest.raises(ValueError, match=message):
+        transform_observable(result, shape)
+    params = BlockSeries(eval=lambda *k: zero, shape=(2, 2), n_params=2)
+    with pytest.raises(ValueError, match=r"^Observable has a different number of parameters\.$"):
+        transform_observable(result, params)
+
+
 def test_memoized_entries_are_read_only():
     """A memoized entry cannot be changed in place; the caller's arrays can."""
     h1 = np.array([[0.7, G], [G, 0.3]], dtype=complex)
@@ -637,6 +715,13 @@ def test_evaluate_truncated_rejects_overflow():
     for point, text in ((1e200, r"1e\+200"), (1e10, r"10000000000\.0")):
         with pytest.raises(ValueError, match=rf"not finite at 1 parameter .*{text}"):
             evaluate_truncated(series, (0, 0), (2,), [[0.5], [point]])
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_evaluate_truncated_rejects_non_finite_parameters(value):
+    series = BlockSeries(eval=lambda i, j, *n: np.eye(1), shape=(1, 1), n_params=1)
+    with pytest.raises(ValueError, match=r"^Parameter values must be finite\.$"):
+        evaluate_truncated(series, (0, 0), (2,), [[0.5], [value]])
 
 
 @pytest.mark.parametrize("name", ["u", "u_adjoint"])

@@ -279,6 +279,48 @@ def test_masked_documents_load_the_direct_problem(tmp_path, case):
             re.escape("perturbations[0] and perturbations[1] both have order [1]"),
             id="repeated-order",
         ),
+        pytest.param(
+            lambda d: d["perturbations"][0].update(matrix={"entries": []}),
+            re.escape("perturbations[0]: must contain 'dense' or 'sparse'."),
+            id="no-matrix-kind",
+        ),
+        pytest.param(
+            lambda d: d["h0"]["dense"].update(shape=[5]),
+            re.escape("h0.dense: shape must have two non-negative entries."),
+            id="one-axis-shape",
+        ),
+        pytest.param(
+            lambda d: d["h0"]["dense"].update(shape=[5, -1]),
+            re.escape("h0.dense: shape must have two non-negative entries."),
+            id="negative-shape",
+        ),
+        pytest.param(
+            lambda d: d["perturbations"][0].update(matrix=sparse_entry([0, 1], [0])),
+            re.escape("perturbations[0].sparse: rows and cols lengths differ."),
+            id="rows-and-cols",
+        ),
+        pytest.param(
+            lambda d: d.update(perturbations=[]),
+            "at least one perturbation is required",
+            id="no-perturbations",
+        ),
+        pytest.param(
+            lambda d: d.update(fully_diagonalize={"0": [[True, False], [True]]}),
+            re.escape("bad mask for block 0."),
+            id="ragged-mask",
+        ),
+        pytest.param(
+            lambda d: d.update(
+                subspaces=implicit_subspace([0.0]), fully_diagonalize={"0": [[True]]}
+            ),
+            re.escape("fully_diagonalize is not supported in implicit mode."),
+            id="implicit-mask",
+        ),
+        pytest.param(
+            lambda d: d.update(subspaces={"labels": [0, 0, 1, 1, 1]}),
+            re.escape("unknown subspace definition."),
+            id="unknown-subspace",
+        ),
     ],
 )
 def test_schema_violations(tmp_path, mutate, message):
@@ -287,6 +329,19 @@ def test_schema_violations(tmp_path, mutate, message):
     path = document_path(tmp_path, doc)
     with pytest.raises(DocumentError, match=message):
         load_problem(path)
+
+
+def test_unreadable_documents(tmp_path):
+    """A missing file and a document that is not a JSON object are parse
+    errors that name the path."""
+    missing = tmp_path / "absent.json"
+    with pytest.raises(DocumentError, match=rf"^Cannot read {re.escape(str(missing))}: "):
+        load_problem(missing)
+    listed = tmp_path / "list.json"
+    listed.write_text("[1]\n")
+    message = rf"^{re.escape(str(listed))}: document must be a JSON object\.$"
+    with pytest.raises(DocumentError, match=message):
+        load_problem(listed)
 
 
 @pytest.mark.parametrize(
@@ -496,6 +551,8 @@ def test_cli_rejects_negative_orders(tmp_path, argv, capsys):
     [
         (["verify", "--max-order", "0"], "at least 1"),
         (["verify", "--max-order", "-1"], "at least 1"),
+        (["diagonalize", "--order", "1,a"], "Invalid order specification '1,a'."),
+        (["diagonalize"], "Request at least one --order or --max-order."),
     ],
 )
 def test_cli_rejects_inputs_that_run_nothing_or_crash(tmp_path, argv, message, capsys):
@@ -522,6 +579,7 @@ def test_cli_rejects_inputs_that_run_nothing_or_crash(tmp_path, argv, message, c
         ("lam=nan:0.1:3", "'lam=nan:0.1:3' has a non-finite bound"),
         ("lam=0:inf:3", "'lam=0:inf:3' has a non-finite bound"),
         ("lam=-inf", "'lam=-inf' has a non-finite bound"),
+        ("mu=0.1", "Unknown parameter 'mu'; have ['lam']."),
     ],
 )
 def test_cli_spectrum_rejects_bad_grids(tmp_path, grid, message, capsys):

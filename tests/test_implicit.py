@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -406,6 +407,17 @@ def test_implicit_rejects_masks(rng, small_toy):
     assert problem.rule.masks == {}
     assert problem.implicit
     assert problem.tolerance is None
+
+
+def test_implicit_problem_needs_its_solver(small_toy):
+    """An implicit problem has no eigenvalues to build a default solver
+    from, and its own solver refuses any block but (0, 1)."""
+    problem = build_extended_problem(*small_toy)
+    with pytest.raises(ValueError, match=r"^Problem carries no eigenvalues and no solver\.$"):
+        block_diagonalize(dataclasses.replace(problem, solver=None))
+    message = re.escape("Implicit Sylvester solves only apply to block (0, 1), got (1, 0).")
+    with pytest.raises(ValueError, match=message):
+        problem.solver(np.zeros((4, 2)), (1, 0), (1,))
 
 
 def test_non_finite_right_hand_side_is_rejected(small_toy):

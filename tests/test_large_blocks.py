@@ -738,6 +738,36 @@ def test_outputs_of_a_factored_block_are_arrays():
     assert type(factored.context["W"].get((1, 1), (3,))) is FactoredOperator
 
 
+def transformed_on_the_factored_block(apply):
+    """``U†OU`` of ``random_two_block(5, 50, 0)``, whose block 1 is kept
+    factored, for an observable whose only entry is the matrix-free
+    operator of ``apply`` on that block at order 0."""
+    problem = PerturbationProblem.from_diagonal(*random_two_block(5, 50, 0))
+    result = block_diagonalize(problem)
+    assert set(result.context["W"].large_blocks) == {1}
+    operator = MatrixFreeOperator(50, apply, apply, dtype=float)
+    observable = observable_series({(0, 0): zero, (0, 1): zero, (1, 0): zero, (1, 1): operator})
+    return transform_observable(result, observable)
+
+
+def test_operator_observable_on_a_factored_block_is_handed_out_as_an_array():
+    """A matrix-free observable entry on a big explicit block comes back as
+    the array of its action, like every entry off a large block."""
+    matrix = random_hermitian(np.random.default_rng(5), 50).real
+    transformed = transformed_on_the_factored_block(lambda x: matrix @ x)
+    entry = transformed.get((1, 1), (0,))
+    assert type(entry) is np.ndarray
+    np.testing.assert_array_equal(entry, matrix)
+
+
+def test_non_finite_operator_observable_on_a_factored_block_raises():
+    """An action that returns inf is caught where the entry is handed out."""
+    transformed = transformed_on_the_factored_block(lambda x: np.full(x.shape, np.inf))
+    message = r"^U†OU\(1, 1, 0\) is not finite: it holds inf or NaN$"
+    with pytest.raises(NonFiniteError, match=message):
+        transformed.get((1, 1), (0,))
+
+
 def only_arrays(result):
     """Whether every stored entry other than ``zero`` and ``one`` is an
     ndarray or a reference to one."""

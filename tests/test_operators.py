@@ -70,6 +70,16 @@ def test_shape_mismatch_raises():
             add(other, np.eye(2))
 
 
+def test_shape_mismatch_raises_beside_other_operands():
+    """Operands other than two ndarrays reach the dispatching checks."""
+    operator = sla.aslinearoperator(np.eye(2))
+    with pytest.raises(ValueError, match=r"^Dimension mismatch in product: "):
+        matmul(operator, np.eye(3))
+    reference = Reference(1, False, np.eye(2))
+    with pytest.raises(ValueError, match=r"^Dimension mismatch in sum: "):
+        add(reference, np.eye(3))
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_ring_axioms(seed):
     """Associativity and distributivity on random dense operators."""
@@ -172,3 +182,30 @@ def test_to_array_materializations():
     scales = np.array([[1.0], [2.0]])
     op = MatrixFreeOperator(2, lambda x: scales * x, lambda x: scales * x)
     np.testing.assert_allclose(to_array(op), np.diag([1.0, 2.0]))
+
+
+def test_to_array_applies_a_wide_operator_to_the_smaller_identity(rng):
+    """A 2 x 7 operator is materialized through its adjoint on a 2 x 2
+    identity, so an entry beside a large block never needs one of the
+    large block's size."""
+    matrix = rng.normal(size=(2, 7)) + 1j * rng.normal(size=(2, 7))
+    applied = []
+
+    def record(action):
+        def apply(x):
+            applied.append(x.shape)
+            return action @ x
+
+        return apply
+
+    operator = sla.LinearOperator(
+        (2, 7),
+        matvec=record(matrix),
+        rmatvec=record(matrix.conj().T),
+        matmat=record(matrix),
+        rmatmat=record(matrix.conj().T),
+        dtype=complex,
+    )
+    np.testing.assert_allclose(to_array(operator), matrix, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(to_array(operator.H), matrix.conj().T, rtol=0, atol=1e-15)
+    assert applied == [(2, 2), (2, 2)]

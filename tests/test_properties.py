@@ -194,8 +194,8 @@ def assert_callers_receive_arrays(problem, solver, observable_blocks, data):
     ``U†`` and ``U†OU`` on every block to total order `MAX_ORDER`. ``O``
     has a drawn subset of ``observable_blocks`` (a dict by block), each at
     a drawn order 0 or 1. Every entry on an explicit row or column, all but
-    the diagonal of a large block, is an ndarray, ``zero`` or ``one``, and
-    no Sylvester right-hand side is a `LinearOperator`."""
+    the diagonal of a large block, is a finite ndarray, ``zero`` or ``one``,
+    and no Sylvester right-hand side is a `LinearOperator`."""
     right_hand_sides = []
 
     def spy(rhs, block, order):
@@ -226,8 +226,35 @@ def assert_callers_receive_arrays(problem, solver, observable_blocks, data):
                 value = series.get((i, j), order)
                 label = (series.name, i, j, order)
                 assert type(value) in (np.ndarray, Zero, One), label
+                assert type(value) is not np.ndarray or np.isfinite(value).all(), label
     assert right_hand_sides
     assert not any(isinstance(rhs, sla.LinearOperator) for rhs in right_hand_sides)
+
+
+def dense_observable_blocks(problem) -> dict:
+    """The blocks of a random real symmetric observable on the whole space."""
+    sizes = problem.block_sizes
+    full = np.random.default_rng(sum(sizes)).normal(size=(sum(sizes),) * 2)
+    full += full.T
+    parts = [slice(a, b) for a, b in zip(np.cumsum((0,) + sizes), np.cumsum(sizes))]
+    return {
+        (i, j): full[rows, columns].copy()
+        for i, rows in enumerate(parts)
+        for j, columns in enumerate(parts)
+    }
+
+
+@settings(max_examples=15, deadline=None)
+@given(problems(), st.data())
+def test_callers_receive_finite_arrays(kwargs, data):
+    """On every drawn problem, with a block factored for its size or not,
+    the output series and ``U†OU`` of a dense observable hand out ``zero``,
+    ``one`` or finite ndarrays (`assert_callers_receive_arrays`)."""
+    problem = PerturbationProblem.from_diagonal(**kwargs)
+    solver = make_eigenbasis_solver(
+        problem.eigenvalues, problem.rule, problem.tolerance
+    )
+    assert_callers_receive_arrays(problem, solver, dense_observable_blocks(problem), data)
 
 
 @settings(max_examples=10, deadline=None)
@@ -239,18 +266,10 @@ def test_callers_receive_arrays_beside_a_big_block(kwargs, data):
     problem = PerturbationProblem.from_diagonal(**kwargs)
     sizes = problem.block_sizes
     assume(any(FACTOR_RATIO * (sum(sizes) - size) <= size for size in sizes))
-    full = np.random.default_rng(sum(sizes)).normal(size=(sum(sizes),) * 2)
-    full += full.T
-    parts = [slice(a, b) for a, b in zip(np.cumsum((0,) + sizes), np.cumsum(sizes))]
-    blocks = {
-        (i, j): full[rows, columns].copy()
-        for i, rows in enumerate(parts)
-        for j, columns in enumerate(parts)
-    }
     solver = make_eigenbasis_solver(
         problem.eigenvalues, problem.rule, problem.tolerance
     )
-    assert_callers_receive_arrays(problem, solver, blocks, data)
+    assert_callers_receive_arrays(problem, solver, dense_observable_blocks(problem), data)
 
 
 @settings(max_examples=10, deadline=None)

@@ -1,3 +1,4 @@
+import re
 import threading
 from itertools import product as cartesian
 
@@ -162,6 +163,18 @@ def test_indexing_validation():
         series.get((0, 0), (-1, 0))
 
 
+def test_rejected_queries_name_their_fault():
+    """An entry without a value or an eval, an unbounded order slice and
+    an index of another type are refused with their own messages."""
+    stored = BlockSeries(data={(0, 0, 0): np.eye(1)}, shape=(1, 1), n_params=1, name="S")
+    with pytest.raises(KeyError, match=re.escape("S(0, 0, 1) has no stored value and no eval.")):
+        stored.get((0, 0), (1,))
+    with pytest.raises(IndexError, match=r"^Order slices must be bounded\.$"):
+        stored[0, 0, 1:]
+    with pytest.raises(IndexError, match=r"^Unsupported index 'a'\.$"):
+        stored[0, 0, "a"]
+
+
 def test_slice_returns_masked_zeros():
     data = {(0, 0, 0): np.eye(1), (0, 0, 2): 2 * np.eye(1)}
     series = BlockSeries(
@@ -273,6 +286,13 @@ def test_shape_mismatch_in_product():
     a = BlockSeries(eval=lambda *k: zero, shape=(2, 3), n_params=1)
     b = BlockSeries(eval=lambda *k: zero, shape=(2, 2), n_params=1)
     with pytest.raises(ValueError, match="shape"):
+        cauchy_product(a, b)
+
+
+def test_parameter_mismatch_in_product():
+    a = BlockSeries(eval=lambda *k: zero, shape=(2, 2), n_params=1)
+    b = BlockSeries(eval=lambda *k: zero, shape=(2, 2), n_params=2)
+    with pytest.raises(ValueError, match=r"^Factors have different numbers of parameters\.$"):
         cauchy_product(a, b)
 
 
