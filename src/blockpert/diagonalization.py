@@ -5,6 +5,10 @@ the decoupling basis) and Hermitian perturbations keyed by order
 multi-index, this module wires a set of mutually recursive block series that
 produce the transformed Hamiltonian ``H_tilde = U^H H U`` with vanishing
 remaining part, together with ``U = 1 + W + V`` and its adjoint.
+``U' = W + V`` starts at first order: the order-0 entries of ``W``, ``V``,
+``U'``, ``U'^H`` and ``B`` are seeded as ``zero``, and those of ``U`` and
+``U^H`` as ``one`` on the diagonal, so no recurrence but ``H_tilde``'s
+tests for order 0.
 
 The recurrences avoid any product with ``H_0`` and use a single Cauchy
 product by the selected part of the perturbation. ``W = -(U'^H U') / 2``
@@ -210,6 +214,7 @@ class PerturbationProblem:
     the gap below which two eigenvalues count as degenerate; the explicit
     constructors default it to `~blockpert.separation.degeneracy_tolerance`,
     and implicit problems, which carry their own ``solver``, have none.
+    ``param_names``, if given, must be one distinct string per parameter.
     """
 
     eigenvalues: tuple[np.ndarray | None, ...]
@@ -219,6 +224,17 @@ class PerturbationProblem:
     tolerance: float | None = None
     solver: SylvesterSolver | None = None
     param_names: tuple[str, ...] | None = None
+
+    def __post_init__(self):
+        names = self.param_names
+        if names is not None and not (
+            len(names) == len(set(names)) == self.n_params
+            and all(isinstance(name, str) for name in names)
+        ):
+            raise ValueError(
+                f"param_names must be {self.n_params} distinct string(s), one "
+                f"per parameter; got {names}."
+            )
 
     @property
     def large_blocks(self) -> frozenset[int]:
@@ -568,7 +584,7 @@ def _factored_blocks(problem: PerturbationProblem) -> frozenset[int]:
     }
 
 
-def _output(name, eval, problem: PerturbationProblem, bases) -> BlockSeries:
+def _output(name, eval, problem: PerturbationProblem, bases, data=None) -> BlockSeries:
     """The series ``name`` of ``eval``'s entries under the module's rule, on
     the ``bases`` of the large blocks only: products with it on a big
     explicit block, as in `transform_observable`, are dense. Sparse products,
@@ -588,6 +604,7 @@ def _output(name, eval, problem: PerturbationProblem, bases) -> BlockSeries:
         (problem.n_blocks,) * 2,
         problem.n_params,
         name=name,
+        data=data,
         param_names=problem.param_names,
         large_blocks={label: bases[label] for label in large},
     )
@@ -609,11 +626,12 @@ def _build_series(
         for label in _factored_blocks(problem)
     }
 
-    def make(name, eval, support=None):
+    def make(name, eval, data=None, support=None):
         return BlockSeries(
             eval=eval,
             shape=(b, b),
             n_params=n_params,
+            data=data,
             name=name,
             param_names=problem.param_names,
             large_blocks=large,
@@ -642,8 +660,6 @@ def _build_series(
 
     # The callbacks close over series made below; none runs before all exist.
     def eval_W(i, j, *n):
-        if not any(n):
-            return zero
         if two_block and i != j:
             # With two whole blocks the Hermitian part of U' is block
             # diagonal, so these entries vanish identically.
@@ -653,8 +669,6 @@ def _build_series(
         return scale(contract(Up_adj, Up, (i, j), n, counter, hermitian=i == j), -0.5)
 
     def eval_V(i, j, *n):
-        if not any(n):
-            return zero
         if i > j:
             return _reference(V.get((j, i), n), -1, dagger=True)
         if not rule.has_remaining_part((i, j)):
@@ -667,15 +681,8 @@ def _build_series(
         solution = solver(_memo_value(_materialized(rhs)), (i, j), tuple(n))
         return as_dense(solution, dtype, f"The solution of block {(i, j)} at order {n}")
 
-    def eval_Up(i, j, *n):
-        if not any(n):
-            return zero
-        return add(W.get((i, j), n), V.get((i, j), n))
-
     def eval_Up_adjoint(i, j, *n):
         # U'†_ij = U'_jiᴴ: the Hermitian W itself where V is zero, else a reference.
-        if not any(n):
-            return zero
         if i == j and V.get((i, j), n) is zero:
             return W.get((i, j), n)
         return _reference(Up.get((j, i), n), dagger=True)
@@ -695,8 +702,6 @@ def _build_series(
         return add(mixed, scale(add(vhs, adjoint(partner)), -1))
 
     def eval_B(i, j, *n):
-        if not any(n):
-            return zero
         product = UdB.get((i, j), n)
         if not rule.has_selected_part((i, j)):
             return _reference(product, -1)
@@ -713,25 +718,20 @@ def _build_series(
             return zero
         return add(Hp_S.get((i, j), n), G_S.get((i, j), n))
 
-    def identity_plus(part):
-        """``1 + part``: ``U`` from ``U'`` and ``U†`` from ``U'†``."""
-
-        def eval(i, j, *n):
-            return part.get((i, j), n) if any(n) else (one if i == j else zero)
-
-        return eval
-
-    W = make("W", eval_W)
-    V = make("V", eval_V)
-    Up = make("U'", eval_Up)
-    Up_adj = make("U'†", eval_Up_adjoint)
+    keys = [(i, j, *problem.zero_order()) for i in range(b) for j in range(b)]
+    zeros = dict.fromkeys(keys, zero)
+    eye = {key: one if key[0] == key[1] else zero for key in keys}
+    W = make("W", eval_W, zeros)
+    V = make("V", eval_V, zeros)
+    Up = make("U'", lambda i, j, *n: add(W.get((i, j), n), V.get((i, j), n)), zeros)
+    Up_adj = make("U'†", eval_Up_adjoint, zeros)
     G = make("G", lambda i, j, *n: bracket(i, j, n))
     G_S = make("G_S", lambda i, j, *n: select(G.get((i, j), n), rule, (i, j)))
-    B = make("B", eval_B)
+    B = make("B", eval_B, zeros)
     UdB = cauchy_product(Up_adj, B, name="U'†B", counter=counter)
     H_tilde = _output("H_tilde", eval_H_tilde, problem, large)
-    U = _output("U", identity_plus(Up), problem, large)
-    U_adj = _output("U†", identity_plus(Up_adj), problem, large)
+    U = _output("U", lambda i, j, *n: Up.get((i, j), n), problem, large, eye)
+    U_adj = _output("U†", lambda i, j, *n: Up_adj.get((i, j), n), problem, large, eye)
     series = (H, Hp_S, Hp_R, W, V, Up, Up_adj, G, G_S, UdB, B, H_tilde, U, U_adj)
     return {s.name: s for s in series}
 
@@ -815,20 +815,6 @@ def evaluate_truncated(
             f"point(s), starting with {bad[:3].tolist()}."
         )
     return total
-
-
-def eigenvalues_of_truncation(
-    result: DiagonalizationResult,
-    block: int,
-    max_orders: tuple[int, ...],
-    values,
-) -> np.ndarray:
-    """Ascending eigenvalues ``(..., size)`` of the truncated block at ``(..., k)``."""
-    size = result.problem.block_sizes[block]
-    effective = evaluate_truncated(
-        result.h_tilde, (block, block), max_orders, values, shape=(size, size)
-    )
-    return _hermitian_eigenvalues(effective)
 
 
 def _hermitian_eigenvalues(blocks: np.ndarray) -> np.ndarray:

@@ -12,8 +12,9 @@ import scipy.sparse.linalg as sla
 
 from blockpert.diagonalization import (
     PerturbationProblem,
+    _hermitian_eigenvalues,
     block_diagonalize,
-    eigenvalues_of_truncation,
+    evaluate_truncated,
 )
 from blockpert.implicit import build_extended_problem
 from blockpert.operators import OperationCounter, to_array
@@ -151,7 +152,8 @@ def test_criterion_5_eigenvalue_convergence():
     for n_trunc in (1, 2, 3):
         errors = []
         for lam in lambdas:
-            approx = eigenvalues_of_truncation(result, 0, (n_trunc,), [lam])
+            block = evaluate_truncated(result.h_tilde, (0, 0), (n_trunc,), [lam])
+            approx = _hermitian_eigenvalues(block)
             exact = exact_spectrum(energies, perturbations, [lam])[:2]
             errors.append(float(np.max(np.abs(np.sort(approx) - exact))))
         slopes[n_trunc] = convergence_slope(lambdas, errors)

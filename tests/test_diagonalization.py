@@ -339,23 +339,70 @@ def _graphene():
     return bilayer_graphene_problem().problem()
 
 
+def _small_two_block():
+    return PerturbationProblem.from_diagonal(*random_two_block(2, 4, 0))
+
+
+def _small_offdiagonal():
+    energies, perturbations, labels = random_two_block(2, 4, 0, offdiagonal_only=True)
+    return PerturbationProblem.from_diagonal(energies, perturbations, labels)
+
+
+def _small_three_block():
+    return PerturbationProblem.from_diagonal(*random_multiblock((2, 2, 2), 0))
+
+
 @pytest.mark.parametrize(
-    "make, block, max_orders, products",
+    "make, blocks, max_orders, products",
     [
-        (_dense_two_block, (0, 0), (6,), 57),
-        (_graphene, (0, 0), (6, 6, 2), 30969),
-        (_multiblock, (1, 1), (5,), 288),
-        (_masked_two_block, (0, 0), (5,), 63),
-        (_implicit_lattice, (0, 0), (6,), 57),
+        (_dense_two_block, [(0, 0)], (6,), 57),
+        (_graphene, [(0, 0)], (6, 6, 2), 30969),
+        (_multiblock, [(1, 1)], (5,), 288),
+        (_masked_two_block, [(0, 0)], (5,), 63),
+        (_implicit_lattice, [(0, 0)], (6,), 57),
+        # What each order adds grows linearly with the order, well past the
+        # paper's 1, 3, 11 at orders 2-4, so the total grows as its square.
+        (
+            _small_two_block,
+            [(0, 0)],
+            (14,),
+            [0, 0, 1, 3, 11, 15, 27, 35, 47, 55, 67, 75, 87, 95, 107],
+        ),
+        (
+            _small_offdiagonal,
+            [(0, 0)],
+            (14,),
+            [0, 0, 1, 0, 9, 0, 19, 0, 29, 0, 39, 0, 49, 0, 59],
+        ),
+        (
+            _small_three_block,
+            [(0, 0), (1, 1), (2, 2)],
+            (11,),
+            [0, 0, 6, 21, 57, 87, 132, 168, 213, 249, 294, 330],
+        ),
     ],
-    ids=["dense", "graphene", "multiblock", "masked", "implicit"],
+    ids=[
+        "dense",
+        "graphene",
+        "multiblock",
+        "masked",
+        "implicit",
+        "per-order",
+        "per-order-offdiagonal",
+        "per-order-three-blocks",
+    ],
 )
-def test_product_counts_per_problem_family(make, block, max_orders, products):
-    """Products for one H̃ block up to ``max_orders``, pinned per family."""
+def test_product_counts_per_problem_family(make, blocks, max_orders, products):
+    """Products for H̃ blocks up to ``max_orders``, pinned per family: in
+    total, or as a list of what each order adds."""
     result = block_diagonalize(make())
+    added = []
     for order in orders_up_to(max_orders):
-        result.h_tilde.get(block, order)
-    assert result.counter.matmul_count == products
+        before = result.counter.matmul_count
+        for block in blocks:
+            result.h_tilde.get(block, order)
+        added.append(result.counter.matmul_count - before)
+    assert (added if isinstance(products, list) else sum(added)) == products
 
 
 def test_graphene_perturbation_holds_only_its_input_orders():
@@ -775,6 +822,26 @@ def test_rejects_non_hermitian_inputs():
         PerturbationProblem.from_diagonal(
             np.array([0.0, 1.0]), {(1,): np.array([[0.0, 1.0], [0.0, 0.0]])}, [0, 1]
         )
+
+
+@pytest.mark.parametrize("names", [("a", "b"), ("a", "a"), ("a", 1), ()])
+def test_rejects_param_names_that_are_not_one_distinct_name_per_parameter(names):
+    """Every constructor checks the names, not only the document loader."""
+    n_params = 2 if names == ("a", "a") else 1
+    order = (1,) * n_params
+    energies, perturbations, labels = random_two_block(2, 4, 0, orders=(order,))
+    h0 = np.diag(energies)
+    vectors, explicit = np.eye(6)[:, :2], energies[:2]
+    with pytest.raises(ValueError, match="distinct string"):
+        PerturbationProblem.from_diagonal(
+            energies, perturbations, labels, param_names=names
+        )
+    with pytest.raises(ValueError, match="distinct string"):
+        build_extended_problem(h0, perturbations, vectors, explicit, param_names=names)
+    problem = PerturbationProblem.from_diagonal(
+        energies, perturbations, labels, param_names=tuple("xy"[:n_params])
+    )
+    assert problem.param_names == tuple("xy"[:n_params])
 
 
 def test_rejects_degenerate_blocks():

@@ -11,11 +11,7 @@ import scipy.sparse.linalg as sla
 
 from blockpert import cli, diagonalization
 from blockpert.cli import main
-from blockpert.diagonalization import (
-    PerturbationProblem,
-    block_diagonalize,
-    eigenvalues_of_truncation,
-)
+from blockpert.diagonalization import PerturbationProblem, block_diagonalize
 from blockpert.documents import (
     DocumentError,
     decode_matrix,
@@ -706,7 +702,9 @@ def test_non_hermitian_truncated_block_is_rejected(tmp_path, monkeypatch, capsys
     path = document_path(tmp_path, two_block_document())
     result = block_diagonalize(load_problem(path)[0])
     with pytest.raises(ValueError, match="not Hermitian"):
-        eigenvalues_of_truncation(result, 0, (2,), [0.1])
+        diagonalization._hermitian_eigenvalues(
+            diagonalization.evaluate_truncated(result.h_tilde, (0, 0), (2,), [0.1])
+        )
     argv = ["spectrum", "--input", path, "--max-order", "2", "--grid", "lam=0:0.1:3"]
     assert main(argv) == 3
     captured = capsys.readouterr()

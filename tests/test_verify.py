@@ -5,6 +5,7 @@ A corrupted result is a correct one with one entry of ``U``, ``U†`` or
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,12 @@ from blockpert.cli import main
 from blockpert.diagonalization import PerturbationProblem, block_diagonalize
 from blockpert.documents import problem_document, write_document
 from blockpert.operators import to_array
-from blockpert.problems import bilayer_graphene_problem, random_two_block
+from blockpert.operators import zero
+from blockpert.problems import (
+    bilayer_graphene_problem,
+    random_multiblock,
+    random_two_block,
+)
 from blockpert.series import BlockSeries
 from blockpert.verify import orders_with_total_up_to, run_verification
 
@@ -82,6 +88,82 @@ def test_rounding_of_large_terms_passes(problem, max_order):
     problem, so absolute 1e-12 bounds fail these correct results."""
     checks = run_verification(problem, max_order)
     assert all(c.passed for c in checks), [c.line() for c in checks]
+
+
+def three_block_problem():
+    return PerturbationProblem.from_diagonal(*random_multiblock((3, 4, 5), 1))
+
+
+def masked_problem():
+    """Block 0 of 6 + 8 keeps two pairs of states remaining."""
+    mask = np.ones((6, 6), dtype=bool)
+    mask[0, 4] = mask[4, 0] = mask[1, 5] = mask[5, 1] = False
+    energies, perturbations, labels = random_two_block(6, 8, 2)
+    return PerturbationProblem.from_diagonal(
+        energies, perturbations, labels, masks={0: mask}
+    )
+
+
+@pytest.mark.parametrize("problem", [three_block_problem(), masked_problem()])
+def test_the_gauge_holds_beyond_two_whole_blocks(problem):
+    """The gauge check runs on every problem; only the exp(S) oracle needs
+    two whole blocks."""
+    checks = run_verification(problem, 5)
+    assert [c.name for c in checks] == [c for c in CHECKS if c != "sw-equivalence"]
+    assert all(c.passed for c in checks), [c.line() for c in checks]
+
+
+def rotated(result, a, label):
+    """``result`` with ``U`` replaced by ``U R``, ``U†`` by ``R† U†`` and
+    ``H̃`` by ``R† H̃ R``, for ``R = exp(λ a)`` on diagonal block ``label``
+    and the identity on the others. ``a`` is anti-Hermitian, so ``R`` is
+    unitary and block diagonal."""
+    sizes = result.problem.block_sizes
+
+    def r(k, n, sign=1):
+        """Order ``n`` of ``R`` on block ``k``, or of ``R† = exp(-λ a)``."""
+        if k == label:
+            return np.linalg.matrix_power(sign * a, n) / math.factorial(n)
+        return np.eye(sizes[k]) if n == 0 else np.zeros((sizes[k],) * 2)
+
+    def dense(series, i, j, n):
+        return to_array(series.get((i, j), (n,)), (sizes[i], sizes[j]))
+
+    def u(i, j, n):
+        return sum(dense(result.u, i, j, m) @ r(j, n - m) for m in range(n + 1))
+
+    def u_adjoint(i, j, n):
+        return sum(
+            r(i, m, -1) @ dense(result.u_adjoint, i, j, n - m) for m in range(n + 1)
+        )
+
+    def h_tilde(i, j, n):
+        if i != j:
+            return zero
+        return sum(
+            r(i, m, -1) @ dense(result.h_tilde, i, i, k) @ r(i, n - m - k)
+            for m in range(n + 1)
+            for k in range(n - m + 1)
+        )
+
+    fields = {
+        name: BlockSeries(eval, (len(sizes),) * 2, 1, name=name)
+        for name, eval in [("u", u), ("u_adjoint", u_adjoint), ("h_tilde", h_tilde)]
+    }
+    return dataclasses.replace(result, **fields)
+
+
+def test_a_rotated_gauge_fails_only_the_gauge_check():
+    """``U R`` block-diagonalizes ``H`` as well as ``U`` does: unitarity,
+    similarity, cancellation and structural zeros cannot tell the two
+    apart. Only the gauge fixes ``U`` and ``H̃``."""
+    problem = three_block_problem()
+    result = block_diagonalize(problem)
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    wrong = rotated(result, 0.1 * (x - x.conj().T), 1)
+    assert failing(problem, 4, result) == set()
+    assert failing(problem, 4, wrong) == {"gauge-structure"}
 
 
 X = np.array([[1.0, 2.0j, 0.5], [-1.0, 0.3, 1.0j]])  # block (0, 1) of 2 + 3
