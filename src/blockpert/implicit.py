@@ -17,8 +17,12 @@ removes the shift to rounding in about two steps. The LU is real whenever
 the entries of ``H_0`` are, whatever its dtype. SuperLU factorizes it in
 panels of ``PANEL_SIZE`` columns, narrower than its default: the supernodes
 of a sparse lattice are small, so wide panels only add work, and the panel
-width changes neither the fill nor the refinement steps. The factorizations
-are made eagerly at build time and reused for every order.
+width changes neither the fill nor the refinement steps. The shifted
+operators differ only on the diagonal, so they share one sparsity pattern,
+and a fill-reducing ordering depends on the pattern alone: SuperLU orders
+the first shift (``MMD_AT_PLUS_A``), and every other shift is factored in
+that order, of ``H_0`` permuted once. The factorizations are made eagerly
+at build time and reused for every order.
 
 The problem states its complement once: its eigenvalues are ``None``, which
 makes block 1 its large block, whose computed entries the engine keeps
@@ -136,6 +140,15 @@ class ShiftedSolverSet:
     lattice and leave the fill as the default panel does; ``factor_nnz``
     and ``factor_bytes`` report that fill and its memory per state.
 
+    The set computes one fill-reducing column ordering, for the first
+    state, and factors every other state on it. This is valid because
+    every ``H_0 - sigma_i`` has the pattern of ``H_0`` plus its diagonal,
+    and the ordering depends only on the pattern. The first LU's
+    ``perm_c`` permutes ``H_0`` symmetrically once, and each later LU
+    factors the permuted shift in its natural order; its solves gather the
+    right-hand side into the permuted coordinates and the solution back.
+    ``h0``, ``psi`` and ``energies`` stay in the caller's coordinates.
+
     A solve projects the right-hand side onto the implicit subspace and
     refines ``x <- x + P LU_i^-1 r`` on the residual ``r = P(rhs - (H_0 -
     E_i) x)`` until it is near rounding or stops shrinking; the unprojected
@@ -152,30 +165,44 @@ class ShiftedSolverSet:
     def __init__(self, h0, psi: np.ndarray, energies: np.ndarray):
         self.psi = np.asarray(psi)
         self.energies = np.asarray(energies, dtype=float)
+        if self.energies.ndim != 1 or len(self.energies) == 0:
+            raise ValueError("ShiftedSolverSet needs at least one explicit state.")
+        if self.psi.ndim != 2 or self.psi.shape[1] != len(self.energies):
+            raise ValueError(
+                f"psi has shape {self.psi.shape}; it needs one column per "
+                f"energy, {len(self.energies)}."
+            )
         self.h0 = h0
         self.records: list[SolveRecord] = []
         matrix = sparse.csc_matrix(h0)
         self.real_factors = not np.iscomplexobj(matrix)
         identity = sparse.identity(matrix.shape[0], dtype=matrix.dtype, format="csc")
         shift = SHIFT_FRACTION * max(1.0, float(np.max(np.abs(self.energies))))
-        self._factors = []
-        for energy in self.energies:
-            shifted = matrix - (energy - shift) * identity
+
+        def factorize(operator, energy, permc_spec):
             try:
-                self._factors.append(
-                    sla.splu(
-                        shifted,
-                        permc_spec="MMD_AT_PLUS_A",
-                        diag_pivot_thresh=0.001,
-                        panel_size=PANEL_SIZE,
-                        options=dict(SymmetricMode=True),
-                    )
+                return sla.splu(
+                    operator - (energy - shift) * identity,
+                    permc_spec=permc_spec,
+                    diag_pivot_thresh=0.001,
+                    panel_size=PANEL_SIZE,
+                    options=dict(SymmetricMode=True),
                 )
             except RuntimeError as exc:  # exactly singular
                 raise FactorizationError(
                     f"Failed to factorize the shifted operator at E = {energy}."
                 ) from exc
-        self._value_bytes = shifted.dtype.itemsize
+
+        first = factorize(matrix, self.energies[0], "MMD_AT_PLUS_A")
+        # The later factors' coordinates: a vector is gathered into them by
+        # ``_gather`` and a solution scattered back by ``_scatter``.
+        self._gather, self._scatter = np.argsort(first.perm_c), first.perm_c
+        matrix = matrix[self._gather][:, self._gather]
+        self._factors = [first] + [
+            factorize(matrix, energy, "NATURAL") for energy in self.energies[1:]
+        ]
+        # The shifted operators' dtype: H_0's, promoted by the float64 shift.
+        self._value_bytes = np.promote_types(matrix.dtype, np.float64).itemsize
 
     @property
     def factorization_count(self) -> int:
@@ -215,11 +242,15 @@ class ShiftedSolverSet:
 
     def _precondition(self, i: int, column: np.ndarray) -> np.ndarray:
         """``P LU_i^-1 column``, the preconditioned refinement step."""
+        if i > 0:
+            column = column[self._gather]
         if self.real_factors and np.iscomplexobj(column):  # parts as two columns
             parts = self._factors[i].solve(column.view(np.float64).reshape(-1, 2))
             solved = np.ascontiguousarray(parts).view(np.complex128).ravel()
         else:
             solved = self._factors[i].solve(column)
+        if i > 0:
+            solved = solved[self._scatter]
         return _project_out(self.psi, solved)
 
     def solve_shifted_deflated(self, i: int, rhs_row: np.ndarray) -> np.ndarray:

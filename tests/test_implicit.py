@@ -162,6 +162,99 @@ def test_narrow_panel_changes_neither_fill_nor_solves(monkeypatch, complex_h0):
     assert max(r.residual for r in narrow.records) <= RESIDUAL_RTOL
 
 
+@pytest.mark.parametrize("complex_h0", [False, True], ids=["real", "complex"])
+def test_shared_ordering_keeps_fill_and_residuals(monkeypatch, complex_h0):
+    """One fill-reducing ordering serves every state: each factor has the
+    fill of the state's own ordering, and every solve meets its residual
+    in the caller's coordinates."""
+    h0, perturbations = lattice_problem(30, 2)
+    if complex_h0:
+        hop = sparse.diags(np.ones(h0.shape[0] - 1), 1)
+        h0 = (h0 + 0.1j * (hop - hop.T)).tocsr()
+    energies, vectors = sla.eigsh(h0, k=4, which="SA", v0=np.ones(h0.shape[0]))
+    splu = sla.splu
+    orderings = []
+
+    def spy(*args, **kwargs):
+        orderings.append(kwargs["permc_spec"])
+        return splu(*args, **kwargs)
+
+    solves = []
+
+    def logged(self, i, rhs_row):
+        row = solve(self, i, rhs_row)
+        solves.append((i, rhs_row, row))
+        return row
+
+    solve = ShiftedSolverSet.solve_shifted_deflated
+    monkeypatch.setattr(sla, "splu", spy)
+    monkeypatch.setattr(ShiftedSolverSet, "solve_shifted_deflated", logged)
+    problem = build_extended_problem(h0, perturbations, vectors, energies)
+    result = block_diagonalize(problem)
+    for order in range(1, 5):
+        result.h_tilde.get((0, 0), (order,))
+    solver = problem.solver
+    assert orderings.count("MMD_AT_PLUS_A") == 1
+    assert len(orderings) == solver.factorization_count == 4
+
+    matrix = sparse.csc_matrix(solver.h0)
+    shift = implicit.SHIFT_FRACTION * max(1.0, np.max(np.abs(solver.energies)))
+    own_fill = [
+        splu(
+            matrix - (energy - shift) * sparse.identity(matrix.shape[0], format="csc"),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.001,
+            panel_size=implicit.PANEL_SIZE,
+            options=dict(SymmetricMode=True),
+        ).nnz
+        for energy in solver.energies
+    ]
+    assert solver.factor_nnz == tuple(own_fill)
+
+    assert len(solves) == len(solver.records) > solver.factorization_count
+    psi = solver.psi
+    for (i, rhs_row, row), record in zip(solves, solver.records):
+        column = np.asarray(rhs_row).ravel().conj()
+        projected = column - psi @ (psi.conj().T @ column)
+        solution = row.conj()
+        residual = matrix @ solution - solver.energies[i] * solution - projected
+        relative = np.linalg.norm(residual) / np.linalg.norm(column)
+        assert record.shift == i
+        assert relative <= RESIDUAL_RTOL
+        assert relative == pytest.approx(record.residual, rel=1e-6, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "energies, psi, message",
+    [
+        (np.zeros(0), np.zeros((3, 0)), "at least one explicit state"),
+        (np.array([0.0, 2.0]), np.eye(3)[:, :1], "one column per energy"),
+    ],
+    ids=["no state", "one column for two energies"],
+)
+def test_shifted_solver_rejects_malformed_inputs(energies, psi, message):
+    h0 = sparse.diags([0.0, 2.0, 3.0]).tocsc()
+    with pytest.raises(ValueError, match=message):
+        ShiftedSolverSet(h0, psi, energies)
+
+
+@pytest.mark.parametrize("singular", [0, 2], ids=["first state", "later state"])
+def test_exactly_singular_shift_names_its_energy(singular):
+    """A shifted operator with an exactly zero pivot raises for its own
+    state: the first, with its own ordering, or a later one, factored on
+    the first state's ordering."""
+    energies = np.array([0.0, 1.0, 2.0])
+    sigma = energies[singular] - implicit.SHIFT_FRACTION * 2.0
+    h0 = sparse.diags([0.0, 1.0, 2.0, 5.0, sigma, 7.0]).tocsr()
+    psi = np.eye(6)[:, :3]
+    with pytest.raises(
+        FactorizationError,
+        match=re.escape(f"Failed to factorize the shifted operator at E = "
+                        f"{energies[singular]}."),
+    ):
+        ShiftedSolverSet(h0, psi, energies)
+
+
 def weakly_split_lattice():
     """Clean 20x20 lattice whose two lowest degenerate pairs are split by 1e-8."""
     h0 = lattice_problem(20, 0, disorder=0.0)[0]
